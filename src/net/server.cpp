@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "matrix/csr.h"
@@ -35,6 +36,16 @@ void drain_pipe(int fd) {
   char buf[256];
   while (::read(fd, buf, sizeof buf) > 0) {
   }
+}
+
+/// True once the peer acknowledged our FIN, and so every byte before it
+/// (or the connection is gone and there is nothing left to wait for).
+bool fin_acknowledged(int fd) {
+  tcp_info info{};
+  socklen_t len = sizeof info;
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len) != 0) return true;
+  return info.tcpi_state == TCP_FIN_WAIT2 ||
+         info.tcpi_state == TCP_TIME_WAIT || info.tcpi_state == TCP_CLOSE;
 }
 
 void make_pipe(int fds[2]) {
@@ -229,8 +240,10 @@ void SpmvServer::stop() {
   // threads keep writing replies out during the whole drain.
   scheduler_.shutdown(serve::Scheduler::Drain::kDrain);
 
-  // Phase 4 — I/O threads run their final pass: drain inboxes, GOODBYE
-  // each session, flush within drain_grace, close, exit.
+  // Phase 4 — I/O threads run their final pass: drain inboxes, answer
+  // the frames still in the sockets, GOODBYE each session, flush,
+  // half-close and wait for the FIN's acknowledgement within
+  // drain_grace, close, exit.
   // release: pairs with the I/O loops' acquire load.
   io_stopping_.store(true, std::memory_order_release);
   for (auto& io : io_threads_) ring(io->doorbell[1]);
@@ -358,15 +371,20 @@ void SpmvServer::io_loop(unsigned index) {
 
     const int timeout_ms = needs_sweep_tick() ? 100 : -1;
     const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    // acquire: pairs with stop()'s release store after the scheduler
-    // drained — everything the drain produced is in our inbox by now.
-    if (io_stopping_.load(std::memory_order_acquire)) break;
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;  // unrecoverable poll failure; shutdown will reap
     }
 
     if (pfds[0].revents != 0) drain_pipe(io.doorbell[0]);
+    // acquire: pairs with stop()'s release store after the scheduler
+    // drained — everything the drain produced is in our inbox by now.
+    // Read only after the doorbell drain: stop() stores the flag, then
+    // rings, so a ring consumed above is always followed by a true load
+    // here.  Reading it before the drain could see false, swallow the
+    // ring, and sleep in poll() forever.  Readable sockets of this round
+    // are left to the final pass, which reads and answers them.
+    if (io_stopping_.load(std::memory_order_acquire)) break;
     drain_inbox(io);
 
     if (stop_slot >= 0 && pfds[stop_slot].revents != 0) {
@@ -406,9 +424,23 @@ void SpmvServer::io_loop(unsigned index) {
   }
 
   // --- final pass: the scheduler already drained, so the inbox holds
-  // every outstanding completion.  Answer them, say GOODBYE, flush, close.
+  // every outstanding completion.  Answer them, then every frame still
+  // buffered in the sockets (MULTIPLY and UPLOAD_MATRIX answer kShutdown:
+  // draining_ is set), say GOODBYE, flush, half-close, and wait for the
+  // peer to acknowledge the FIN before closing.  close() on a socket
+  // holding unread bytes sends a RST instead of a FIN: the frames in it
+  // would go unanswered and any reply still in our send buffer would be
+  // discarded.
   drain_pipe(io.doorbell[0]);
   drain_inbox(io);
+  for (auto& [id, conn] : io.conns) {
+    if (conn->kill) continue;
+    if (read_socket(*conn) == ReadEnd::kError) {
+      conn->kill = true;
+    } else {
+      handle_frames(io, *conn);
+    }
+  }
   for (auto& [id, conn] : io.conns) {
     if (conn->slot != nullptr && !conn->kill) {
       send_frame(*conn, FrameType::kGoodbye, 0, {});
@@ -438,6 +470,20 @@ void SpmvServer::io_loop(unsigned index) {
       }
       if ((pfds[i].revents & POLLOUT) != 0) flush_writes(*it->second);
     }
+  }
+  // Half-close, then wait (within the same drain_grace) until each peer
+  // has acknowledged our FIN: every reply byte is then in its receive
+  // queue.  close() still sends a RST if a frame arrived after the pass
+  // above, but a RST leaves the peer's receive queue readable.
+  for (auto& [id, conn] : io.conns) {
+    if (!conn->kill) ::shutdown(conn->fd, SHUT_WR);
+  }
+  while (Clock::now() < flush_deadline &&
+         std::any_of(io.conns.begin(), io.conns.end(), [](const auto& c) {
+           return !c.second->kill && !fin_acknowledged(c.second->fd);
+         })) {
+    // The acknowledgement of our FIN raises no poll event: check again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   while (!io.conns.empty()) close_conn(io, io.conns.begin()->first);
 }
@@ -497,6 +543,15 @@ void SpmvServer::drain_inbox(IoThread& io) {
 
 void SpmvServer::handle_readable(IoThread& io, Conn& conn) {
   SPMV_FAULT_DELAY("net.slow_client");
+  // Peer closed (or the socket failed): cancel in-flight, tear down now.
+  if (read_socket(conn) != ReadEnd::kDrained) {
+    close_conn(io, conn.id);
+    return;
+  }
+  handle_frames(io, conn);
+}
+
+SpmvServer::ReadEnd SpmvServer::read_socket(Conn& conn) {
   std::uint8_t buf[65536];
   for (;;) {
     const ssize_t n = ::read(conn.fd, buf, sizeof buf);
@@ -509,19 +564,18 @@ void SpmvServer::handle_readable(IoThread& io, Conn& conn) {
         conn.slot->count_bytes_in(static_cast<std::uint64_t>(n));
       }
       conn.last_activity = Clock::now();
-      if (static_cast<std::size_t>(n) < sizeof buf) break;
+      // A short read took everything the receive queue held.
+      if (static_cast<std::size_t>(n) < sizeof buf) return ReadEnd::kDrained;
       continue;
     }
-    if (n == 0) {  // peer closed: cancel in-flight, tear down now
-      close_conn(io, conn.id);
-      return;
-    }
+    if (n == 0) return ReadEnd::kEof;
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    close_conn(io, conn.id);
-    return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadEnd::kDrained;
+    return ReadEnd::kError;
   }
+}
 
+void SpmvServer::handle_frames(IoThread& io, Conn& conn) {
   bool advanced = false;  // a complete frame was consumed this pass
   while (!conn.closing && !conn.kill) {
     FrameHeader header;

@@ -32,8 +32,9 @@
 //   readiness         → HealthWatchdog / OverloadDetector via HEALTH
 //   SIGTERM           → request_stop() (async-signal-safe) → drain
 //                       shutdown: scheduler drains, every in-flight
-//                       request is answered, each session gets GOODBYE,
-//                       then connections close.
+//                       request and every frame already received is
+//                       answered, each session gets GOODBYE, then
+//                       connections half-close and close.
 //
 // This file is on lint_concurrency.py's audited-thread-lifecycle list:
 // the I/O threads and the upload control thread are joined in stop(),
@@ -75,7 +76,8 @@ struct ServerConfig {
   /// 0 disables reaping.
   std::chrono::milliseconds idle_timeout{0};
   /// How long shutdown may keep flushing already-queued response bytes
-  /// after the scheduler drained (slow readers do not wedge stop()).
+  /// after the scheduler drained, and then wait for each peer to
+  /// acknowledge the half-close (slow readers do not wedge stop()).
   std::chrono::milliseconds drain_grace{1000};
   /// How long an abruptly disconnected session stays parked waiting for a
   /// resuming HELLO.  0 disables resumption entirely: a disconnect
@@ -161,8 +163,10 @@ class SpmvServer {
   void request_stop() noexcept;
 
   /// Drain shutdown, idempotent: stop accepting, let the scheduler drain
-  /// (every in-flight request is answered over the wire), send GOODBYE to
-  /// each session, flush within drain_grace, close, join all threads.
+  /// (every in-flight request is answered over the wire), answer the
+  /// frames still buffered in each socket (kShutdown for new work), send
+  /// GOODBYE to each session, flush, half-close and wait for each peer to
+  /// acknowledge it within drain_grace, close, join all threads.
   void stop();
 
   /// The registry/scheduler behind the wire — for in-process loading,
@@ -195,6 +199,12 @@ class SpmvServer {
   void upload_loop() SPMV_EXCLUDES(upload_mutex_);
 
   void handle_readable(IoThread& io, Conn& conn);
+  /// How a read_socket() sweep ended.
+  enum class ReadEnd : std::uint8_t { kDrained, kEof, kError };
+  /// Append what the socket's receive queue holds to conn.rdbuf.
+  ReadEnd read_socket(Conn& conn);
+  /// Parse and handle every complete frame in conn.rdbuf.
+  void handle_frames(IoThread& io, Conn& conn);
   void handle_frame(IoThread& io, Conn& conn, const FrameHeader& header,
                     std::span<const std::uint8_t> payload);
   void handle_multiply(IoThread& io, Conn& conn, const FrameHeader& header,

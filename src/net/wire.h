@@ -33,6 +33,19 @@
 // included, is a STATUS), MULTIPLY_RESULT, MULTIPLY_BATCH_RESULT,
 // STATS_RESULT, HEALTH_RESULT.  A server-initiated GOODBYE (request id 0)
 // announces drain shutdown.
+//
+// Frames that arrive mid-drain: once the server starts draining, it
+// still answers every request frame it has received by its final read,
+// just before it sends its GOODBYE.  MULTIPLY, MULTIPLY_BATCH and
+// UPLOAD_MATRIX get a STATUS kShutdown (a retransmission gets its usual
+// replay-window answer instead); HELLO, CANCEL, STATS, HEALTH and GOODBYE
+// are answered as usual.  Requests admitted before the drain get their
+// results.  Then the server half-closes the connection and closes it once
+// the client has acknowledged that FIN.  A frame that arrives after the
+// final read goes unanswered and may turn the close into a reset: after
+// the GOODBYE the client reads EOF or ECONNRESET.  A client whose stack
+// acknowledges the FIN within the server's drain_grace loses no reply
+// sent before it.
 #pragma once
 
 #include <cstdint>

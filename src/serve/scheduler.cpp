@@ -40,6 +40,14 @@ constexpr std::uint8_t kCancelClaimed = 2;
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
+/// Consecutive linger windows that ended no wider than they began, after
+/// which a matrix stops lingering until its batches widen again (see
+/// build_batch).  One miss is not enough: an open-loop client refilling
+/// its window in bursts misses now and then, and disarming on the first
+/// miss cut bench_serve's serve-open mean batch width at 1 client from 8
+/// to 6.1-6.8.
+constexpr std::uint32_t kLingerMissLimit = 2;
+
 /// The scheduler whose dispatcher_loop is running on this thread, if
 /// any — the self-submit fail-fast guard (a dispatcher blocking on its
 /// own full queue would wait for itself to drain it).
@@ -197,6 +205,10 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   req.entry = std::move(entry);
   req.x = x.data();
   req.y = y.data();
+  // relaxed: a heuristic hint for the linger gate (see build_batch); a
+  // stale read costs at most one window or one skipped window.
+  req.queued_behind =
+      cell->batches_executing.load(std::memory_order_relaxed) != 0;
   req.stats = std::move(cell);
   req.deadline = options.deadline;
   req.priority = options.priority;
@@ -531,13 +543,40 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
     // other requests waiting would delay them without widening this batch
     // any faster (their execution time is itself a natural accumulation
     // window for ours).  Drain mode dispatches immediately.
+    //
+    // And only while lingering pays for this matrix.  A window that ends
+    // no wider than it began (timed out, or cut short by a stall) is a
+    // miss; after kLingerMissLimit misses in a row the matrix dispatches
+    // at once, so a lone closed-loop client stops paying the window on
+    // every call.  Concurrent clients re-arm the matrix: a window that
+    // widens its batch, a batch that formed 2+ wide on its own, or a head
+    // request submitted while a batch of this matrix was executing.  The
+    // last is what two closed-loop clients produce once disarmed — each
+    // one's request queues behind the other's 1-wide batch — and what a
+    // lone one never does, as it resubmits only after its result.
+    // relaxed (every linger_misses access): a heuristic gate read and
+    // written by dispatchers only; a race between two of them costs at
+    // most one window or one skipped window, and no data rides on it.
+    std::atomic<std::uint32_t>& misses = batch.front().stats->linger_misses;
+    if (batch.size() >= 2 || batch.front().queued_behind) {
+      misses.store(0, std::memory_order_relaxed);
+    }
     // acquire: pairs with shutdown()'s store; a stale false only costs
     // one linger window — the eventcount handshake inside linger_fill
     // still guarantees the shutdown notify is not lost.
     if (pending.empty() && deferred.empty() &&
-        batch.size() < config_.max_batch &&
+        batch.size() < config_.max_batch && config_.max_linger.count() != 0 &&
+        misses.load(std::memory_order_relaxed) < kLingerMissLimit &&
         !stopping_.load(std::memory_order_acquire)) {
+      const std::size_t width = batch.size();
+      plane_.lingers.fetch_add(1, std::memory_order_relaxed);
       linger_fill(key, home, batch, pending);
+      if (batch.size() > width) {
+        plane_.lingers_widened.fetch_add(1, std::memory_order_relaxed);
+        misses.store(0, std::memory_order_relaxed);
+      } else {
+        misses.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     // Batch finalization: the last, *claiming* dead-sweep.  Members can
     // expire or be cancelled during the linger window; survivors have
@@ -584,7 +623,6 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
 void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
                             std::size_t home, std::vector<Request>& batch,
                             std::deque<Request>& pending) {
-  if (config_.max_linger.count() == 0 || batch.empty()) return;
   // Deadline anchored to the oldest request's enqueue time, so a request
   // never waits more than max_linger total no matter how its batch forms
   // — and capped by the earliest member request-deadline, so lingering
@@ -657,6 +695,11 @@ void Scheduler::fail_request(Request& req, ServeErrorCode code,
 }
 
 void Scheduler::execute_batch(std::vector<Request> batch) {
+  MatrixServeStats& stats = *batch.front().stats;
+  // Executing from here until just before the first promise resolves, so
+  // a closed-loop client never sees its own batch here.  relaxed: the
+  // linger gate's heuristic hint (see do_submit).
+  stats.batches_executing.fetch_add(1, std::memory_order_relaxed);
   // Simulated slow dispatch: injected latency (and an optional handler
   // running ON the dispatcher thread — how the self-submit fail-fast
   // guard is exercised) before the batch timer starts.
@@ -685,10 +728,16 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
     plane_.steal_batches.fetch_add(1, std::memory_order_relaxed);
   }
   const MatrixRegistry::Entry& entry = *batch.front().entry;
-  MatrixServeStats& stats = *batch.front().stats;
+  std::exception_ptr err;
   try {
     engine::Executor exec(entry.plan, entry.scratch);
     exec.multiply_batch(xs, ys);
+  } catch (...) {
+    err = std::current_exception();
+  }
+  // relaxed: as the increment above.
+  stats.batches_executing.fetch_sub(1, std::memory_order_relaxed);
+  if (err == nullptr) {
     const auto end = std::chrono::steady_clock::now();
     stats.record_batch(batch.size());
     stats.dispatch_latency.record_ns(static_cast<std::uint64_t>(
@@ -701,8 +750,7 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
       r.promise.set_value();
       if (r.on_complete) r.on_complete();
     }
-  } catch (...) {
-    const std::exception_ptr err = std::current_exception();
+  } else {
     for (Request& r : batch) {
       r.stats->requests_failed.fetch_add(1, std::memory_order_relaxed);
       r.promise.set_exception(err);
@@ -900,6 +948,9 @@ ServeStatsSnapshot Scheduler::stats() const {
       plane_.requests_expired.load(std::memory_order_relaxed);
   out.data_plane.requests_cancelled =
       plane_.requests_cancelled.load(std::memory_order_relaxed);
+  out.data_plane.lingers = plane_.lingers.load(std::memory_order_relaxed);
+  out.data_plane.lingers_widened =
+      plane_.lingers_widened.load(std::memory_order_relaxed);
   out.data_plane.health_state = detector_.state();
   out.data_plane.overload_transitions = detector_.transitions();
   out.data_plane.ewma_queue_latency_us = detector_.ewma_latency_us();

@@ -33,7 +33,12 @@
 //
 //   * max_batch    — widest coalesced dispatch (amortization ceiling);
 //   * max_linger   — how long the head request may wait for company
-//                    (latency floor under light load, width under heavy);
+//                    (width under heavy load).  Lingering is adaptive
+//                    per matrix: after two windows in a row that added
+//                    nothing, the matrix dispatches at once until
+//                    concurrent traffic shows up again, so a lone
+//                    closed-loop client does not pay the window on
+//                    every call;
 //   * queue_capacity + overflow policy — bounded queue: block the
 //                    submitter (backpressure) or fail fast (kQueueFull);
 //   * dispatch_threads / shards — data-plane width.
@@ -117,6 +122,12 @@ struct SchedulerConfig {
   /// window also ends early on stall: when arrivals keep coming but none
   /// of them target this batch's matrix, lingering cannot widen it (its
   /// clients are already queued or blocked on us), so it dispatches.
+  /// A matrix lingers only while lingering pays: after two consecutive
+  /// windows that ended no wider than they began, its batches dispatch
+  /// at once, until a window widens a batch, a batch forms at least 2
+  /// wide on its own, or a request is submitted while a batch of the
+  /// matrix executes.  DataPlaneSnapshot::lingers and lingers_widened
+  /// count the windows entered and those that paid.
   std::chrono::microseconds max_linger{100};
   /// Bounded queue: submits beyond this either block (backpressure) or
   /// fail fast, per `overflow`.  The capacity is split evenly across
@@ -300,6 +311,9 @@ class Scheduler {
     /// SubmitOptions::on_complete, fired once after the promise resolves.
     std::function<void()> on_complete;
     bool stolen = false;  ///< popped from a shard its dispatcher doesn't own
+    /// Submitted while a batch of its matrix was executing: it has
+    /// company, so it re-arms the matrix's linger (see build_batch).
+    bool queued_behind = false;
   };
 
   /// One request-queue shard.  Padded so neighboring shards' ring cursors
@@ -365,15 +379,18 @@ class Scheduler {
   /// Build a dispatchable batch from `pending`: pick the head request's
   /// entry, gather up to max_batch same-entry requests without intra-batch
   /// operand conflicts, linger for stragglers when the batch is the only
-  /// local work, then claim the batch's operands in the in-flight
-  /// tracker (conflicting requests go back to `pending`, deferred until a
-  /// retirement).  Tries later entries when the head's are all deferred.
+  /// local work and its matrix is armed (the per-matrix miss count in
+  /// MatrixServeStats::linger_misses, reset by concurrent traffic), then
+  /// claim the batch's operands in the in-flight tracker (conflicting
+  /// requests go back to `pending`, deferred until a retirement).  Tries
+  /// later entries when the head's are all deferred.
   /// Empty result means everything in `pending` is conflict-deferred.
   std::vector<Request> build_batch(std::size_t home,
                                    std::deque<Request>& pending);
-  /// Linger: give `batch` time to fill before paying a dispatch for it.
-  /// Only called while `pending` is empty (lingering while other entries
-  /// wait would delay them without widening this batch any faster).
+  /// Linger: give non-empty `batch` time to fill before paying a dispatch
+  /// for it.  Only called while `pending` is empty (lingering while other
+  /// entries wait would delay them without widening this batch any
+  /// faster) and max_linger is nonzero.
   void linger_fill(const MatrixRegistry::Entry* key, std::size_t home,
                    std::vector<Request>& batch, std::deque<Request>& pending);
   void execute_batch(std::vector<Request> batch);

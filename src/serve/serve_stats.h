@@ -104,6 +104,10 @@ struct DataPlaneStats {
   std::atomic<std::uint64_t> requests_expired{0};
   /// Requests resolved kCancelled via their CancelToken pre-dispatch.
   std::atomic<std::uint64_t> requests_cancelled{0};
+  /// Linger windows entered, and those that added at least one request
+  /// to their batch: the ratio is how often waiting for company paid.
+  std::atomic<std::uint64_t> lingers{0};
+  std::atomic<std::uint64_t> lingers_widened{0};
   CountHistogram batch_width;  ///< width of every dispatched batch
   CountHistogram queue_depth;  ///< total queued depth sampled at submit
 };
@@ -119,6 +123,8 @@ struct DataPlaneSnapshot {
   std::uint64_t requests_shed = 0;
   std::uint64_t requests_expired = 0;
   std::uint64_t requests_cancelled = 0;
+  std::uint64_t lingers = 0;
+  std::uint64_t lingers_widened = 0;
   /// Overload detector (serve/health.h) at snapshot time.
   HealthState health_state = HealthState::kOk;
   std::uint64_t overload_transitions = 0;
@@ -144,6 +150,13 @@ struct MatrixServeStats {
   std::atomic<std::uint64_t> max_batch_width{0};
   LatencyHistogram queue_latency;     ///< submit → dispatch start
   LatencyHistogram dispatch_latency;  ///< batched multiply duration
+  /// Consecutive linger windows that ended no wider than they began: the
+  /// scheduler's per-matrix linger gate (see Scheduler::build_batch).
+  std::atomic<std::uint32_t> linger_misses{0};
+  /// Batches of this matrix between dispatch start and the first promise
+  /// they resolve; a request submitted while it is nonzero re-arms the
+  /// linger gate.
+  std::atomic<std::uint32_t> batches_executing{0};
 
   void record_batch(std::uint64_t width);
 };

@@ -330,6 +330,12 @@ TEST(NetLoopback, ShedAnsweredAsShedFrame) {
   for (int i = 0; i < 16; ++i) {
     ids.push_back(loop.client->begin_multiply("A", x));
   }
+  // Resume only once the server has taken all 16 frames: resuming while
+  // the I/O thread is still reading them lets the dispatcher drain the
+  // queue as fast as it fills, and nothing sheds.
+  ASSERT_TRUE(
+      wait_until([&] { return loop.server.net_stats().requests == 16; }))
+      << "server never admitted the 16 multiplies";
   loop.server.scheduler().resume();
   int ok = 0;
   int shed = 0;
@@ -488,6 +494,21 @@ TEST(NetLoopback, StatsReportDeltaSavings) {
   EXPECT_EQ(s.active_sessions, 1u);
   EXPECT_GT(s.bytes_in, 0u);
   EXPECT_GT(s.bytes_out, 0u);
+}
+
+TEST(NetLoopback, LoneClientStopsLingering) {
+  // The default ServerConfig lingers up to 100 us for company.  A lone
+  // closed-loop client never has any, so after two missed windows its
+  // calls dispatch at once instead of paying the window every time.
+  Loop loop;
+  auto x = random_x(loop.m.n, 15);
+  for (int i = 0; i < 50; ++i) {
+    x[static_cast<std::size_t>(i)] += 1.0;
+    ASSERT_EQ(loop.client->multiply("A", x).status, StatusCode::kOk);
+  }
+  const auto plane = loop.server.scheduler().stats().data_plane;
+  EXPECT_EQ(plane.lingers, 2u);
+  EXPECT_EQ(plane.lingers_widened, 0u);
 }
 
 // --- wire-level misbehavior over a raw socket -------------------------------

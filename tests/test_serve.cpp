@@ -7,8 +7,10 @@
 // entry picks them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -496,6 +498,215 @@ TEST(ServeScheduler, DestructorDrainsPendingRequests) {
   engine::Executor exec(reg.find("A")->plan);
   exec.multiply(x, expect);
   for (const auto& y : ys) EXPECT_EQ(y, expect);
+}
+
+/// Poll `pred` every millisecond until it holds or `limit` passes.
+bool wait_until(const std::function<bool()>& pred,
+                std::chrono::milliseconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ServeLinger, LoneClosedLoopClientStopsLingering) {
+  // One closed-loop submitter never has company, so every window it
+  // waits out is a miss.  After two misses its matrix dispatches at once:
+  // 200 calls enter exactly 2 windows instead of sitting out 200 x 20 ms.
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(90, 3, 0.9, 40);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const std::vector<double> x = random_vector(m.cols(), 41);
+  const std::vector<double> expect = direct_result(*reg.find("A"), x, 0.0);
+
+  Scheduler sched(reg, {.max_batch = 32,
+                        .max_linger = std::chrono::milliseconds(20)});
+  constexpr std::uint64_t kCalls = 200;
+  std::vector<double> y(m.rows());
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    std::fill(y.begin(), y.end(), 0.0);
+    sched.submit("A", x, y).get();
+    ASSERT_EQ(y, expect) << "call " << i;
+  }
+
+  const ServeStatsSnapshot snap = sched.stats();
+  EXPECT_EQ(snap.data_plane.lingers, 2u);
+  EXPECT_EQ(snap.data_plane.lingers_widened, 0u);
+  const MatrixStatsSnapshot* a = snap.find("A");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->batches_dispatched, kCalls);
+}
+
+TEST(ServeLinger, ArrivalDuringWindowJoinsBatch) {
+  // A request alone in the queue lingers; a second one for the same
+  // matrix that arrives inside the window joins its batch, and with
+  // max_batch = 2 the full batch dispatches without waiting out the rest
+  // of the (deliberately long) window.
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(90, 3, 0.9, 42);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const std::vector<double> x1 = random_vector(m.cols(), 43);
+  const std::vector<double> x2 = random_vector(m.cols(), 44);
+  const MatrixRegistry::Entry& entry = *reg.find("A");
+
+  Scheduler sched(reg, {.max_batch = 2,
+                        .max_linger = std::chrono::seconds(10)});
+  std::vector<double> y1(m.rows(), 0.0);
+  std::vector<double> y2(m.rows(), 0.0);
+  std::future<void> f1 = sched.submit("A", x1, y1);
+  ASSERT_TRUE(wait_until([&] { return sched.stats().data_plane.lingers == 1; }))
+      << "the lone first request never entered a linger window";
+  std::future<void> f2 = sched.submit("A", x2, y2);
+  ASSERT_EQ(f1.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+      << "the full batch waited out the window";
+  f1.get();
+  f2.get();
+  EXPECT_EQ(y1, direct_result(entry, x1, 0.0));
+  EXPECT_EQ(y2, direct_result(entry, x2, 0.0));
+
+  const ServeStatsSnapshot snap = sched.stats();
+  EXPECT_EQ(snap.data_plane.lingers, 1u);
+  EXPECT_EQ(snap.data_plane.lingers_widened, 1u);
+  const MatrixStatsSnapshot* a = snap.find("A");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->batches_dispatched, 1u);
+  EXPECT_EQ(a->max_batch_width, 2u);
+}
+
+TEST(ServeLinger, WideBatchRearmsDisarmedMatrix) {
+  // Disarm the matrix the way a lone client does (two missed windows),
+  // then show concurrent clients re-arm it: a batch that forms 2 wide
+  // without any lingering resets the miss count, so that batch and the
+  // next lone call linger again.
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(90, 3, 0.9, 45);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const std::vector<double> x = random_vector(m.cols(), 46);
+  const std::vector<double> expect = direct_result(*reg.find("A"), x, 0.0);
+
+  Scheduler sched(reg, {.max_batch = 32,
+                        .max_linger = std::chrono::milliseconds(20)});
+  const auto lingers = [&] { return sched.stats().data_plane.lingers; };
+  std::vector<double> y(m.rows(), 0.0);
+  const auto lone_call = [&] {
+    std::fill(y.begin(), y.end(), 0.0);
+    sched.submit("A", x, y).get();
+    EXPECT_EQ(y, expect);
+  };
+  for (int i = 0; i < 3; ++i) lone_call();
+  ASSERT_EQ(lingers(), 2u) << "the third lone call should not linger";
+
+  // Hold the dispatcher inside a request's completion hook while two
+  // requests queue behind it.  Once released it pulls both in one sweep:
+  // a batch 2 wide that formed without lingering.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  SubmitOptions hold;
+  hold.on_complete = [released] { released.wait(); };
+  std::vector<double> y_hold(m.rows(), 0.0);
+  std::vector<double> y1(m.rows(), 0.0);
+  std::vector<double> y2(m.rows(), 0.0);
+  SubmitHandle held = sched.submit("A", x, y_hold, hold);
+  // Resolved means the dispatcher is in (or about to run) the hook; it
+  // cannot pull new work until the hook returns.
+  held.future.get();
+  std::future<void> f1 = sched.submit("A", x, y1);
+  std::future<void> f2 = sched.submit("A", x, y2);
+  release.set_value();
+  f1.get();
+  f2.get();
+  EXPECT_EQ(y_hold, expect);
+  EXPECT_EQ(y1, expect);
+  EXPECT_EQ(y2, expect);
+  EXPECT_EQ(lingers(), 3u) << "the 2-wide batch did not re-arm lingering";
+  {
+    const ServeStatsSnapshot snap = sched.stats();
+    const MatrixStatsSnapshot* a = snap.find("A");
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->max_batch_width, 2u);
+    EXPECT_EQ(snap.data_plane.lingers_widened, 0u);
+  }
+
+  // The re-armed matrix's window was a miss; one more lone miss disarms
+  // it again.
+  lone_call();
+  EXPECT_EQ(lingers(), 4u);
+  lone_call();
+  EXPECT_EQ(lingers(), 4u);
+}
+
+TEST(ServeLinger, QueuedBehindBatchRearmsDisarmedMatrix) {
+  // Two closed-loop clients on a disarmed matrix never form a batch 2
+  // wide on their own: each one's request queues while the other's
+  // 1-wide batch executes.  A request submitted while a batch of its
+  // matrix executes re-arms the matrix.  Reproduce that exactly: block a
+  // lone request's batch mid-multiply, then submit a second behind it.
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(90, 3, 0.9, 47);
+  reg.put("A", m, serve_options(&ctx, 2));
+  const std::vector<double> x = random_vector(m.cols(), 48);
+  const std::vector<double> expect = direct_result(*reg.find("A"), x, 0.0);
+
+  Scheduler sched(reg, {.max_batch = 32,
+                        .max_linger = std::chrono::milliseconds(20)});
+  const auto lingers = [&] { return sched.stats().data_plane.lingers; };
+  std::vector<double> y(m.rows(), 0.0);
+  const std::uint64_t dispatches_before = ctx.dispatches();
+  for (int i = 0; i < 3; ++i) {
+    std::fill(y.begin(), y.end(), 0.0);
+    sched.submit("A", x, y).get();
+    EXPECT_EQ(y, expect);
+  }
+  ASSERT_EQ(lingers(), 2u) << "the third lone call should not linger";
+  ASSERT_GT(ctx.dispatches(), dispatches_before)
+      << "the plan must multiply through ctx's pool for the hold below";
+
+  // Hold ctx's pool: dispatches on one context serialize, so the
+  // scheduler's multiply blocks until this one returns.
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    ctx.parallel_for(
+        2,
+        [&](unsigned t) {
+          if (t == 0) entered.set_value();
+          released.wait();
+        },
+        /*pin=*/false);
+  });
+  entered.get_future().wait();
+  std::vector<double> y1(m.rows(), 0.0);
+  std::vector<double> y2(m.rows(), 0.0);
+  std::future<void> f1 = sched.submit("A", x, y1);
+  // A batch counts as executing before it records its queue latency, so
+  // once the 4th sample lands f1's batch is executing (and blocked).
+  const bool started = wait_until([&] {
+    const ServeStatsSnapshot snap = sched.stats();
+    const MatrixStatsSnapshot* a = snap.find("A");
+    return a != nullptr && a->queue_latency.count == 4;
+  });
+  std::future<void> f2;
+  if (started) f2 = sched.submit("A", x, y2);
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(started) << "the held request's batch never started";
+  f1.get();
+  f2.get();
+  EXPECT_EQ(y1, expect);
+  EXPECT_EQ(y2, expect);
+  EXPECT_EQ(lingers(), 3u)
+      << "the request queued behind a batch did not re-arm lingering";
+  const ServeStatsSnapshot snap = sched.stats();
+  const MatrixStatsSnapshot* a = snap.find("A");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->max_batch_width, 1u);
 }
 
 TEST(ServeSharded, StealCoalescesAcrossShards) {
