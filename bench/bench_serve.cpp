@@ -36,20 +36,18 @@
 // Per point it reports achieved mean/max batch width and queue/dispatch
 // latency percentiles from the scheduler's ServeStats snapshot, plus a
 // "vs direct" column (delivered ops/s over the direct row at the same
-// client count — the scheduling overhead/amortization factor the sharded
-// data plane is accountable for).  Extra flags: --max_clients=8 (sweep
-// 1,2,4,..), --max_batch=32, --linger_us=100, --window=8, --dispatchers=1,
-// --dispatchers_list=1,2,4 (CSV; overrides --dispatchers and repeats every
-// serve mode per value — the data-plane scaling sweep), --point_seconds=<s>
-// (default from --measure_seconds, floored at 0.05), --deadline_us=500
-// (per-request deadline budget for serve-shed).  The shed and expired
-// columns land in BENCH_serve.json alongside throughput, so the overload
-// behaviour is part of the archived perf trajectory.
+// client count — the scheduling overhead/amortization factor the
+// scheduler is accountable for).  Extra flags: --max_clients=8 (sweep
+// 1,2,4,..), --max_batch=32, --linger_us=100, --window=8,
+// --point_seconds=<s> (default from --measure_seconds, floored at 0.05),
+// --deadline_us=500 (per-request deadline budget for serve-shed).  The
+// shed and expired columns land in BENCH_serve.json alongside
+// throughput, so the overload behaviour is part of the archived perf
+// trajectory.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <future>
 #include <string>
@@ -239,27 +237,6 @@ int main(int argc, char** argv) {
   const auto linger_us = std::max(0L, cli.get_int("linger_us", 100));
   const auto window =
       static_cast<std::size_t>(std::max(1L, cli.get_int("window", 8)));
-  const auto dispatchers =
-      static_cast<unsigned>(std::max(1L, cli.get_int("dispatchers", 1)));
-  // --dispatchers_list=1,2,4 runs every serve mode once per value; the
-  // single --dispatchers flag is the one-element default.
-  std::vector<unsigned> disp_list;
-  {
-    const std::string csv = cli.get("dispatchers_list", "");
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-      const std::size_t comma = csv.find(',', pos);
-      const std::string tok =
-          csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (!tok.empty()) {
-        const long v = std::strtol(tok.c_str(), nullptr, 10);
-        if (v >= 1) disp_list.push_back(static_cast<unsigned>(v));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (disp_list.empty()) disp_list.push_back(dispatchers);
-  }
   const double point_seconds =
       cli.get_double("point_seconds", std::max(cfg.measure_seconds, 0.05));
   const auto deadline_us = std::max(1L, cli.get_int("deadline_us", 500));
@@ -289,7 +266,7 @@ int main(int argc, char** argv) {
     registry_loop.put(kMatrixNames[i], m, loop_opt);
   }
 
-  Table table({"mode", "clients", "disp", "ops", "ops/s", "GFlop/s",
+  Table table({"mode", "clients", "ops", "ops/s", "GFlop/s",
                "vs direct", "fused x", "mean width", "max width",
                "queue p50 us", "queue p95 us", "disp p50 us", "shed",
                "expired"});
@@ -326,7 +303,6 @@ int main(int argc, char** argv) {
     struct ModeResult {
       std::string mode;
       TrafficPoint traffic;
-      unsigned disp = 0;         ///< dispatcher threads (0: no scheduler)
       double vs_direct = 0.0;    ///< ops/s over the direct row
       double fused_ratio = 0.0;  ///< GFlop/s vs the matching -loop mode
       double mean_width = 1.0;
@@ -356,16 +332,13 @@ int main(int argc, char** argv) {
         {"serve-open-loop", max_batch, linger_us, window, false, nullptr},
         {"serve-open", max_batch, linger_us, window, true, "serve-open-loop"},
     };
-    for (const unsigned n_disp : disp_list) {
     for (const ServeMode& mode : modes) {
       serve::SchedulerConfig sc;
       sc.max_batch = mode.batch;
       sc.max_linger = std::chrono::microseconds(mode.linger);
-      sc.dispatch_threads = n_disp;  // shards default to one per dispatcher
       serve::Scheduler sched(mode.fused ? registry : registry_loop, sc);
       ModeResult r;
       r.mode = mode.label;
-      r.disp = n_disp;
       r.traffic =
           run_serve(sched, mode.fused ? clients : clients_loop, ys,
                     mode.win, point_seconds);
@@ -402,8 +375,7 @@ int main(int argc, char** argv) {
       }
       if (mode.ratio_vs != nullptr) {
         for (const ModeResult& prev : results) {
-          if (prev.mode == mode.ratio_vs && prev.disp == n_disp &&
-              prev.traffic.seconds > 0.0 &&
+          if (prev.mode == mode.ratio_vs && prev.traffic.seconds > 0.0 &&
               r.traffic.seconds > 0.0 && prev.traffic.flops > 0) {
             const double own = static_cast<double>(r.traffic.flops) /
                                r.traffic.seconds;
@@ -425,13 +397,11 @@ int main(int argc, char** argv) {
       serve::SchedulerConfig sc;
       sc.max_batch = max_batch;
       sc.max_linger = std::chrono::microseconds(linger_us);
-      sc.dispatch_threads = n_disp;
       sc.overflow = serve::SchedulerConfig::OverflowPolicy::kShed;
       sc.queue_capacity = std::max<std::size_t>(4, 2 * n_clients);
       serve::Scheduler sched(registry, sc);
       ModeResult r;
       r.mode = "serve-shed";
-      r.disp = n_disp;
       r.traffic = run_serve_shed(sched, clients, ys, window, deadline_us,
                                  point_seconds);
       const serve::ServeStatsSnapshot snap = sched.stats();
@@ -460,13 +430,10 @@ int main(int argc, char** argv) {
       }
       results.push_back(std::move(r));
     }
-    }
 
     for (const ModeResult& r : results) {
       table.add_row(
-          {r.mode, std::to_string(n_clients),
-           r.disp > 0 ? std::to_string(r.disp) : "-",
-           std::to_string(r.traffic.ops),
+          {r.mode, std::to_string(n_clients), std::to_string(r.traffic.ops),
            Table::fmt(static_cast<double>(r.traffic.ops) /
                           std::max(1e-9, r.traffic.seconds),
                       0),

@@ -74,6 +74,10 @@ PetscLikeSpmv PetscLikeSpmv::distribute(const CsrMatrix& a, unsigned ranks,
     std::sort(ghosts.begin(), ghosts.end());
     ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
     rank.ghost_cols = std::move(ghosts);
+    {
+      MutexLock lock(s.stats_->mutex);
+      s.stats_->totals.ghost_entries += rank.ghost_cols.size();
+    }
 
     // Build the local matrix with renumbered columns: own columns keep
     // their slice offset, ghosts are appended after them.
@@ -192,9 +196,10 @@ void PetscLikeSpmv::execute(const double* x, double* y,
 
 void PetscLikeSpmv::reset_stats() {
   MutexLock lock(stats_->mutex);
-  const double imbalance = stats_->totals.imbalance;
+  const PetscLikeStats fixed = stats_->totals;
   stats_->totals = PetscLikeStats{};
-  stats_->totals.imbalance = imbalance;
+  stats_->totals.imbalance = fixed.imbalance;
+  stats_->totals.ghost_entries = fixed.ghost_entries;
 }
 
 }  // namespace spmv::baseline

@@ -30,6 +30,10 @@ struct PetscLikeStats {
   double comm_seconds = 0.0;     ///< cumulative ghost-exchange time
   double compute_seconds = 0.0;  ///< cumulative local-multiply time
   double imbalance = 1.0;        ///< max rank nnz / ideal share
+  /// x entries copied per multiply: the sum over ranks of the ghost
+  /// columns each needs from outside its slice.  Counted, not timed, so
+  /// it compares communication across matrices deterministically.
+  std::uint64_t ghost_entries = 0;
 
   [[nodiscard]] double comm_fraction() const {
     const double total = comm_seconds + compute_seconds;
@@ -65,7 +69,8 @@ class PetscLikeSpmv final : public engine::SpmvPlan {
   [[nodiscard]] std::uint32_t rows() const override { return rows_; }
   [[nodiscard]] std::uint32_t cols() const override { return cols_; }
 
-  /// Reset cumulative phase timers.
+  /// Reset cumulative phase timers (imbalance and ghost_entries, fixed at
+  /// distribute(), stay).
   void reset_stats();
 
   // engine::SpmvPlan

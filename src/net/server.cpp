@@ -79,8 +79,8 @@ struct SpmvServer::PendingOp {
 
 /// A MULTIPLY_BATCH in flight: the reply ships only when every item
 /// resolved.  `remaining` is decremented by each item's completion hook
-/// (dispatcher threads); the decrementer that hits zero posts the batch
-/// to the owning I/O thread.
+/// (the dispatcher thread); the decrementer that hits zero posts the
+/// batch to the owning I/O thread.
 struct SpmvServer::BatchState {
   std::uint64_t conn_id = 0;
   std::uint64_t request_id = 0;

@@ -246,7 +246,7 @@ class SpmvServer {
   [[nodiscard]] bool needs_sweep_tick() const;
 
   /// Push a completion to the owning thread's inbox and ring its
-  /// doorbell.  Called from scheduler dispatcher threads (the
+  /// doorbell.  Called from the scheduler's dispatcher thread (the
   /// on_complete hook) and the control thread; must stay cheap.
   void post_completion(unsigned io_index, Completion c);
 

@@ -139,37 +139,24 @@ void HealthWatchdog::tick() {
 void HealthWatchdog::tick_locked() {
   const HealthProbe probe = probe_();
   // Simulated probe hiccup: a skipped probe must only delay detection,
-  // never corrupt the per-dispatcher tracking below.
+  // never corrupt the tracking below.
   if (SPMV_FAULT_POINT("health.probe_skip")) {
     // relaxed: statistics counter (see probes()).
     probes_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  tracks_.resize(probe.heartbeats.size());
-
-  std::uint64_t stalled = 0;
-  for (std::size_t i = 0; i < probe.heartbeats.size(); ++i) {
-    Track& t = tracks_[i];
-    const std::uint64_t beat = probe.heartbeats[i];
-    if (beat != t.last_beat || !probe.work_pending) {
-      // Progress, or legitimately idle: healthy.
-      t.last_beat = beat;
-      t.frozen = 0;
-      t.stalled = false;
-      continue;
-    }
-    ++t.frozen;
-    if (t.frozen >= stall_intervals_) {
-      if (!t.stalled) {
-        t.stalled = true;
-        // relaxed: statistics counter (see stall_events()).
-        stall_events_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (t.stalled) ++stalled;
+  if (probe.heartbeat != track_.last_beat || !probe.work_pending) {
+    // Progress, or legitimately idle: healthy.
+    track_.last_beat = probe.heartbeat;
+    track_.frozen = 0;
+    track_.stalled = false;
+  } else if (++track_.frozen >= stall_intervals_ && !track_.stalled) {
+    track_.stalled = true;
+    // relaxed: statistics counter (see stall_events()).
+    stall_events_.fetch_add(1, std::memory_order_relaxed);
   }
   // relaxed: gauge published for monitoring; one-probe staleness is fine.
-  stalled_now_.store(stalled, std::memory_order_relaxed);
+  stalled_now_.store(track_.stalled ? 1 : 0, std::memory_order_relaxed);
   // relaxed: statistics counter (see probes()).
   probes_.fetch_add(1, std::memory_order_relaxed);
 }

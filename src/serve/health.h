@@ -19,11 +19,11 @@
 // state doesn't flap at the boundary while the queue drains.
 //
 // The HealthWatchdog is an optional background thread that periodically
-// probes the data plane: each dispatcher exposes a heartbeat counter it
-// bumps every loop iteration, and a dispatcher whose heartbeat has not
-// moved across `stall_intervals` probes *while work is pending* is
-// declared stalled.  (No pending work means dispatchers are legitimately
-// parked on the eventcount — not a stall.)
+// probes the data plane: the dispatcher exposes a heartbeat counter it
+// bumps every loop iteration, and if that heartbeat has not moved across
+// `stall_intervals` probes *while work is pending* the dispatcher is
+// declared stalled.  (No pending work means the dispatcher is
+// legitimately asleep — not a stall.)
 //
 // This header is on lint_concurrency.py's lock-free audit list: every
 // atomic operation states its memory_order and argues it in an adjacent
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <vector>
 
 #include "util/thread_annotations.h"
 
@@ -121,17 +120,17 @@ class OverloadDetector {
 
 /// One probe of the data plane, as seen by the watchdog.
 struct HealthProbe {
-  /// Per-dispatcher loop-iteration counters (monotonic while healthy).
-  std::vector<std::uint64_t> heartbeats;
-  /// Whether any shard held work at probe time.  Heartbeat stagnation
+  /// The dispatcher's loop-iteration counter (monotonic while healthy).
+  std::uint64_t heartbeat = 0;
+  /// Whether the queue held work at probe time.  Heartbeat stagnation
   /// with no pending work is a parked dispatcher, not a stalled one.
   bool work_pending = false;
 };
 
-/// Background prober: calls `probe` every `interval`, flags dispatchers
-/// whose heartbeat is frozen across `stall_intervals` probes while work
-/// is pending.  interval == 0 starts no thread — tests drive tick()
-/// directly for determinism.
+/// Background prober: calls `probe` every `interval`, flags the
+/// dispatcher stalled when its heartbeat is frozen across
+/// `stall_intervals` probes while work is pending.  interval == 0 starts
+/// no thread — tests drive tick() directly for determinism.
 class HealthWatchdog {
  public:
   using ProbeFn = std::function<HealthProbe()>;
@@ -150,7 +149,7 @@ class HealthWatchdog {
   /// interval).  Exposed so tests control probe timing exactly.
   void tick() SPMV_EXCLUDES(mutex_);
 
-  /// Dispatchers currently considered stalled.
+  /// 1 while the dispatcher is considered stalled, else 0.
   [[nodiscard]] std::uint64_t stalled_dispatchers() const {
     // relaxed: statistics gauge; readers tolerate one-probe staleness.
     return stalled_now_.load(std::memory_order_relaxed);
@@ -179,14 +178,14 @@ class HealthWatchdog {
   mutable Mutex mutex_;
   CondVar cv_;
   bool stopping_ SPMV_GUARDED_BY(mutex_) = false;
-  /// Per-dispatcher [last heartbeat, frozen-probe streak, stalled flag];
-  /// tick() is serialized under mutex_ so plain fields suffice.
+  /// The dispatcher's [last heartbeat, frozen-probe streak, stalled
+  /// flag]; tick() is serialized under mutex_ so plain fields suffice.
   struct Track {
     std::uint64_t last_beat = 0;
     std::uint32_t frozen = 0;
     bool stalled = false;
   };
-  std::vector<Track> tracks_ SPMV_GUARDED_BY(mutex_);
+  Track track_ SPMV_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> stalled_now_{0};
   std::atomic<std::uint64_t> stall_events_{0};

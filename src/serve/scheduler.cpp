@@ -1,8 +1,6 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <bit>
-#include <functional>
 #include <utility>
 
 #include "core/thread_pool.h"
@@ -32,8 +30,7 @@ std::future<void> failed_future(ServeErrorCode code, const std::string& what) {
 }
 
 /// CancelToken state machine: kQueued -> kRequested (client cancel) or
-/// kQueued -> kClaimed (dispatcher, at batch finalization).  A deferred
-/// request's token moves back kClaimed -> kQueued, reopening the window.
+/// kQueued -> kClaimed (dispatcher, at batch finalization).
 constexpr std::uint8_t kCancelQueued = 0;
 constexpr std::uint8_t kCancelRequested = 1;
 constexpr std::uint8_t kCancelClaimed = 2;
@@ -68,50 +65,31 @@ bool CancelToken::cancel() {
 }
 
 Scheduler::Scheduler(MatrixRegistry& registry, SchedulerConfig config)
-    : registry_(registry), config_(config), detector_(config.overload) {
+    : registry_(registry),
+      config_(config),
+      detector_(config.overload),
+      queue_(std::max<std::size_t>(1, config.queue_capacity)) {
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
-  config_.dispatch_threads = std::max(1u, config_.dispatch_threads);
-  if (config_.shards == 0) config_.shards = config_.dispatch_threads;
-  // Split the capacity across shards; each ring rounds its share up to a
-  // power of two, so the effective total is >= queue_capacity (documented
-  // in SchedulerConfig).
-  const std::size_t per_shard =
-      (config_.queue_capacity + config_.shards - 1) / config_.shards;
-  shards_.reserve(config_.shards);
-  for (unsigned s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(per_shard));
-  }
-  heartbeats_.reserve(config_.dispatch_threads);
-  for (unsigned t = 0; t < config_.dispatch_threads; ++t) {
-    heartbeats_.push_back(std::make_unique<Heartbeat>());
-  }
   watchdog_ = std::make_unique<HealthWatchdog>(
       [this] {
         HealthProbe probe;
-        probe.heartbeats.reserve(heartbeats_.size());
-        for (const auto& hb : heartbeats_) {
-          // relaxed: a liveness counter — any recent value answers "has
-          // it moved since the last probe"; no data rides on it.
-          probe.heartbeats.push_back(
-              hb->beats.load(std::memory_order_relaxed));
-        }
+        // relaxed: a liveness counter — any recent value answers "has
+        // it moved since the last probe"; no data rides on it.
+        probe.heartbeat = heartbeat_.load(std::memory_order_relaxed);
         // A frozen heartbeat only signals a stall when there is work the
-        // dispatcher should be making progress on; paused dispatchers
-        // are idle by design (acquire pairs with resume()'s release).
-        probe.work_pending = any_shard_nonempty() &&
+        // dispatcher should be making progress on; a paused dispatcher
+        // is idle by design (acquire pairs with resume()'s release).
+        probe.work_pending = queue_.approx_size() != 0 &&
                              !paused_.load(std::memory_order_acquire);
         return probe;
       },
       config_.watchdog_interval, config_.watchdog_stall_intervals);
-  // relaxed: stored before the dispatcher threads exist; thread creation
-  // synchronizes-with each thread's start, which publishes this.
+  // relaxed: stored before the dispatcher thread exists; thread creation
+  // synchronizes-with the thread's start, which publishes this.
   paused_.store(config_.start_paused, std::memory_order_relaxed);
   MutexLock lock(join_mutex_);
-  dispatchers_.reserve(config_.dispatch_threads);
-  for (unsigned t = 0; t < config_.dispatch_threads; ++t) {
-    dispatchers_.emplace_back([this, t] { dispatcher_loop(t); });
-  }
+  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Scheduler::~Scheduler() { shutdown(Drain::kDrain); }
@@ -179,8 +157,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // scheduler can park on a full queue that only it can drain.
   if (tl_dispatcher_of == this) {
     throw std::logic_error(
-        "serve: Scheduler::submit called from one of this scheduler's own "
-        "dispatcher threads; a blocked submit here would deadlock the "
+        "serve: Scheduler::submit called from this scheduler's own "
+        "dispatcher thread; a blocked submit here would deadlock the "
         "dispatcher on the queue it is responsible for draining");
   }
   if (entry == nullptr) {
@@ -241,15 +219,10 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // Admission control.  Feed the overload detector a pre-push depth
   // sample on every policy (health() stays meaningful for kBlock/kReject
   // monitoring); only kShed acts on it.
-  std::size_t depth = 0;
-  std::size_t capacity = 0;
-  for (const auto& shard : shards_) {
-    depth += shard->ring.approx_size();
-    capacity += shard->ring.capacity();
-  }
-  const HealthState state = detector_.sample(depth, capacity);
+  const HealthState state =
+      detector_.sample(queue_.approx_size(), queue_.capacity());
   // An already-expired request never executes, under any policy: fail at
-  // the door instead of making a dispatcher sweep it later.
+  // the door instead of making the dispatcher sweep it later.
   if (req.deadline != kNoDeadline && req.enqueued >= req.deadline) {
     plane_.requests_expired.fetch_add(1, std::memory_order_relaxed);
     reject(ServeErrorCode::kDeadlineExceeded,
@@ -294,9 +267,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   if (stopping_.load(std::memory_order_seq_cst)) {
     reject(ServeErrorCode::kShutdown, "serve: scheduler is shut down");
   } else {
-    const std::size_t home = home_shard();
     for (;;) {
-      if (!forced_full && try_push_any(home, req)) {
+      if (!forced_full && queue_.try_push(std::move(req))) {
         enqueued = true;
         break;
       }
@@ -320,7 +292,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
         reject(ServeErrorCode::kShutdown, "serve: scheduler is shut down");
         break;
       }
-      if (try_push_any(home, req)) {
+      if (queue_.try_push(std::move(req))) {
         space_ec_.cancel_wait();
         enqueued = true;
         break;
@@ -329,13 +301,9 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
     }
   }
   if (enqueued) {
-    std::size_t post_depth = 0;
-    for (const auto& shard : shards_) {
-      post_depth += shard->ring.approx_size();
-    }
-    plane_.queue_depth.record(post_depth);
-    // Wake at most one sleeping dispatcher; when all are busy this is a
-    // single atomic load.
+    plane_.queue_depth.record(queue_.approx_size());
+    // Wake the dispatcher if it sleeps; when it is busy this is a single
+    // atomic load.
     work_ec_.notify_one();
   }
   // seq_cst RMW: closes the Dekker window — shutdown()'s spin-wait
@@ -343,34 +311,6 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // sequence makes every push before a decrement visible to its sweep.
   submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
   return fut;
-}
-
-bool Scheduler::try_push_any(std::size_t home, Request& req) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[(home + i) % shards_.size()];
-    if (shard.ring.try_push(std::move(req))) return true;
-    // try_push leaves req untouched on failure; overflow to a sibling.
-  }
-  return false;
-}
-
-std::size_t Scheduler::home_shard() const {
-  // Hash once per thread: a stable token spreads submitter threads across
-  // shards without any shared state on the submit path.
-  static const thread_local std::size_t token = [] {
-    std::size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    h ^= h >> 33;  // std::hash may be close to identity; mix the bits
-    h *= 0x9E3779B97F4A7C15ull;
-    return h >> 16;
-  }();
-  return token % shards_.size();
-}
-
-bool Scheduler::any_shard_nonempty() const {
-  for (const auto& shard : shards_) {
-    if (shard->ring.approx_size() != 0) return true;
-  }
-  return false;
 }
 
 void Scheduler::resume() {
@@ -388,36 +328,6 @@ bool Scheduler::conflicts_with(const std::vector<Request>& batch,
   return false;
 }
 
-std::vector<Scheduler::Request> Scheduler::InflightTracker::claim(
-    std::vector<Request>& batch) {
-  std::vector<Request> deferred;
-  std::vector<Request> kept;
-  kept.reserve(batch.size());
-  MutexLock lock(mutex_);
-  for (Request& r : batch) {
-    // Another dispatcher's executing batch already owns an operand that
-    // would race ours: defer.  (The engine's batch path runs right-hand
-    // sides unordered, and dispatchers run batches concurrently.)
-    if (ys_.contains(r.y) || xs_.contains(r.y) || ys_.contains(r.x)) {
-      deferred.push_back(std::move(r));
-    } else {
-      xs_.increment(r.x);
-      ys_.increment(r.y);
-      kept.push_back(std::move(r));
-    }
-  }
-  batch = std::move(kept);
-  return deferred;
-}
-
-void Scheduler::InflightTracker::release(const std::vector<Request>& batch) {
-  MutexLock lock(mutex_);
-  for (const Request& r : batch) {
-    xs_.decrement(r.x);
-    ys_.decrement(r.y);
-  }
-}
-
 bool Scheduler::resolve_if_dead(Request& req,
                                 std::chrono::steady_clock::time_point now,
                                 bool claim_token) {
@@ -433,9 +343,9 @@ bool Scheduler::resolve_if_dead(Request& req,
       // relaxed CAS: the token word is the whole protocol (see
       // CancelToken::cancel) — no payload rides on it; the promise
       // machinery synchronizes the outcome.  Success closes the
-      // cancellation window for good (deferral reopens it explicitly);
-      // failure means a concurrent cancel() already owns the request —
-      // cancellation wins even when the deadline also passed.
+      // cancellation window for good; failure means a concurrent
+      // cancel() already owns the request — cancellation wins even when
+      // the deadline also passed.
       cancelled = !req.cancel->compare_exchange_strong(
           expected, kCancelClaimed, std::memory_order_relaxed,
           std::memory_order_relaxed);
@@ -461,51 +371,23 @@ bool Scheduler::resolve_if_dead(Request& req,
   return false;
 }
 
-std::size_t Scheduler::pull_shard(std::size_t shard, std::size_t home,
-                                  std::deque<Request>& pending,
-                                  std::size_t target) {
-  // Simulated failed steal: the sibling's ring reports dry.  Checked
-  // before any pop so no request is ever dropped — the work stays queued
-  // for the next sweep (or its owner).
-  if (shard != home && SPMV_FAULT_POINT("scheduler.steal_skip")) {
-    return 0;
-  }
-  std::size_t popped = 0;
+void Scheduler::fill_pending(std::deque<Request>& pending) {
+  bool popped = false;
   Request req;
-  while (pending.size() < target && shards_[shard]->ring.try_pop(req)) {
-    if (shard != home) {
-      req.stolen = true;
-      plane_.steal_requests.fetch_add(1, std::memory_order_relaxed);
-    }
+  while (pending.size() < config_.max_batch && queue_.try_pop(req)) {
     pending.push_back(std::move(req));
-    ++popped;
+    popped = true;
   }
-  return popped;
-}
-
-std::size_t Scheduler::fill_pending(std::size_t home,
-                                    std::deque<Request>& pending) {
-  // Home shard first, then steal from siblings — but keep pulling until a
-  // full batch is local.  Stopping at "home has something" would fragment
-  // same-matrix traffic across shards and collapse coalescing width.
-  std::size_t popped = 0;
-  for (std::size_t i = 0;
-       i < shards_.size() && pending.size() < config_.max_batch; ++i) {
-    popped += pull_shard((home + i) % shards_.size(), home, pending,
-                         config_.max_batch);
-  }
-  if (popped != 0) space_ec_.notify_all();  // ring slots freed
-  return popped;
+  if (popped) space_ec_.notify_all();  // ring slots freed
 }
 
 std::vector<Scheduler::Request> Scheduler::build_batch(
-    std::size_t home, std::deque<Request>& pending) {
+    std::deque<Request>& pending) {
   std::vector<Request> batch;
-  std::vector<Request> deferred;
   batch.reserve(config_.max_batch);
   // Sweep dead requests before keying a batch: an expired or cancelled
-  // request must never enter one, and a conflict-deferred request may
-  // have died while parked here across earlier passes.
+  // request must never enter one, and a request split off by a conflict
+  // may have died while it waited here.
   {
     const auto now = std::chrono::steady_clock::now();
     for (auto it = pending.begin(); it != pending.end();) {
@@ -516,112 +398,81 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
       }
     }
   }
-  while (!pending.empty()) {
-    // Key the batch on the highest-priority waiter — first among equals,
-    // so default-priority traffic keeps strict arrival order (identical
-    // to the old front()-keyed behavior when no priorities are set).
-    const auto key_it = std::max_element(
-        pending.begin(), pending.end(),
-        [](const Request& a, const Request& b) {
-          return a.priority < b.priority;
-        });
-    const MatrixRegistry::Entry* key = key_it->entry.get();
-    // Extract up to max_batch same-entry requests with no intra-batch
-    // operand conflicts.  The first key-entry request always extracts
-    // (no conflicts against an empty batch), so each pass strictly
-    // shrinks `pending` and the loop terminates.
-    for (auto it = pending.begin();
-         it != pending.end() && batch.size() < config_.max_batch;) {
-      if (it->entry.get() == key && !conflicts_with(batch, *it)) {
-        batch.push_back(std::move(*it));
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
+  if (pending.empty()) return batch;
+  // Key the batch on the highest-priority waiter — first among equals,
+  // so default-priority traffic keeps strict arrival order.
+  const auto key_it = std::max_element(
+      pending.begin(), pending.end(), [](const Request& a, const Request& b) {
+        return a.priority < b.priority;
+      });
+  const MatrixRegistry::Entry* key = key_it->entry.get();
+  // Extract up to max_batch same-entry requests with no intra-batch
+  // operand conflicts, in arrival order.  The first key-entry request
+  // always extracts (no conflicts against an empty batch).
+  for (auto it = pending.begin();
+       it != pending.end() && batch.size() < config_.max_batch;) {
+    if (it->entry.get() == key && !conflicts_with(batch, *it)) {
+      batch.push_back(std::move(*it));
+      it = pending.erase(it);
+    } else {
+      ++it;
     }
-    // Linger only while this batch is the sole local work: lingering with
-    // other requests waiting would delay them without widening this batch
-    // any faster (their execution time is itself a natural accumulation
-    // window for ours).  Drain mode dispatches immediately.
-    //
-    // And only while lingering pays for this matrix.  A window that ends
-    // no wider than it began (timed out, or cut short by a stall) is a
-    // miss; after kLingerMissLimit misses in a row the matrix dispatches
-    // at once, so a lone closed-loop client stops paying the window on
-    // every call.  Concurrent clients re-arm the matrix: a window that
-    // widens its batch, a batch that formed 2+ wide on its own, or a head
-    // request submitted while a batch of this matrix was executing.  The
-    // last is what two closed-loop clients produce once disarmed — each
-    // one's request queues behind the other's 1-wide batch — and what a
-    // lone one never does, as it resubmits only after its result.
-    // relaxed (every linger_misses access): a heuristic gate read and
-    // written by dispatchers only; a race between two of them costs at
-    // most one window or one skipped window, and no data rides on it.
-    std::atomic<std::uint32_t>& misses = batch.front().stats->linger_misses;
-    if (batch.size() >= 2 || batch.front().queued_behind) {
-      misses.store(0, std::memory_order_relaxed);
-    }
-    // acquire: pairs with shutdown()'s store; a stale false only costs
-    // one linger window — the eventcount handshake inside linger_fill
-    // still guarantees the shutdown notify is not lost.
-    if (pending.empty() && deferred.empty() &&
-        batch.size() < config_.max_batch && config_.max_linger.count() != 0 &&
-        misses.load(std::memory_order_relaxed) < kLingerMissLimit &&
-        !stopping_.load(std::memory_order_acquire)) {
-      const std::size_t width = batch.size();
-      plane_.lingers.fetch_add(1, std::memory_order_relaxed);
-      linger_fill(key, home, batch, pending);
-      if (batch.size() > width) {
-        plane_.lingers_widened.fetch_add(1, std::memory_order_relaxed);
-        misses.store(0, std::memory_order_relaxed);
-      } else {
-        misses.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // Batch finalization: the last, *claiming* dead-sweep.  Members can
-    // expire or be cancelled during the linger window; survivors have
-    // their cancel token CAS-claimed, so past this gate cancel() returns
-    // false and the request runs to completion (deferral below reopens
-    // the window).
-    {
-      const auto now = std::chrono::steady_clock::now();
-      for (auto it = batch.begin(); it != batch.end();) {
-        if (resolve_if_dead(*it, now, /*claim_token=*/true)) {
-          it = batch.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    std::vector<Request> clashed = inflight_.claim(batch);
-    if (!clashed.empty()) {
-      plane_.conflict_deferrals.fetch_add(clashed.size(),
-                                          std::memory_order_relaxed);
-      for (Request& r : clashed) {
-        if (r.cancel != nullptr) {
-          // Deferred, not dispatched: reopen the cancellation window the
-          // claim-CAS above closed.  relaxed store: we exclusively own
-          // the kCancelClaimed state (cancel() cannot move it), and no
-          // payload rides on the word.
-          r.cancel->store(kCancelQueued, std::memory_order_relaxed);
-        }
-        deferred.push_back(std::move(r));
-      }
-    }
-    if (!batch.empty()) break;
-    // The whole candidate batch is parked behind another dispatcher's
-    // in-flight operands; try the next entry in arrival order.
   }
-  // Deferred requests return to the front in original order: they stay
-  // first in line for the retirement that unblocks them.
-  for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
-    pending.push_front(std::move(*it));
+  // Linger only while this batch is the sole local work: lingering with
+  // other requests waiting would delay them without widening this batch
+  // any faster (their execution time is itself a natural accumulation
+  // window for ours).  Drain mode dispatches immediately.
+  //
+  // And only while lingering pays for this matrix.  A window that ends
+  // no wider than it began (timed out, or cut short by a stall) is a
+  // miss; after kLingerMissLimit misses in a row the matrix dispatches
+  // at once, so a lone closed-loop client stops paying the window on
+  // every call.  Concurrent clients re-arm the matrix: a window that
+  // widens its batch, a batch that formed 2+ wide on its own, or a head
+  // request submitted while a batch of this matrix was executing.  The
+  // last is what two closed-loop clients produce once disarmed — each
+  // one's request queues behind the other's 1-wide batch — and what a
+  // lone one never does, as it resubmits only after its result.
+  // relaxed (every linger_misses access): a heuristic gate touched only
+  // by the dispatcher thread; no data rides on it.
+  std::atomic<std::uint32_t>& misses = batch.front().stats->linger_misses;
+  if (batch.size() >= 2 || batch.front().queued_behind) {
+    misses.store(0, std::memory_order_relaxed);
+  }
+  // acquire: pairs with shutdown()'s store; a stale false only costs
+  // one linger window — the eventcount handshake inside linger_fill
+  // still guarantees the shutdown notify is not lost.
+  if (pending.empty() && batch.size() < config_.max_batch &&
+      config_.max_linger.count() != 0 &&
+      misses.load(std::memory_order_relaxed) < kLingerMissLimit &&
+      !stopping_.load(std::memory_order_acquire)) {
+    const std::size_t width = batch.size();
+    plane_.lingers.fetch_add(1, std::memory_order_relaxed);
+    linger_fill(key, batch, pending);
+    if (batch.size() > width) {
+      plane_.lingers_widened.fetch_add(1, std::memory_order_relaxed);
+      misses.store(0, std::memory_order_relaxed);
+    } else {
+      misses.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Batch finalization: the last, *claiming* dead-sweep.  Members can
+  // expire or be cancelled during the linger window; survivors have
+  // their cancel token CAS-claimed, so past this gate cancel() returns
+  // false and the request runs to completion.
+  const auto now = std::chrono::steady_clock::now();
+  for (auto it = batch.begin(); it != batch.end();) {
+    if (resolve_if_dead(*it, now, /*claim_token=*/true)) {
+      it = batch.erase(it);
+    } else {
+      ++it;
+    }
   }
   return batch;
 }
 
 void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
-                            std::size_t home, std::vector<Request>& batch,
+                            std::vector<Request>& batch,
                             std::deque<Request>& pending) {
   // Deadline anchored to the oldest request's enqueue time, so a request
   // never waits more than max_linger total no matter how its batch forms
@@ -640,42 +491,32 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
     bool grew = false;
     bool freed = false;
     Request req;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::size_t s = (home + i) % shards_.size();
-      while (batch.size() < config_.max_batch &&
-             shards_[s]->ring.try_pop(req)) {
-        freed = true;
-        if (s != home) {
-          req.stolen = true;
-          plane_.steal_requests.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (resolve_if_dead(req, std::chrono::steady_clock::now(),
-                            /*claim_token=*/false)) {
-          continue;  // resolved; its ring slot is freed either way
-        }
-        if (req.entry.get() == key && !conflicts_with(batch, req)) {
-          batch.push_back(std::move(req));
-          grew = true;
-        } else {
-          pending.push_back(std::move(req));
-        }
+    while (batch.size() < config_.max_batch && queue_.try_pop(req)) {
+      freed = true;
+      if (resolve_if_dead(req, std::chrono::steady_clock::now(),
+                          /*claim_token=*/false)) {
+        continue;  // resolved; its ring slot is freed either way
       }
-      if (batch.size() >= config_.max_batch) break;
+      if (req.entry.get() == key && !conflicts_with(batch, req)) {
+        batch.push_back(std::move(req));
+        grew = true;
+      } else {
+        pending.push_back(std::move(req));
+      }
     }
     if (freed) space_ec_.notify_all();  // ring slots freed
     // Stall detection: an arrival sweep that brought only foreign work
     // means every client of THIS entry is already queued or blocked on a
     // future we hold — no amount of further lingering can widen the
     // batch, so dispatch (the loop condition sees pending non-empty).
-    // Wakes without any arrival (spurious, or another dispatcher's
-    // retire broadcast) keep lingering — treating them as stalls would
-    // collapse batch width under multi-dispatcher pipelined load.
+    // Wakes without any arrival keep lingering.
     if (grew || !pending.empty()) continue;
     const std::uint64_t ticket = work_ec_.prepare_wait();
     // seq_cst: the waiter side of the eventcount handshake — ordered
     // after prepare_wait so a push or shutdown notify between our sweep
     // above and the sleep below is either seen here or wakes us.
-    if (stopping_.load(std::memory_order_seq_cst) || any_shard_nonempty()) {
+    if (stopping_.load(std::memory_order_seq_cst) ||
+        queue_.approx_size() != 0) {
       work_ec_.cancel_wait();
       continue;
     }
@@ -709,11 +550,9 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
   std::vector<double*> ys;
   xs.reserve(batch.size());
   ys.reserve(batch.size());
-  bool has_stolen = false;
   for (const Request& r : batch) {
     xs.push_back(r.x);
     ys.push_back(r.y);
-    has_stolen = has_stolen || r.stolen;
     const auto waited = start - r.enqueued;
     r.stats->queue_latency.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
@@ -724,9 +563,6 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
         std::chrono::duration_cast<std::chrono::microseconds>(waited));
   }
   plane_.batch_width.record(batch.size());
-  if (has_stolen) {
-    plane_.steal_batches.fetch_add(1, std::memory_order_relaxed);
-  }
   const MatrixRegistry::Entry& entry = *batch.front().entry;
   std::exception_ptr err;
   try {
@@ -757,29 +593,18 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
       if (r.on_complete) r.on_complete();
     }
   }
-  inflight_.release(batch);
-  // seq_cst RMW: the publish side of the retirement handshake — a
-  // dispatcher whose work is all conflict-deferred reads this counter,
-  // prepares a wait, and re-reads it (both seq_cst).  In the total order
-  // either its re-read sees this bump, or its prepare precedes the
-  // notify's fence below, which then sees the waiter and wakes it.
-  retire_count_.fetch_add(1, std::memory_order_seq_cst);
-  // Conflict-deferred requests may now be dispatchable.
-  work_ec_.notify_all();
 }
 
-void Scheduler::dispatcher_loop(unsigned tid) {
+void Scheduler::dispatcher_loop() {
   // The self-submit fail-fast guard keys on this (see do_submit).
   tl_dispatcher_of = this;
-  const std::size_t home = tid % shards_.size();
-  // Requests this dispatcher has popped but not yet dispatched: stolen
-  // overflow beyond one batch, and conflict-deferred requests waiting out
-  // another dispatcher's in-flight batch.
+  // Requests popped but not yet dispatched: arrivals beyond one batch,
+  // requests of other entries, and requests split off by a conflict.
   std::deque<Request> pending;
   for (;;) {
     // relaxed: a liveness counter for the watchdog — "has it moved since
     // the last probe" needs no ordering with the work it witnesses.
-    heartbeats_[tid]->beats.fetch_add(1, std::memory_order_relaxed);
+    heartbeat_.fetch_add(1, std::memory_order_relaxed);
     // acquire: makes discard_'s relaxed store visible once stopping_
     // reads true (discard_ is stored before stopping_'s release).
     const bool stopping = stopping_.load(std::memory_order_acquire);
@@ -797,7 +622,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
         }
       }
       pending.clear();
-      return;  // shutdown() sweeps what's left in the rings
+      return;  // shutdown() sweeps what's left in the ring
     }
     if (!stopping && paused_.load(std::memory_order_acquire)) {
       // acquire: pairs with resume()'s release store.
@@ -814,7 +639,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       }
       continue;
     }
-    fill_pending(home, pending);
+    fill_pending(pending);
     if (pending.empty()) {
       if (stopping) return;  // drained
       const std::uint64_t ticket = work_ec_.prepare_wait();
@@ -823,7 +648,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       // here; otherwise its notify sees us and wakes (Dekker pairing via
       // the eventcount's fence).
       if (stopping_.load(std::memory_order_seq_cst) ||
-          any_shard_nonempty()) {
+          queue_.approx_size() != 0) {
         work_ec_.cancel_wait();
         continue;
       }
@@ -831,37 +656,8 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       work_ec_.commit_wait(ticket);
       continue;
     }
-    // Snapshot the retirement count BEFORE build_batch's conflict check.
-    // If it were read after, a sibling could release its conflicting
-    // operands and bump the count inside that window: the snapshot would
-    // already contain the bump, the sleep re-check below would see "no
-    // change", and this dispatcher would park forever holding the only
-    // copies of the deferred requests (the sibling, with empty rings,
-    // parks too — deadlock).  Taken first, any retirement that lands
-    // after the conflict decision either changes the count by the
-    // re-check or its notify_all arrives after prepare_wait and wakes us.
-    // seq_cst: pairs with execute_batch's seq_cst bump — see there.
-    const std::uint64_t seen = retire_count_.load(std::memory_order_seq_cst);
-    std::vector<Request> batch = build_batch(home, pending);
-    if (batch.empty()) {
-      // Everything local is parked behind another dispatcher's in-flight
-      // batch.  Sleep until a retirement (or new work) changes the
-      // picture instead of spinning on a still-true predicate.
-      const std::uint64_t ticket = work_ec_.prepare_wait();
-      // seq_cst on all three: ordered after the wait announcement, so a
-      // retirement/submit/shutdown between the loads above and the sleep
-      // either shows up here or its notify wakes us.
-      if (retire_count_.load(std::memory_order_seq_cst) != seen ||
-          stopping_.load(std::memory_order_seq_cst) ||
-          any_shard_nonempty()) {
-        work_ec_.cancel_wait();
-      } else {
-        plane_.dispatcher_sleeps.fetch_add(1, std::memory_order_relaxed);
-        work_ec_.commit_wait(ticket);
-      }
-      continue;
-    }
-    execute_batch(std::move(batch));
+    std::vector<Request> batch = build_batch(pending);
+    if (!batch.empty()) execute_batch(std::move(batch));
   }
 }
 
@@ -886,44 +682,39 @@ void Scheduler::shutdown(Drain mode) {
   while (submits_in_flight_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
-  std::vector<std::thread> to_join;
+  std::thread to_join;
   {
     MutexLock lock(join_mutex_);
-    if (!joined_) {
-      joined_ = true;
-      to_join.swap(dispatchers_);
-    }
+    to_join.swap(dispatcher_);
   }
-  for (std::thread& t : to_join) t.join();
-  // Final sweep: requests whose push raced the dispatchers' exit (and, in
-  // discard mode, everything the dispatchers never pulled).  Dispatchers
-  // are joined, so this runs single-threaded: kDrain executes each
-  // request inline (release() on unclaimed operands is a no-op by
-  // design), kDiscard fails them.
-  // relaxed: dispatchers are joined; nothing concurrent remains.
+  if (to_join.joinable()) to_join.join();
+  // Final sweep: requests whose push raced the dispatcher's exit (and, in
+  // discard mode, everything the dispatcher never pulled).  The
+  // dispatcher is joined, so this runs single-threaded and keeps one
+  // batch executing at a time: kDrain executes each request inline,
+  // kDiscard fails them.
+  // relaxed: the dispatcher is joined; nothing concurrent remains.
   const bool discard =
       mode == Drain::kDiscard || discard_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    Request req;
-    while (shard->ring.try_pop(req)) {
-      // Expired/cancelled requests resolve with their specific verdict in
-      // BOTH modes: kDrain must not execute work past its deadline, and
-      // kDiscard owes the caller the more precise error it already
-      // earned.  Claiming: whatever happens next (inline execution or
-      // kShutdown) is final, so a racing cancel() must lose.
-      if (resolve_if_dead(req, std::chrono::steady_clock::now(),
-                          /*claim_token=*/true)) {
-        continue;
-      }
-      if (discard) {
-        fail_request(req, ServeErrorCode::kShutdown,
-                     "serve: scheduler shut down before the request was "
-                     "dispatched");
-      } else {
-        std::vector<Request> one;
-        one.push_back(std::move(req));
-        execute_batch(std::move(one));
-      }
+  Request req;
+  while (queue_.try_pop(req)) {
+    // Expired/cancelled requests resolve with their specific verdict in
+    // BOTH modes: kDrain must not execute work past its deadline, and
+    // kDiscard owes the caller the more precise error it already earned.
+    // Claiming: whatever happens next (inline execution or kShutdown) is
+    // final, so a racing cancel() must lose.
+    if (resolve_if_dead(req, std::chrono::steady_clock::now(),
+                        /*claim_token=*/true)) {
+      continue;
+    }
+    if (discard) {
+      fail_request(req, ServeErrorCode::kShutdown,
+                   "serve: scheduler shut down before the request was "
+                   "dispatched");
+    } else {
+      std::vector<Request> one;
+      one.push_back(std::move(req));
+      execute_batch(std::move(one));
     }
   }
   // The plane is quiesced; stop probing it.
@@ -932,14 +723,6 @@ void Scheduler::shutdown(Drain mode) {
 
 ServeStatsSnapshot Scheduler::stats() const {
   ServeStatsSnapshot out = stats_.snapshot();
-  out.data_plane.shards = config_.shards;
-  out.data_plane.dispatchers = config_.dispatch_threads;
-  out.data_plane.steal_requests =
-      plane_.steal_requests.load(std::memory_order_relaxed);
-  out.data_plane.steal_batches =
-      plane_.steal_batches.load(std::memory_order_relaxed);
-  out.data_plane.conflict_deferrals =
-      plane_.conflict_deferrals.load(std::memory_order_relaxed);
   out.data_plane.dispatcher_sleeps =
       plane_.dispatcher_sleeps.load(std::memory_order_relaxed);
   out.data_plane.requests_shed =

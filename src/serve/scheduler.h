@@ -1,33 +1,26 @@
-// Request-coalescing SpMV scheduler on a sharded lock-free data plane:
-// the serving front door.
+// Request-coalescing SpMV scheduler: the serving front door.
 //
-// Williams et al. win SpMV throughput by eliminating per-operation
-// overheads that serialize the machine; the first scheduler had exactly
-// such an overhead — one mutex-guarded deque drained by condvar-woken
-// dispatchers delivered ~0.4-0.5x of direct-call throughput at every
-// client count.  This version shards the data plane so the request path
-// serializes on nothing:
+// One dispatcher thread drains one bounded lock-free request queue:
 //
-//   submit(x, y) ──hash(thread id)──► shard 0  [MpmcQueue]  ─┐
-//   submit(x, y) ───────────────────► shard 1  [MpmcQueue]  ─┤ steal
-//        ...                              ...                ├──────► N
-//   submit(x, y) ───────────────────► shard K  [MpmcQueue]  ─┘  dispatchers
-//                          │
-//                          └── EventCount::notify_one() — one atomic load
-//                              when every dispatcher is already busy
+//   submit(x, y) ──┐                                   ┌─► multiply_batch
+//   submit(x, y) ──┼──► MpmcQueue ──► dispatcher ──────┤   (one batch at
+//        ...     ──┘        │          (linger, batch  │    a time)
+//                           │           by matrix)     └─► resolve futures
+//                           └── EventCount::notify_one() — one atomic load
+//                               while the dispatcher is awake
 //
-//   * Submitters push onto their thread's home shard (lock-free Vyukov
-//     ring, util/mpmc_queue.h) and wake at most one sleeping dispatcher
-//     through an eventcount (util/eventcount.h) — the steady-state submit
-//     path takes no lock and wakes nobody who is already awake.
-//   * Each dispatcher drains its own shard first, then *steals* from
-//     sibling shards until it has a full batch — stealing preserves
-//     coalescing width instead of fragmenting it across shards.
-//   * Same-entry requests coalesce into one Executor::multiply_batch, as
-//     before; operand-conflict tracking (duplicate y / x-aliasing-y
-//     across concurrently executing batches) lives in a flat-hash
-//     tracker touched once per batch, not once per request, and never on
-//     the submit path.
+//   * Submitters push onto a Vyukov ring (util/mpmc_queue.h) and wake the
+//     dispatcher through an eventcount (util/eventcount.h) only when it
+//     sleeps — the steady-state submit path takes no lock.
+//   * Same-entry requests coalesce into one Executor::multiply_batch.
+//     The dispatcher runs one batch at a time, so two requests can race
+//     over shared memory only inside one batch, and batch building splits
+//     those apart (see conflicts_with).
+//   * Why this shape, measured with bench_serve on a 4-vCPU host: one
+//     dispatcher beat two and four in every mode; and with one consumer a
+//     mutex-guarded std::deque with two condition variables lost to this
+//     ring on serve-open at 1 and 2 clients by more than the ring's own
+//     run-to-run spread.
 //
 // The knobs are the classic batching-vs-latency tradeoff:
 //
@@ -40,8 +33,7 @@
 //                    closed-loop client does not pay the window on
 //                    every call;
 //   * queue_capacity + overflow policy — bounded queue: block the
-//                    submitter (backpressure) or fail fast (kQueueFull);
-//   * dispatch_threads / shards — data-plane width.
+//                    submitter (backpressure) or fail fast (kQueueFull).
 //
 // Lifecycle safety comes from the registry's refcounting: submit() pins
 // the entry, so a request races freely with put()/erase() on its name —
@@ -51,21 +43,22 @@
 // per-rhs equality, and coalescing never reorders a single request's
 // accumulation).
 //
-// Request lifecycle (PR 8): a request may carry a *deadline* and a
-// *priority* (SubmitOptions) and hand back a CancelToken alongside its
-// future.  Expired or cancelled requests are swept out of the rings and
-// out of forming batches before dispatch — they never reach
+// Request lifecycle: a request may carry a *deadline* and a *priority*
+// (SubmitOptions) and hand back a CancelToken alongside its future.
+// Expired or cancelled requests are swept out of the queue and out of
+// forming batches before dispatch — they never reach
 // Executor::multiply_batch — and resolve kDeadlineExceeded / kCancelled.
 // A third overflow policy, kShed, rejects load the queue cannot serve in
 // time: an OverloadDetector (serve/health.h) watches queue depth with
 // hysteresis and an EWMA of queue latency, and while it reports
 // kShedding, new priority<=0 submits shed immediately (kQueueFull) and
 // deadline-carrying submits whose deadline the EWMA already overruns
-// shed with kDeadlineExceeded.  A HealthWatchdog probes per-dispatcher
-// heartbeat counters to flag stalled dispatchers.  Every path is
+// shed with kDeadlineExceeded.  A HealthWatchdog probes the dispatcher's
+// heartbeat counter to flag a stalled dispatcher.  Every path is
 // observable (shed/expired/cancelled counters in DataPlaneStats) and
 // testable under the seeded fault points (util/fault_point.h):
-// scheduler.queue_full, scheduler.slow_dispatch, scheduler.steal_skip.
+// scheduler.queue_full, scheduler.slow_dispatch, and the eventcount's
+// eventcount.spurious_wake.
 #pragma once
 
 #include <atomic>
@@ -85,7 +78,6 @@
 #include "serve/registry.h"
 #include "serve/serve_stats.h"
 #include "util/eventcount.h"
-#include "util/flat_hash.h"
 #include "util/mpmc_queue.h"
 #include "util/thread_annotations.h"
 
@@ -130,12 +122,8 @@ struct SchedulerConfig {
   /// count the windows entered and those that paid.
   std::chrono::microseconds max_linger{100};
   /// Bounded queue: submits beyond this either block (backpressure) or
-  /// fail fast, per `overflow`.  The capacity is split evenly across
-  /// shards and each shard's share rounds up to a power of two no smaller
-  /// than 2 (a structural minimum of the lock-free ring), so the
-  /// effective total can round up; a submitter whose home shard is full
-  /// overflows onto siblings before blocking or rejecting, so the full
-  /// capacity is reachable from any thread.
+  /// fail fast, per `overflow`.  The ring rounds it up to a power of two
+  /// no smaller than 2 (a structural minimum of the lock-free ring).
   std::size_t queue_capacity = 4096;
   /// kBlock: park the submitter until a slot frees (backpressure).
   /// kReject: fail fast with kQueueFull.
@@ -147,14 +135,6 @@ struct SchedulerConfig {
   /// the queue serving requests that can still make their deadlines).
   enum class OverflowPolicy : std::uint8_t { kBlock, kReject, kShed };
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Dispatcher threads draining the shards.  More than one lets batches
-  /// for different matrices execute concurrently (they still serialize on
-  /// the engine's dispatch lock for the actual pool work).
-  unsigned dispatch_threads = 1;
-  /// Request-queue shards.  0 (default) means one per dispatcher.
-  /// Submitters hash to a home shard by thread id; dispatcher i owns
-  /// shard i mod shards and steals from the rest.
-  unsigned shards = 0;
   /// Start with dispatching suspended until resume() — lets tests (and
   /// warm-up code) enqueue a known set of requests and observe exactly how
   /// they coalesce.
@@ -166,7 +146,7 @@ struct SchedulerConfig {
   /// starts no watchdog thread; tests drive Scheduler::watchdog().tick()
   /// directly for deterministic probe timing.
   std::chrono::milliseconds watchdog_interval{0};
-  /// Consecutive frozen-heartbeat probes (with work pending) before a
+  /// Consecutive frozen-heartbeat probes (with work pending) before the
   /// dispatcher is declared stalled.
   std::uint32_t watchdog_stall_intervals = 3;
 };
@@ -189,9 +169,10 @@ struct SubmitOptions {
   /// I/O threads cannot block on a future).  Invoked exactly once, after
   /// the request's future is resolved — with a value or a ServeError —
   /// from whatever thread resolved it: the submitting thread for door
-  /// rejects, a dispatcher for executed/swept requests, the shutdown
+  /// rejects, the dispatcher for executed/swept requests, the shutdown
   /// thread for the final sweep.  The hook must be cheap and must not
-  /// block or call back into the scheduler (a dispatcher thread runs it).
+  /// block or call back into the scheduler (the dispatcher thread runs
+  /// it).
   /// Submits that throw (pool-worker / self-dispatcher fail-fast) created
   /// no request and never invoke it.
   std::function<void()> on_complete;
@@ -274,7 +255,7 @@ class Scheduler {
     kDiscard,  ///< fail queued requests with kShutdown, stop now
   };
 
-  /// Stop the dispatchers.  Safe to call twice; after shutdown every
+  /// Stop the dispatcher.  Safe to call twice; after shutdown every
   /// submit() fails fast with kShutdown.
   void shutdown(Drain mode = Drain::kDrain) SPMV_EXCLUDES(join_mutex_);
 
@@ -306,43 +287,13 @@ class Scheduler {
     /// Cancellation state shared with the client's CancelToken (null for
     /// plain submits — no allocation unless a token was asked for).
     /// kCancelQueued -> kCancelRequested (CancelToken::cancel) or
-    /// -> kCancelClaimed (dispatcher, just before operand claim).
+    /// -> kCancelClaimed (dispatcher, at batch finalization).
     std::shared_ptr<std::atomic<std::uint8_t>> cancel;
     /// SubmitOptions::on_complete, fired once after the promise resolves.
     std::function<void()> on_complete;
-    bool stolen = false;  ///< popped from a shard its dispatcher doesn't own
     /// Submitted while a batch of its matrix was executing: it has
     /// company, so it re-arms the matrix's linger (see build_batch).
     bool queued_behind = false;
-  };
-
-  /// One request-queue shard.  Padded so neighboring shards' ring cursors
-  /// never share a cache line.
-  struct alignas(kCacheLineSize) Shard {
-    explicit Shard(std::size_t capacity) : ring(capacity) {}
-    MpmcQueue<Request> ring;
-  };
-
-  /// Operands of batches currently executing on some dispatcher.  A
-  /// request conflicts — and stays with its dispatcher, deferred — while
-  /// its y is registered as an in-flight x or y, or its x as an in-flight
-  /// y, so concurrent dispatchers can never race two batches over shared
-  /// memory.  One mutex acquisition per batch (claim) and one per
-  /// retirement (release); the submit path never touches it.
-  class InflightTracker {
-   public:
-    /// Remove from `batch` every request whose operands collide with a
-    /// registered batch and return them (order preserved); register the
-    /// operands of the requests that remain.
-    std::vector<Request> claim(std::vector<Request>& batch)
-        SPMV_EXCLUDES(mutex_);
-    /// Drop `batch`'s operands from the in-flight sets.
-    void release(const std::vector<Request>& batch) SPMV_EXCLUDES(mutex_);
-
-   private:
-    Mutex mutex_;
-    FlatCountMap<const double*> xs_ SPMV_GUARDED_BY(mutex_);
-    FlatCountMap<const double*> ys_ SPMV_GUARDED_BY(mutex_);
   };
 
   /// Shared body of all four submit() overloads.  `token_out` non-null
@@ -353,9 +304,9 @@ class Scheduler {
                               CancelToken* token_out);
   /// Resolve `req` if it is past its deadline or cancel-requested at
   /// `now` (kDeadlineExceeded / kCancelled) and report that it was.
-  /// Every pre-dispatch sweep — pull, linger, batch finalization,
-  /// shutdown — funnels through this, so a dead request never reaches
-  /// Executor::multiply_batch and resolves exactly once.  With
+  /// Every pre-dispatch sweep — batch building, linger, batch
+  /// finalization, shutdown — funnels through this, so a dead request
+  /// never reaches Executor::multiply_batch and resolves exactly once.  With
   /// `claim_token` the check is final: the cancel token is CAS-claimed,
   /// so when this returns false the request is committed to resolve with
   /// its execution (or teardown) outcome and cancel() returns false from
@@ -363,35 +314,22 @@ class Scheduler {
   /// cancellable.
   bool resolve_if_dead(Request& req, std::chrono::steady_clock::time_point now,
                        bool claim_token);
-  void dispatcher_loop(unsigned tid);
-  /// Push `req` onto the home shard, overflowing onto siblings when the
-  /// home ring is full; `req` is untouched when every ring is full.
-  bool try_push_any(std::size_t home, Request& req);
-  /// Pop from `shard`'s ring into `pending` until the ring is dry or
-  /// `pending` reaches `target`; counts steals when the shard is not the
-  /// dispatcher's home.  Returns how many requests were popped.
-  std::size_t pull_shard(std::size_t shard, std::size_t home,
-                         std::deque<Request>& pending, std::size_t target);
-  /// Top `pending` up to at least max_batch requests: home shard first,
-  /// then steal from siblings — stealing keeps batches wide instead of
-  /// fragmenting same-matrix traffic across shards.
-  std::size_t fill_pending(std::size_t home, std::deque<Request>& pending);
+  void dispatcher_loop();
+  /// Pop from the queue into `pending` until the queue is dry or
+  /// `pending` holds max_batch requests.
+  void fill_pending(std::deque<Request>& pending);
   /// Build a dispatchable batch from `pending`: pick the head request's
   /// entry, gather up to max_batch same-entry requests without intra-batch
-  /// operand conflicts, linger for stragglers when the batch is the only
-  /// local work and its matrix is armed (the per-matrix miss count in
-  /// MatrixServeStats::linger_misses, reset by concurrent traffic), then
-  /// claim the batch's operands in the in-flight tracker (conflicting
-  /// requests go back to `pending`, deferred until a retirement).  Tries
-  /// later entries when the head's are all deferred.
-  /// Empty result means everything in `pending` is conflict-deferred.
-  std::vector<Request> build_batch(std::size_t home,
-                                   std::deque<Request>& pending);
+  /// operand conflicts, and linger for stragglers when the batch is the
+  /// only local work and its matrix is armed (the per-matrix miss count in
+  /// MatrixServeStats::linger_misses, reset by concurrent traffic).  Empty
+  /// when every candidate was dead (expired or cancelled).
+  std::vector<Request> build_batch(std::deque<Request>& pending);
   /// Linger: give non-empty `batch` time to fill before paying a dispatch
   /// for it.  Only called while `pending` is empty (lingering while other
   /// entries wait would delay them without widening this batch any
   /// faster) and max_linger is nonzero.
-  void linger_fill(const MatrixRegistry::Entry* key, std::size_t home,
+  void linger_fill(const MatrixRegistry::Entry* key,
                    std::vector<Request>& batch, std::deque<Request>& pending);
   void execute_batch(std::vector<Request> batch);
   static void fail_request(Request& req, ServeErrorCode code,
@@ -399,18 +337,19 @@ class Scheduler {
   /// Would `r` race `batch` inside one dispatch?  The engine's batch path
   /// runs right-hand sides unordered, so a duplicated y or an x aliasing
   /// a batch member's y must split into a later dispatch.
+  ///
+  /// This intra-batch check is the only operand-conflict check, and it
+  /// suffices because one batch executes at a time: only the dispatcher
+  /// thread calls execute_batch while it runs, each call returns only
+  /// after every member has resolved, and shutdown()'s final sweep runs
+  /// after the join.  So a request whose y is in an executing batch
+  /// cannot start until that batch is done.  A path that executes
+  /// requests anywhere else (a second dispatcher, or running a request
+  /// inline on the submitting thread) must keep this true — e.g. by
+  /// refusing while any batch executes or is queued — or bring back
+  /// cross-batch operand tracking.
   static bool conflicts_with(const std::vector<Request>& batch,
                              const Request& r);
-  /// Home shard of the calling thread (stable per thread).
-  [[nodiscard]] std::size_t home_shard() const;
-  [[nodiscard]] bool any_shard_nonempty() const;
-
-  /// Per-dispatcher liveness counter, bumped once per loop iteration and
-  /// read by the watchdog probe.  Padded: heartbeats are written hot by
-  /// their dispatcher and must not false-share with a neighbor's.
-  struct alignas(kCacheLineSize) Heartbeat {
-    std::atomic<std::uint64_t> beats{0};
-  };
 
   MatrixRegistry& registry_;
   SchedulerConfig config_;
@@ -418,33 +357,28 @@ class Scheduler {
   DataPlaneStats plane_;
   OverloadDetector detector_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
-  EventCount work_ec_;   ///< dispatchers sleep here; submit/retire notify
+  MpmcQueue<Request> queue_;
+  /// Dispatcher liveness counter, bumped once per loop iteration and
+  /// read by the watchdog probe.
+  std::atomic<std::uint64_t> heartbeat_{0};
+  EventCount work_ec_;   ///< the dispatcher sleeps here; submits notify
   EventCount space_ec_;  ///< kBlock submitters sleep here; pops notify
-  InflightTracker inflight_;
 
   std::atomic<bool> paused_{false};
-  /// No new submits; dispatchers wind down.
+  /// No new submits; the dispatcher winds down.
   std::atomic<bool> stopping_{false};
   /// stopping_ without draining.
   std::atomic<bool> discard_{false};
   /// Dekker counterpart to stopping_: submits announce themselves before
   /// checking stopping_, so shutdown() can wait out racing pushes and
-  /// then sweep the rings exactly once (see submit/shutdown).
+  /// then sweep the ring exactly once (see submit/shutdown).
   std::atomic<unsigned> submits_in_flight_{0};
-  /// Bumped when a batch retires its in-flight operands: dispatchers
-  /// whose whole pending set is conflict-deferred sleep until this
-  /// changes (work_ec_ delivers the wake; the counter closes the
-  /// check-then-sleep race).
-  std::atomic<std::uint64_t> retire_count_{0};
 
   Mutex join_mutex_;
-  std::vector<std::thread> dispatchers_ SPMV_GUARDED_BY(join_mutex_);
-  bool joined_ SPMV_GUARDED_BY(join_mutex_) = false;
+  std::thread dispatcher_ SPMV_GUARDED_BY(join_mutex_);
 
   /// Declared last: destroyed first, so the probe thread (which reads
-  /// heartbeats_ and the shards) is joined before anything it touches.
+  /// heartbeat_ and the queue) is joined before anything it touches.
   std::unique_ptr<HealthWatchdog> watchdog_;
 };
 

@@ -83,24 +83,18 @@ class CountHistogram {
   std::atomic<std::uint64_t> total_{0};
 };
 
-/// Scheduler-wide data-plane telemetry (not per-matrix): how the sharded
-/// queue/steal machinery is behaving.  All relaxed atomics — recording
-/// never serializes dispatchers.
+/// Scheduler-wide data-plane telemetry (not per-matrix): how the queue,
+/// the dispatcher and admission control are behaving.  All relaxed
+/// atomics — recording never serializes the data path.
 struct DataPlaneStats {
-  /// Requests a dispatcher popped from a shard it does not own.
-  std::atomic<std::uint64_t> steal_requests{0};
-  /// Dispatched batches containing at least one stolen request.
-  std::atomic<std::uint64_t> steal_batches{0};
-  /// Requests deferred because their operands collided with a batch
-  /// executing on another dispatcher.
-  std::atomic<std::uint64_t> conflict_deferrals{0};
-  /// Times a dispatcher committed to sleep on the work eventcount.
+  /// Times the dispatcher went to sleep waiting for work (including
+  /// linger-window waits).
   std::atomic<std::uint64_t> dispatcher_sleeps{0};
   /// Requests rejected by kShed admission control (overload shedding or a
   /// deadline the latency EWMA already overran).
   std::atomic<std::uint64_t> requests_shed{0};
   /// Requests resolved kDeadlineExceeded without executing (at the door
-  /// or swept out of a shard/batch pre-dispatch).
+  /// or swept out of the queue or a batch pre-dispatch).
   std::atomic<std::uint64_t> requests_expired{0};
   /// Requests resolved kCancelled via their CancelToken pre-dispatch.
   std::atomic<std::uint64_t> requests_cancelled{0};
@@ -112,13 +106,9 @@ struct DataPlaneStats {
   CountHistogram queue_depth;  ///< total queued depth sampled at submit
 };
 
-/// Plain-data export of DataPlaneStats plus the plane's static shape.
+/// Plain-data export of DataPlaneStats plus the detector and watchdog
+/// state.
 struct DataPlaneSnapshot {
-  unsigned shards = 0;
-  unsigned dispatchers = 0;
-  std::uint64_t steal_requests = 0;
-  std::uint64_t steal_batches = 0;
-  std::uint64_t conflict_deferrals = 0;
   std::uint64_t dispatcher_sleeps = 0;
   std::uint64_t requests_shed = 0;
   std::uint64_t requests_expired = 0;
@@ -129,7 +119,7 @@ struct DataPlaneSnapshot {
   HealthState health_state = HealthState::kOk;
   std::uint64_t overload_transitions = 0;
   std::uint64_t ewma_queue_latency_us = 0;
-  /// Stalled-dispatcher watchdog at snapshot time.
+  /// Stalled-dispatcher watchdog at snapshot time (0 or 1).
   std::uint64_t stalled_dispatchers = 0;
   std::uint64_t stall_events = 0;
   /// Total fault-point fires (0 unless built -DSPMV_FAULT_INJECTION=ON).
@@ -180,7 +170,7 @@ struct MatrixStatsSnapshot {
 
 struct ServeStatsSnapshot {
   std::vector<MatrixStatsSnapshot> matrices;  ///< sorted by name
-  /// Sharded-data-plane telemetry (filled by Scheduler::stats()).
+  /// Data-plane telemetry (filled by Scheduler::stats()).
   DataPlaneSnapshot data_plane;
   /// submit() calls naming a matrix that was never registered.  One
   /// aggregate counter rather than per-name cells: the names are

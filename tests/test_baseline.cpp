@@ -155,31 +155,36 @@ TEST(PetscLike, TracksCommAndComputeTime) {
   EXPECT_GT(s.compute_seconds, 0.0);
   EXPECT_GT(s.comm_fraction(), 0.0);
   EXPECT_LT(s.comm_fraction(), 1.0);
+  const std::uint64_t ghosts = s.ghost_entries;
+  EXPECT_GT(ghosts, 0u);
   dist.reset_stats();
   EXPECT_EQ(dist.stats().comm_seconds, 0.0);
+  EXPECT_EQ(dist.stats().ghost_entries, ghosts);  // fixed at distribute()
 }
 
 TEST(PetscLike, LpHasHighCommFraction) {
   // §6.2: LP's scattered wide rows make communication up to 56% of time.
-  // Comparative check: comm fraction for LP-like must exceed banded.
+  // Compared on counted traffic, not timers: the x entries each rank
+  // copies in per multiply (its ghost columns), per nonzero.  LP ghosts
+  // nearly all of x; the band ghosts a few boundary entries.
   const CsrMatrix lp = gen::lp_constraint(64, 60000, 10.0, 9);
   const CsrMatrix band = gen::banded(4000, 4, 0.9, 10);
-  PetscLikeSpmv dist_lp =
+  const PetscLikeSpmv dist_lp =
       PetscLikeSpmv::distribute(lp, 4, RegisterProfile::typical());
-  PetscLikeSpmv dist_band =
+  const PetscLikeSpmv dist_band =
       PetscLikeSpmv::distribute(band, 4, RegisterProfile::typical());
-  std::vector<double> x1(lp.cols(), 1.0), y1(lp.rows(), 0.0);
-  std::vector<double> x2(band.cols(), 1.0), y2(band.rows(), 0.0);
-  // Enough repetitions to ride out scheduler noise on shared hosts: the
-  // structural gap (LP ghosts nearly all of x; the band ghosts a few
-  // boundary entries) is an order of magnitude, so the median-like
-  // cumulative fractions separate cleanly given adequate samples.
-  for (int i = 0; i < 40; ++i) {
-    dist_lp.multiply(x1, y1);
-    dist_band.multiply(x2, y2);
-  }
-  EXPECT_GT(dist_lp.stats().comm_fraction(),
-            dist_band.stats().comm_fraction());
+  const std::uint64_t lp_ghosts = dist_lp.stats().ghost_entries;
+  const std::uint64_t band_ghosts = dist_band.stats().ghost_entries;
+  RecordProperty("lp_ghost_entries", static_cast<int>(lp_ghosts));
+  RecordProperty("band_ghost_entries", static_cast<int>(band_ghosts));
+  const double lp_per_nnz =
+      static_cast<double>(lp_ghosts) / static_cast<double>(lp.nnz());
+  const double band_per_nnz =
+      static_cast<double>(band_ghosts) / static_cast<double>(band.nnz());
+  EXPECT_GT(band_ghosts, 0u);
+  EXPECT_GT(lp_per_nnz, 10.0 * band_per_nnz)
+      << "LP " << lp_ghosts << " ghosts / " << lp.nnz() << " nnz, band "
+      << band_ghosts << " / " << band.nnz();
 }
 
 TEST(PetscLike, ImbalanceReportedForSkewedMatrix) {

@@ -1,8 +1,7 @@
 // Tests for the serving data plane's lock-free building blocks:
 // MpmcQueue (bounded Vyukov ring), EventCount (prepare/commit-wait
-// sleeping), and FlatCountMap (open-addressing operand multiset).  The
-// concurrency suites here ride the spmv_concurrency CTest entry, so the
-// sanitizer CI (TSan above all) gates on them — the memory-order
+// sleeping).  The concurrency suites here ride the spmv_concurrency CTest
+// entry, so the sanitizer CI (TSan above all) gates on them — the memory-order
 // arguments in the headers are only trustworthy because these tests
 // hammer the claimed orderings.
 #include <gtest/gtest.h>
@@ -10,16 +9,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/eventcount.h"
-#include "util/flat_hash.h"
 #include "util/mpmc_queue.h"
-#include "util/prng.h"
 
 namespace spmv {
 namespace {
@@ -266,55 +262,6 @@ TEST(EventCountConcurrency, NotifyAllWakesEverySleeper) {
   ec.notify_all();
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(awake.load(std::memory_order_relaxed), kSleepers);
-}
-
-TEST(FlatCountMap, IncrementDecrementContains) {
-  FlatCountMap<const double*> m;
-  double a = 0, b = 0, c = 0;
-  EXPECT_FALSE(m.contains(&a));
-  EXPECT_EQ(m.size(), 0u);
-  m.increment(&a);
-  m.increment(&a);
-  m.increment(&b);
-  EXPECT_TRUE(m.contains(&a));
-  EXPECT_TRUE(m.contains(&b));
-  EXPECT_FALSE(m.contains(&c));
-  EXPECT_EQ(m.size(), 2u);
-  m.decrement(&a);  // count 2 -> 1: still present
-  EXPECT_TRUE(m.contains(&a));
-  m.decrement(&a);  // count 1 -> 0: erased
-  EXPECT_FALSE(m.contains(&a));
-  EXPECT_EQ(m.size(), 1u);
-  m.decrement(&c);  // absent: no-op, mirrors the old map's find-then-erase
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(FlatCountMap, RandomizedAgainstStdMapReference) {
-  // Fuzz the open-addressing + backward-shift deletion against std::map:
-  // any probe-chain corruption (the classic deletion bug class) shows up
-  // as a contains() mismatch within a few hundred ops.
-  constexpr int kKeys = 64;
-  constexpr int kOps = 20000;
-  std::vector<double> storage(kKeys);
-  FlatCountMap<const double*> m;
-  std::map<const double*, unsigned> ref;
-  Prng rng(1234);
-  for (int op = 0; op < kOps; ++op) {
-    const double* key = &storage[rng.next_u64() % kKeys];
-    if (rng.next_u64() % 2 == 0) {
-      m.increment(key);
-      ++ref[key];
-    } else {
-      m.decrement(key);
-      const auto it = ref.find(key);
-      if (it != ref.end() && --it->second == 0) ref.erase(it);
-    }
-    ASSERT_EQ(m.size(), ref.size()) << "op " << op;
-    for (int k = 0; k < kKeys; ++k) {
-      ASSERT_EQ(m.contains(&storage[k]), ref.count(&storage[k]) != 0)
-          << "op " << op << " key " << k;
-    }
-  }
 }
 
 }  // namespace

@@ -319,7 +319,6 @@ TEST(NetLoopback, DisconnectCancelsInFlight) {
 TEST(NetLoopback, ShedAnsweredAsShedFrame) {
   ServerConfig cfg;
   cfg.scheduler.queue_capacity = 4;
-  cfg.scheduler.dispatch_threads = 1;
   cfg.scheduler.overflow = serve::SchedulerConfig::OverflowPolicy::kShed;
   cfg.scheduler.start_paused = true;
   ClientOptions copts;

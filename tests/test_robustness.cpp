@@ -127,7 +127,7 @@ TEST(ServeHealth, WatchdogFlagsStallOnlyWhileWorkIsPending) {
   HealthWatchdog wd(
       [&] {
         HealthProbe p;
-        p.heartbeats = {beat};
+        p.heartbeat = beat;
         p.work_pending = pending;
         return p;
       },
@@ -162,8 +162,8 @@ TEST(ServeHealth, SchedulerWatchdogSeesParkedDispatchersAsHealthy) {
   Scheduler sched(reg, {.max_linger = std::chrono::microseconds(0)});
   std::vector<double> y(80, 0.0);
   EXPECT_NO_THROW(sched.submit("A", x, y).get());
-  // Empty rings mean work_pending == false: dispatchers parked on the
-  // eventcount are healthy no matter how long their heartbeat is frozen.
+  // An empty queue means work_pending == false: a dispatcher parked on
+  // the eventcount is healthy no matter how long its heartbeat is frozen.
   sched.watchdog().tick();
   sched.watchdog().tick();
   sched.watchdog().tick();
@@ -323,9 +323,8 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
   SchedulerConfig cfg;
   cfg.max_batch = 8;
   cfg.max_linger = 0us;
-  cfg.queue_capacity = 8;  // one shard -> one ring of exactly 8 slots
+  cfg.queue_capacity = 8;
   cfg.overflow = SchedulerConfig::OverflowPolicy::kShed;
-  cfg.dispatch_threads = 1;
   cfg.start_paused = true;
   cfg.overload = {.overload_frac = 0.25,
                   .shed_frac = 0.5,

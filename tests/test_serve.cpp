@@ -296,14 +296,12 @@ TEST(ServeScheduler, ConflictingOperandsSplitAcrossBatches) {
   EXPECT_EQ(a->rhs_dispatched, 2u);
 }
 
-TEST(ServeConcurrency, MultiDispatcherNeverRacesConflictingOperands) {
-  // Two dispatcher threads + many requests sharing destinations: a
-  // conflict-deferred request must stay deferred while the batch it
-  // conflicts with is IN FLIGHT on the other dispatcher, not merely
-  // excluded from the same batch.  Accumulation order is irrelevant
-  // (double addition into y is order-sensitive only across different
-  // values; here every deposit is A·x1 or A·x2 and we check the sum), so
-  // the assertion is the final value plus TSan cleanliness.
+TEST(ServeConcurrency, SharedDestinationsSumEveryDeposit) {
+  // Many requests sharing destinations: a request that conflicts with a
+  // batch must run after that batch, never inside it or beside it.
+  // Accumulation order is irrelevant here (every deposit is the same
+  // A·x and we check the sum), so the assertion is the final value plus
+  // TSan cleanliness.
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
   const CsrMatrix m = gen::banded(120, 3, 0.9, 30);
@@ -320,7 +318,6 @@ TEST(ServeConcurrency, MultiDispatcherNeverRacesConflictingOperands) {
   serve::SchedulerConfig sc;
   sc.max_batch = 4;
   sc.max_linger = std::chrono::microseconds(0);
-  sc.dispatch_threads = 2;
   Scheduler sched(reg, sc);
 
   constexpr int kSharedYs = 3;
@@ -329,9 +326,8 @@ TEST(ServeConcurrency, MultiDispatcherNeverRacesConflictingOperands) {
                                       std::vector<double>(m.rows(), 0.0));
   std::vector<std::future<void>> futs;
   futs.reserve(kSharedYs * kDepositsPerY);
-  // Interleave so consecutive queue entries target the same y: with two
-  // dispatchers this is exactly the pattern that raced before the
-  // in-flight conflict tracking.
+  // Interleave so consecutive queue entries target the same y: every
+  // batch of four holds a duplicate destination that must split off.
   for (int d = 0; d < kDepositsPerY; ++d) {
     for (int s = 0; s < kSharedYs; ++s) {
       futs.push_back(sched.submit(entry, x, ys[s]));
@@ -709,13 +705,81 @@ TEST(ServeLinger, QueuedBehindBatchRearmsDisarmedMatrix) {
   EXPECT_EQ(a->max_batch_width, 1u);
 }
 
-TEST(ServeSharded, StealCoalescesAcrossShards) {
-  // Work stealing must preserve coalescing width, not fragment it: with
-  // the scheduler paused, requests submitted from many threads hash into
-  // different shards, and the single dispatcher's fill sweep (own shard
-  // first, then steal from every sibling) must still assemble ONE batch.
-  // start_paused makes this deterministic — everything is queued before
-  // the dispatcher takes its first pull.
+TEST(ServeConcurrency, SameDestinationWaitsForTheExecutingBatch) {
+  // The scheduler runs one batch at a time, so a request whose y belongs
+  // to an executing batch cannot start until that batch has resolved.
+  // Hold ctx's pool so the first request's batch blocks mid-multiply,
+  // then queue a second request into the same y with a different x.
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(90, 3, 0.9, 49);
+  reg.put("A", m, serve_options(&ctx, 2));
+  const MatrixRegistry::EntryPtr entry = reg.find("A");
+  const std::vector<double> x1 = random_vector(m.cols(), 50);
+  const std::vector<double> x2 = random_vector(m.cols(), 51);
+  std::vector<double> expect(m.rows(), 0.0);
+  {
+    engine::Executor exec(entry->plan);
+    exec.multiply(x1, expect);
+    exec.multiply(x2, expect);
+  }
+
+  Scheduler sched(reg, {.max_linger = std::chrono::microseconds(0)});
+  const auto started = [&] {
+    const ServeStatsSnapshot snap = sched.stats();
+    const MatrixStatsSnapshot* a = snap.find("A");
+    return a == nullptr ? 0u : a->queue_latency.count;
+  };
+  std::vector<double> warm(m.rows(), 0.0);
+  const std::uint64_t dispatches_before = ctx.dispatches();
+  sched.submit(entry, x1, warm).get();
+  ASSERT_GT(ctx.dispatches(), dispatches_before)
+      << "the plan must multiply through ctx's pool for the hold below";
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    ctx.parallel_for(
+        2,
+        [&](unsigned t) {
+          if (t == 0) entered.set_value();
+          released.wait();
+        },
+        /*pin=*/false);
+  });
+  entered.get_future().wait();
+  std::vector<double> y(m.rows(), 0.0);
+  std::future<void> f1 = sched.submit(entry, x1, y);
+  // A batch records its queue latency as it starts, so the 2nd sample
+  // means f1's batch is executing (and blocked on the held pool).
+  const bool f1_started = wait_until([&] { return started() == 2; });
+  std::future<void> f2;
+  bool f2_waited = false;
+  std::uint64_t started_while_held = 0;
+  if (f1_started) {
+    f2 = sched.submit(entry, x2, y);
+    f2_waited = f2.wait_for(std::chrono::milliseconds(50)) ==
+                std::future_status::timeout;
+    started_while_held = started();
+  }
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(f1_started) << "the held request's batch never started";
+  EXPECT_TRUE(f2_waited) << "f2 resolved while f1's batch was held";
+  EXPECT_EQ(started_while_held, 2u)
+      << "f2 started while a batch writing its y was executing";
+  f1.get();
+  f2.get();
+  EXPECT_EQ(y, expect);  // bit-identical to the two multiplies in order
+  EXPECT_EQ(started(), 3u);
+}
+
+TEST(ServeConcurrency, ManySubmitterThreadsCoalesceIntoOneBatch) {
+  // Requests submitted from many threads while the scheduler is paused
+  // must still assemble ONE batch.  start_paused makes this
+  // deterministic — everything is queued before the dispatcher takes
+  // its first pull.
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
   const CsrMatrix m = gen::fem_like(180, 2, 8.0, 30, 21);
@@ -729,8 +793,6 @@ TEST(ServeSharded, StealCoalescesAcrossShards) {
   constexpr std::size_t kRequests = kSubmitters * kPerThread;
   Scheduler sched(reg, {.max_batch = kRequests,
                         .max_linger = std::chrono::microseconds(100),
-                        .dispatch_threads = 1,
-                        .shards = 4,
                         .start_paused = true});
   std::vector<std::vector<double>> ys(kRequests,
                                       std::vector<double>(m.rows(), 0.0));
@@ -756,24 +818,16 @@ TEST(ServeSharded, StealCoalescesAcrossShards) {
   const MatrixStatsSnapshot* a = snap.find("A");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->requests_completed, kRequests);
-  EXPECT_EQ(a->batches_dispatched, 1u);  // stealing kept the batch whole
+  EXPECT_EQ(a->batches_dispatched, 1u);
   EXPECT_EQ(a->max_batch_width, kRequests);
-  EXPECT_EQ(snap.data_plane.shards, 4u);
-  EXPECT_EQ(snap.data_plane.dispatchers, 1u);
-  // 16 distinct submitter threads over 4 shards: some requests landed off
-  // the dispatcher's home shard, so the sweep must have stolen.  (All 16
-  // thread ids hashing to one shard has probability ~4^-15.)
-  EXPECT_GT(snap.data_plane.steal_requests, 0u);
-  EXPECT_GT(snap.data_plane.steal_batches, 0u);
   EXPECT_EQ(snap.data_plane.batch_width.count, 1u);
   EXPECT_EQ(snap.data_plane.batch_width.total, kRequests);
   EXPECT_EQ(snap.data_plane.queue_depth.count, kRequests);
 }
 
-TEST(ServeSharded, FourDispatchersBitIdenticalUnderClientRace) {
-  // The widest sharded configuration the acceptance bar names: four
-  // dispatchers (four shards), eight racing client threads, results still
-  // bit-identical to a direct multiply on the same plan.
+TEST(ServeConcurrency, EightPipelinedClientsBitIdentical) {
+  // Eight racing client threads, each with 25 requests in flight, results
+  // still bit-identical to a direct multiply on the same plan.
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
   const CsrMatrix m = gen::fem_like(260, 3, 9.0, 40, 23);
@@ -785,7 +839,6 @@ TEST(ServeSharded, FourDispatchersBitIdenticalUnderClientRace) {
 
   SchedulerConfig sc;
   sc.max_batch = 8;
-  sc.dispatch_threads = 4;
   Scheduler sched(reg, sc);
 
   constexpr int kClients = 8;
@@ -818,12 +871,10 @@ TEST(ServeSharded, FourDispatchersBitIdenticalUnderClientRace) {
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->requests_completed,
             static_cast<std::uint64_t>(kClients) * kPerClient);
-  EXPECT_EQ(snap.data_plane.dispatchers, 4u);
-  EXPECT_EQ(snap.data_plane.shards, 4u);
 }
 
 TEST(ServeConcurrency, HotSwapAndShutdownRaceResolvesEveryFuture) {
-  // The nastiest lifecycle race the sharded plane must survive: clients
+  // The nastiest lifecycle race the scheduler must survive: clients
   // hammering submit-by-name while the registry hot-swaps and erases the
   // entry underneath them, and the scheduler shuts down mid-load.  Run
   // once per drain mode.  The contract is not which requests succeed —
@@ -839,7 +890,6 @@ TEST(ServeConcurrency, HotSwapAndShutdownRaceResolvesEveryFuture) {
 
     SchedulerConfig sc;
     sc.max_batch = 4;
-    sc.dispatch_threads = 2;
     sc.queue_capacity = 64;
     sc.overflow = SchedulerConfig::OverflowPolicy::kReject;
     Scheduler sched(reg, sc);
@@ -887,8 +937,8 @@ TEST(ServeConcurrency, HotSwapAndShutdownRaceResolvesEveryFuture) {
 
 TEST(ServeScheduler, SubmitFromEnginePoolWorkerFailsFast) {
   // submit() can block (kBlock backpressure) and parks on an eventcount
-  // that only dispatchers signal; called from an engine pool worker that
-  // a dispatcher is itself waiting on, that is a deadlock by
+  // that only the dispatcher signals; called from an engine pool worker
+  // that the dispatcher is itself waiting on, that is a deadlock by
   // construction.  The scheduler must refuse loudly, not hang quietly.
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
