@@ -13,7 +13,10 @@
 //
 // closed loop: one request outstanding per client (RPC latency is the
 // p50/p99 that matters).  open loop: each client keeps `window` requests
-// pipelined (throughput when latency is hidden).
+// pipelined (throughput when latency is hidden) — the only rows that put
+// k requests in flight, as k pipelined MULTIPLYs.  Open-loop p50/p99 is
+// each request's send -> reply time, so it includes the wait behind the
+// other requests of the window.
 //
 // Reported per point: delivered ops/s, client-observed p50/p99 RPC
 // latency, operand bytes shipped per op vs dense, goodput (kOk results
@@ -31,6 +34,7 @@
 // and retry_ovh is 0.
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <thread>
 
@@ -132,17 +136,25 @@ PointResult run_point(std::uint16_t port, const LossyLink& lossy, int clients,
         // not on the retry ladder, so on a lossy link a cut connection
         // surfaces as a throw: the whole pipeline is charged as failed
         // calls and the client reconnects (resuming its session) by hand.
-        std::deque<std::uint64_t> inflight;
+        struct Sent {
+          std::uint64_t id;
+          Timer since;  ///< started just before the send
+        };
+        std::deque<Sent> inflight;
         while (!stop.load(std::memory_order_relaxed)) {
           try {
             while (inflight.size() < static_cast<std::size_t>(window)) {
-              inflight.push_back(client.begin_multiply("A", x));
+              const Timer since;
+              inflight.push_back({client.begin_multiply("A", x), since});
               perturb();
             }
-            const auto r = client.await(inflight.front());
+            const auto r = client.await(inflight.front().id);
+            const double us = inflight.front().since.seconds() * 1e6;
             inflight.pop_front();
             ++partial[c].calls;
-            if (r.status == net::StatusCode::kOk) ++partial[c].ops;
+            if (r.status != net::StatusCode::kOk) continue;
+            lat_us[c].push_back(us);
+            ++partial[c].ops;
           } catch (const std::exception&) {
             partial[c].calls += inflight.size();
             inflight.clear();
@@ -156,7 +168,7 @@ PointResult run_point(std::uint16_t port, const LossyLink& lossy, int clients,
         }
         while (!inflight.empty()) {
           try {
-            (void)client.await(inflight.front());
+            (void)client.await(inflight.front().id);
           } catch (const std::exception&) {
           }
           inflight.pop_front();

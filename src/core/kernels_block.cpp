@@ -38,11 +38,6 @@ BlockKernelFn scalar_kernel(BlockFormat fmt, IndexWidth idx, unsigned br,
   }
 }
 
-KernelBackend next_narrower(KernelBackend backend) {
-  return backend == KernelBackend::kAvx512 ? KernelBackend::kAvx2
-                                           : KernelBackend::kScalar;
-}
-
 template <unsigned R, unsigned C, unsigned K>
 BlockKernelKFn pick_k(BlockFormat fmt, IndexWidth idx) {
   if (fmt == BlockFormat::kBcsr) {
@@ -96,11 +91,10 @@ KernelBackend block_kernel_backend(BlockFormat fmt, IndexWidth idx,
   if (detail::tile_dim_slot(br) < 0 || detail::tile_dim_slot(bc) < 0) {
     throw std::out_of_range("block_kernel: unsupported tile shape");
   }
-  for (KernelBackend be = resolve_kernel_backend(backend);
-       be != KernelBackend::kScalar; be = next_narrower(be)) {
-    if (simd_block_kernel(be, fmt, idx, br, bc) != nullptr) return be;
-  }
-  return KernelBackend::kScalar;
+  const KernelBackend be = resolve_kernel_backend(backend);
+  return simd_block_kernel(be, fmt, idx, br, bc) != nullptr
+             ? be
+             : KernelBackend::kScalar;
 }
 
 BlockKernelFn block_kernel(BlockFormat fmt, IndexWidth idx, unsigned br,
@@ -124,11 +118,10 @@ KernelBackend block_kernel_k_backend(BlockFormat fmt, IndexWidth idx,
     throw std::out_of_range("block_kernel_k: unsupported tile shape");
   }
   if (k == 0) throw std::invalid_argument("block_kernel_k: k == 0");
-  for (KernelBackend be = resolve_kernel_backend(backend);
-       be != KernelBackend::kScalar; be = next_narrower(be)) {
-    if (simd_block_kernel_k(be, fmt, idx, br, bc, k) != nullptr) return be;
-  }
-  return KernelBackend::kScalar;
+  const KernelBackend be = resolve_kernel_backend(backend);
+  return simd_block_kernel_k(be, fmt, idx, br, bc, k) != nullptr
+             ? be
+             : KernelBackend::kScalar;
 }
 
 BlockKernelKFn block_kernel_k(BlockFormat fmt, IndexWidth idx, unsigned br,

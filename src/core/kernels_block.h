@@ -73,8 +73,8 @@ struct FusedBlockKernels {
 /// Look up the kernel for a block's (fmt, idx, br, bc) under `backend`.
 /// kAuto resolves to the widest backend the host supports; a backend the
 /// host lacks, or that has no specialization for this tile shape, degrades
-/// gracefully (kAvx512 → kAvx2 → kScalar).  The scalar kernel always
-/// exists, so a valid shape never fails to dispatch.
+/// gracefully to kScalar.  The scalar kernel always exists, so a valid
+/// shape never fails to dispatch.
 /// Throws std::out_of_range for unsupported tile shapes.
 BlockKernelFn block_kernel(BlockFormat fmt, IndexWidth idx, unsigned br,
                            unsigned bc,

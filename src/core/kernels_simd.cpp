@@ -31,8 +31,7 @@ namespace {
 // load+shuffle µops.  Deliberately NOT vpgatherdpd: the µcoded gather
 // measured slower than the scalar reference on several AVX2 parts and is
 // hypersensitive to cache aliasing; explicit inserts pipeline on the load
-// ports like the scalar kernel's own four loads.  (An AVX-512 backend
-// would revisit this — its gathers are worth it.)
+// ports like the scalar kernel's own four loads.
 template <typename Idx>
 SPMV_AVX2 inline __m256d load_x4(const double* xb, const Idx* c) {
   return _mm256_set_pd(xb[c[3]], xb[c[2]], xb[c[1]], xb[c[0]]);
@@ -575,12 +574,6 @@ bool kernel_backend_available(KernelBackend backend) {
 #else
       return false;
 #endif
-    case KernelBackend::kAvx512:
-#if defined(SPMV_X86)
-      return host_info().has_avx512f;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -588,22 +581,12 @@ bool kernel_backend_available(KernelBackend backend) {
 KernelBackend resolve_kernel_backend(KernelBackend requested) {
   switch (requested) {
     case KernelBackend::kAuto:
-      // kAvx512 is skipped on purpose until its table has kernels: picking
-      // it would only add a per-block fallback walk for nothing.
+    case KernelBackend::kAvx2:
       return kernel_backend_available(KernelBackend::kAvx2)
                  ? KernelBackend::kAvx2
                  : KernelBackend::kScalar;
     case KernelBackend::kScalar:
       return KernelBackend::kScalar;
-    case KernelBackend::kAvx2:
-      return kernel_backend_available(KernelBackend::kAvx2)
-                 ? KernelBackend::kAvx2
-                 : KernelBackend::kScalar;
-    case KernelBackend::kAvx512:
-      if (kernel_backend_available(KernelBackend::kAvx512)) {
-        return KernelBackend::kAvx512;
-      }
-      return resolve_kernel_backend(KernelBackend::kAvx2);
   }
   return KernelBackend::kScalar;
 }
@@ -620,11 +603,6 @@ BlockKernelFn simd_block_kernel(KernelBackend backend, BlockFormat fmt,
 #else
       return nullptr;
 #endif
-    case KernelBackend::kAvx512:
-      // AVX-512F hook: table reserved, no kernels registered yet.  When
-      // they land, mirror avx2_lookup here and let resolve_kernel_backend
-      // auto-select the backend.
-      return nullptr;
     case KernelBackend::kAuto:
     case KernelBackend::kScalar:
       return nullptr;
@@ -646,9 +624,6 @@ BlockKernelKFn simd_block_kernel_k(KernelBackend backend, BlockFormat fmt,
       (void)k;
       return nullptr;
 #endif
-    case KernelBackend::kAvx512:
-      // Same stub as the single-vector table: reserved, no kernels yet.
-      return nullptr;
     case KernelBackend::kAuto:
     case KernelBackend::kScalar:
       return nullptr;

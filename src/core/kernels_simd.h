@@ -33,15 +33,13 @@ namespace spmv {
 bool kernel_backend_available(KernelBackend backend);
 
 /// Resolve a requested backend against the host: kAuto becomes the widest
-/// backend with registered kernels the host supports (AVX2 today — the
-/// AVX-512F slot is a stub and is never auto-selected until kernels land);
-/// an explicit request the host cannot run degrades toward scalar.
+/// backend with registered kernels the host supports (AVX2 today); an
+/// explicit request the host cannot run degrades to scalar.
 KernelBackend resolve_kernel_backend(KernelBackend requested);
 
 /// The registered SIMD kernel for (backend, fmt, idx, br, bc), or nullptr
-/// when that backend has no specialization for the shape (including the
-/// whole kAvx512 table, which is reserved but empty).  `backend` must be a
-/// concrete SIMD backend; kScalar/kAuto return nullptr.  The caller is
+/// when that backend has no specialization for the shape.  `backend` must
+/// be a concrete SIMD backend; kScalar/kAuto return nullptr.  The caller is
 /// responsible for having resolved host availability first — the returned
 /// pointer executes the backend's ISA unconditionally.
 BlockKernelFn simd_block_kernel(KernelBackend backend, BlockFormat fmt,

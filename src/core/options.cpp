@@ -18,7 +18,6 @@ const char* to_string(KernelBackend backend) {
     case KernelBackend::kAuto: return "auto";
     case KernelBackend::kScalar: return "scalar";
     case KernelBackend::kAvx2: return "avx2";
-    case KernelBackend::kAvx512: return "avx512";
   }
   return "?";
 }

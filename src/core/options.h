@@ -38,7 +38,6 @@ enum class KernelBackend : std::uint8_t {
   kAuto,    ///< pick the best backend host_info() reports support for
   kScalar,  ///< portable C++ reference kernels
   kAvx2,    ///< hand-vectorized AVX2 (x86-64 256-bit) kernels
-  kAvx512,  ///< AVX-512F hook — registry slot reserved, kernels pending
 };
 
 const char* to_string(KernelBackend backend);
@@ -90,10 +89,10 @@ struct TuningOptions {
   // --- code optimizations (§4.1) ---
   KernelFlavor flavor = KernelFlavor::kSingleIndex;
   /// Register-tile kernel backend.  kAuto resolves at plan time to the
-  /// widest backend the host supports (AVX2 today; the AVX-512 slot is a
-  /// stub).  Tile shapes a SIMD backend has no specialization for fall
-  /// back to scalar per block; the per-block outcome is recorded in the
-  /// TuningReport.  Force kScalar to debug or to baseline the SIMD gain.
+  /// widest backend the host supports (AVX2 today).  Tile shapes a SIMD
+  /// backend has no specialization for fall back to scalar per block; the
+  /// per-block outcome is recorded in the TuningReport.  Force kScalar to
+  /// debug or to baseline the SIMD gain.
   KernelBackend backend = KernelBackend::kAuto;
   /// Software prefetch distance in value elements ahead of the cursor
   /// (0 disables; the paper tunes 0..512).

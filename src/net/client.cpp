@@ -144,7 +144,9 @@ OperandSpec SpmvNetClient::make_operand(std::span<const double> x) {
 
   bool pick_full = options_.delta_mode == ClientOptions::DeltaMode::kAlwaysFull;
   if (!pick_full && have_shadow_ && shadow_x_.size() == x.size()) {
-    DeltaVec d = diff(shadow_x_, x, options_.merge_gap);
+    // Bridge gaps of fewer than 8 unchanged elements: re-sending them
+    // costs less than a fresh 8-byte run header per isolated change.
+    DeltaVec d = diff(shadow_x_, x, /*merge_gap=*/8);
     if (d.runs.empty()) {
       spec.mode = OperandMode::kCached;
     } else if (wire_bytes(d) < dense) {
@@ -181,14 +183,14 @@ OperandSpec SpmvNetClient::make_operand(std::span<const double> x) {
   return spec;
 }
 
-OperandSpec SpmvNetClient::full_operand(const std::vector<double>& x) {
+OperandSpec SpmvNetClient::full_operand(std::span<const double> x) {
   // Retransmissions ship dense and leave the shadow untouched — they are
   // cache-neutral on both sides by the protocol's retransmission rule
   // (the server never re-applies a replayed id's operands either).
   OperandSpec spec;
   spec.mode = OperandMode::kFull;
   spec.n = static_cast<std::uint32_t>(x.size());
-  spec.full = x;
+  spec.full.assign(x.begin(), x.end());
   counters_.operand_bytes_sent += operand_wire_bytes(spec);
   counters_.operand_bytes_dense += static_cast<std::uint64_t>(x.size()) * 8;
   ++counters_.full_operands;
@@ -224,7 +226,7 @@ std::uint64_t SpmvNetClient::begin_multiply(const std::string& name,
   req.name = name;
   req.deadline_us = deadline_us;
   req.priority = priority;
-  req.operands.push_back(make_operand(x));
+  req.operand = make_operand(x);
   const std::uint64_t id = next_request_id_++;
   io_deadline_ = Clock::now() + options_.timeout;
   send_frame(FrameType::kMultiply, id, encode_multiply(req));
@@ -238,115 +240,33 @@ SpmvNetClient::Result SpmvNetClient::multiply(const std::string& name,
   if (!options_.retry.enabled) {
     return await(begin_multiply(name, x, deadline_us, priority));
   }
-  return multiply_retrying(name, std::vector<double>(x.begin(), x.end()),
-                           deadline_us, priority);
-}
-
-SpmvNetClient::Result SpmvNetClient::multiply_cached(
-    const std::string& name, std::uint64_t deadline_us,
-    std::int32_t priority) {
-  if (!have_shadow_) {
-    throw std::logic_error("multiply_cached with no vector ever shipped");
-  }
-  if (options_.retry.enabled) {
-    // First attempt re-derives kCached from the shadow (the diff is
-    // empty); a retransmission after reconnect has a dense copy to ship.
-    return multiply_retrying(name, shadow_x_, deadline_us, priority);
-  }
-  MultiplyRequest req;
-  req.name = name;
-  req.deadline_us = deadline_us;
-  req.priority = priority;
-  OperandSpec spec;
-  spec.mode = OperandMode::kCached;
-  spec.n = static_cast<std::uint32_t>(shadow_x_.size());
-  counters_.operand_bytes_sent += operand_wire_bytes(spec);
-  counters_.operand_bytes_dense += shadow_x_.size() * 8;
-  ++counters_.cached_operands;
-  req.operands.push_back(std::move(spec));
   const std::uint64_t id = next_request_id_++;
-  io_deadline_ = Clock::now() + options_.timeout;
-  send_frame(FrameType::kMultiply, id, encode_multiply(req));
-  return await(id);
-}
-
-SpmvNetClient::BatchResult SpmvNetClient::multiply_batch(
-    const std::string& name, const std::vector<std::vector<double>>& xs,
-    std::uint64_t deadline_us, std::int32_t priority) {
-  BatchResult out;
-  std::pair<FrameType, std::vector<std::uint8_t>> reply;
-  if (!options_.retry.enabled) {
+  auto encode = [&](bool first) {
     MultiplyRequest req;
     req.name = name;
     req.deadline_us = deadline_us;
     req.priority = priority;
-    req.operands.reserve(xs.size());
-    // The shadow evolves across items exactly as the server's cache does —
-    // item i's delta applies to item i-1's vector.
-    for (const auto& x : xs) req.operands.push_back(make_operand(x));
-    const std::uint64_t id = next_request_id_++;
-    io_deadline_ = ladder_deadline();
-    send_frame(FrameType::kMultiplyBatch, id, encode_multiply(req));
-    try {
-      reply = await_frame(id);
-    } catch (const std::exception& e) {
-      out.status = StatusCode::kConnectionLost;
-      out.message = e.what();
-      return out;
-    }
-  } else {
-    const std::uint64_t id = next_request_id_++;
-    auto encode = [&](bool first) {
-      MultiplyRequest req;
-      req.name = name;
-      req.deadline_us = deadline_us;
-      req.priority = priority;
-      req.operands.reserve(xs.size());
-      if (first) {
-        for (const auto& x : xs) req.operands.push_back(make_operand(x));
-      } else {
-        for (const auto& x : xs) req.operands.push_back(full_operand(x));
-      }
-      return encode_multiply(req);
-    };
-    try {
-      reply = retry_call(FrameType::kMultiplyBatch, id, encode,
-                         ladder_deadline());
-    } catch (const std::exception& e) {
-      out.status = StatusCode::kConnectionLost;
-      out.message = e.what();
-      return out;
-    }
+    req.operand = first ? make_operand(x) : full_operand(x);
+    return encode_multiply(req);
+  };
+  try {
+    auto [type, payload] = retry_call(id, encode, ladder_deadline());
+    Result r = to_result(type, payload);
+    note_reply_status(r.status);
+    return r;
+  } catch (const std::exception& e) {
+    Result r;
+    r.status = StatusCode::kConnectionLost;
+    r.message = e.what();
+    return r;
   }
-  if (reply.first == FrameType::kMultiplyBatchResult) {
-    MultiplyBatchResult res;
-    if (!decode_multiply_batch_result(reply.second, res)) {
-      out.status = StatusCode::kProtocolError;
-      out.message = "malformed MULTIPLY_BATCH_RESULT";
-      note_reply_status(out.status);
-      return out;
-    }
-    out.items = std::move(res.items);
-    return out;
-  }
-  StatusMsg status;
-  if (reply.first == FrameType::kStatus &&
-      decode_status(reply.second, status)) {
-    out.status = status.code;
-    out.message = std::move(status.message);
-  } else {
-    out.status = StatusCode::kProtocolError;
-    out.message = "unexpected reply frame";
-  }
-  note_reply_status(out.status);
-  return out;
 }
 
 void SpmvNetClient::note_reply_status(StatusCode code) {
   // kBadRequest and kProtocolError are the rejections the server issues
-  // WITHOUT applying the request's operands to its session cache (every
+  // WITHOUT applying the request's operand to its session cache (every
   // other outcome — quota, unknown matrix, shed, deadline, shutdown —
-  // applies them first, mirroring this shadow's unconditional update at
+  // applies it first, mirroring this shadow's unconditional update at
   // send time).  Drop the shadow so the next operand ships full instead
   // of a delta against a base the server no longer agrees on; resync
   // costs one dense send.
@@ -423,34 +343,8 @@ void SpmvNetClient::sleep_backoff(Clock::time_point deadline) {
   if (delay.count() > 0) std::this_thread::sleep_for(delay);
 }
 
-SpmvNetClient::Result SpmvNetClient::multiply_retrying(
-    const std::string& name, std::vector<double> full,
-    std::uint64_t deadline_us, std::int32_t priority) {
-  const std::uint64_t id = next_request_id_++;
-  auto encode = [&](bool first) {
-    MultiplyRequest req;
-    req.name = name;
-    req.deadline_us = deadline_us;
-    req.priority = priority;
-    req.operands.push_back(first ? make_operand(full) : full_operand(full));
-    return encode_multiply(req);
-  };
-  try {
-    auto [type, payload] =
-        retry_call(FrameType::kMultiply, id, encode, ladder_deadline());
-    Result r = to_result(type, payload);
-    note_reply_status(r.status);
-    return r;
-  } catch (const std::exception& e) {
-    Result r;
-    r.status = StatusCode::kConnectionLost;
-    r.message = e.what();
-    return r;
-  }
-}
-
 std::pair<FrameType, std::vector<std::uint8_t>> SpmvNetClient::retry_call(
-    FrameType type, std::uint64_t request_id,
+    std::uint64_t request_id,
     const std::function<std::vector<std::uint8_t>(bool first)>& encode_attempt,
     Clock::time_point deadline) {
   const auto& policy = options_.retry;
@@ -504,7 +398,7 @@ std::pair<FrameType, std::vector<std::uint8_t>> SpmvNetClient::retry_call(
       io_deadline_ = std::min(deadline, Clock::now() + options_.timeout);
       const std::vector<std::uint8_t> payload = encode_attempt(first);
       first = false;
-      send_frame(type, request_id, payload);
+      send_frame(FrameType::kMultiply, request_id, payload);
       auto reply = await_frame(request_id);
       StatusMsg status;
       if (reply.first == FrameType::kStatus &&

@@ -9,16 +9,16 @@
 // copy of the last vector sent and, in DeltaMode::kAuto, encodes each new
 // operand as whichever of {cached (identical), delta (cheaper than
 // dense), full} costs the fewest wire bytes.  The shadow evolves exactly
-// like the server's session cache, including across batch items and
-// across rejected requests (the server applies any structurally valid
-// operand sequence to the cache even when it refuses the multiply), so
-// the two can never disagree about what a delta applies to.  The two
+// like the server's session cache, including across pipelined requests
+// and across rejected requests (the server applies any structurally
+// valid operand to the cache even when it refuses the multiply), so the
+// two can never disagree about what a delta applies to.  The two
 // cases where the server does NOT apply — kBadRequest / kProtocolError —
 // drop the shadow, resyncing with one full send; close() drops it too,
 // since the session cache dies with the connection.
 //
 // Fault tolerance (opt-in via RetryPolicy::enabled): the synchronous
-// multiply calls ride a retry ladder — on transport failure the client
+// multiply() rides a retry ladder — on transport failure the client
 // reconnects, resumes its prior session (HELLO carries the resume token),
 // and retransmits under the SAME request id so the server's replay window
 // guarantees exactly-once execution.  Retransmissions always ship full
@@ -38,9 +38,11 @@
 // Request/response calls (`multiply`, `upload`, ...) are synchronous.
 // `begin_multiply` + `await` expose the protocol's pipelining: many
 // requests can be in flight (up to the HELLO-granted quota) and replies
-// are routed by request id, arriving in any order.  Pipelined calls are
-// NOT retried — a dead transport surfaces as kConnectionLost, exactly as
-// before.
+// are routed by request id, arriving in any order.  That is how k
+// operands travel at once: k pipelined MULTIPLYs, whose deltas chain
+// through the session cache while each request pins its own snapshot.
+// Pipelined calls are NOT retried — a dead transport surfaces as
+// kConnectionLost, exactly as before.
 #pragma once
 
 #include <chrono>
@@ -77,12 +79,9 @@ struct ClientOptions {
     kAlwaysFull,  ///< ship dense always (baseline for the bench)
   };
   DeltaMode delta_mode = DeltaMode::kAuto;
-  /// diff() run-merge gap: bridge gaps of fewer than this many unchanged
-  /// elements instead of starting a new run.
-  std::uint32_t merge_gap = 8;
 
   /// Retry / reconnect / circuit-breaker policy for the synchronous
-  /// multiply calls.  Disabled by default: transport failures surface as
+  /// multiply().  Disabled by default: transport failures surface as
   /// kConnectionLost immediately (the pre-fault-tolerance semantics the
   /// lifecycle tests pin down).
   struct RetryPolicy {
@@ -143,23 +142,10 @@ class SpmvNetClient {
                 std::vector<std::uint32_t> col_idx,
                 std::vector<double> values);
 
+  /// In DeltaMode::kAuto an x identical to the last one shipped travels
+  /// as kCached: the server reuses its copy.
   Result multiply(const std::string& name, std::span<const double> x,
                   std::uint64_t deadline_us = 0, std::int32_t priority = 0);
-  /// Reuse the session's cached vector untouched (throws std::logic_error
-  /// when nothing was ever shipped).
-  Result multiply_cached(const std::string& name,
-                         std::uint64_t deadline_us = 0,
-                         std::int32_t priority = 0);
-
-  struct BatchResult {
-    StatusCode status = StatusCode::kOk;  ///< transport/frame-level outcome
-    std::string message;
-    std::vector<BatchItemResult> items;
-  };
-  BatchResult multiply_batch(const std::string& name,
-                             const std::vector<std::vector<double>>& xs,
-                             std::uint64_t deadline_us = 0,
-                             std::int32_t priority = 0);
 
   /// Pipelined submission: returns the request id to pass to await().
   std::uint64_t begin_multiply(const std::string& name,
@@ -213,7 +199,7 @@ class SpmvNetClient {
   /// account the wire cost.
   OperandSpec make_operand(std::span<const double> x);
   /// Keep the shadow honest against the server's cache rule: replies the
-  /// server issues without applying the request's operands
+  /// server issues without applying the request's operand
   /// (kBadRequest/kProtocolError) drop the shadow so the next operand
   /// ships full.
   void note_reply_status(StatusCode code);
@@ -221,18 +207,15 @@ class SpmvNetClient {
   /// `timeout` when no budget is set).
   [[nodiscard]] Clock::time_point ladder_deadline() const;
   /// Dense retransmission operand for `x`, with wire-cost accounting.
-  OperandSpec full_operand(const std::vector<double>& x);
-  /// Shared retry-ladder body for multiply and multiply_cached.
-  Result multiply_retrying(const std::string& name, std::vector<double> full,
-                           std::uint64_t deadline_us, std::int32_t priority);
+  OperandSpec full_operand(std::span<const double> x);
   /// Sleep the next backoff delay, clipped so we wake by `deadline`.
   void sleep_backoff(Clock::time_point deadline);
-  /// Run one sync multiply-shaped RPC under the retry ladder.
+  /// Run one sync MULTIPLY under the retry ladder.
   /// `encode_attempt(first)` builds the payload — delta-aware on the
   /// first attempt, full-operand on retransmits.  Returns the reply
   /// frame; throws std::runtime_error when the ladder exhausts.
   std::pair<FrameType, std::vector<std::uint8_t>> retry_call(
-      FrameType type, std::uint64_t request_id,
+      std::uint64_t request_id,
       const std::function<std::vector<std::uint8_t>(bool first)>&
           encode_attempt,
       Clock::time_point deadline);

@@ -59,7 +59,7 @@ void make_pipe(int fds[2]) {
 // ---------------------------------------------------------------------------
 // Private aggregates
 
-/// One in-flight multiply item: pins the operand snapshot it was
+/// One in-flight multiply: pins the operand snapshot it was
 /// submitted with (copy-on-write cache discipline — a later delta can
 /// never mutate it), owns the result buffer, and carries the future +
 /// cancel token.  Shared between the connection's in-flight map and the
@@ -75,19 +75,6 @@ struct SpmvServer::PendingOp {
   std::future<void> future;
   serve::CancelToken token;
   Clock::time_point started;
-};
-
-/// A MULTIPLY_BATCH in flight: the reply ships only when every item
-/// resolved.  `remaining` is decremented by each item's completion hook
-/// (the dispatcher thread); the decrementer that hits zero posts the
-/// batch to the owning I/O thread.
-struct SpmvServer::BatchState {
-  std::uint64_t conn_id = 0;
-  std::uint64_t request_id = 0;
-  std::shared_ptr<ClientSlot> slot;
-  Clock::time_point started;
-  std::vector<std::shared_ptr<PendingOp>> items;
-  std::atomic<std::uint32_t> remaining{0};
 };
 
 struct SpmvServer::UploadJob {
@@ -112,7 +99,6 @@ struct SpmvServer::Conn {
   bool goodbye = false;    ///< clean GOODBYE exchanged: never park
   std::shared_ptr<ClientSlot> slot;  ///< null until HELLO
   std::map<std::uint64_t, std::shared_ptr<PendingOp>> ops;
-  std::map<std::uint64_t, std::shared_ptr<BatchState>> batches;
   Clock::time_point last_activity;
   /// When the current partial frame started buffering; time_point{} when
   /// rdbuf holds no partial frame.  Anchored at frame start — per-byte
@@ -730,10 +716,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
       return;
     }
     case FrameType::kMultiply:
-      handle_multiply(io, conn, header, /*batch=*/false, payload);
-      return;
-    case FrameType::kMultiplyBatch:
-      handle_multiply(io, conn, header, /*batch=*/true, payload);
+      handle_multiply(io, conn, header, payload);
       return;
     case FrameType::kCancel:
       handle_cancel(conn, header.request_id, payload);
@@ -749,9 +732,6 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
       // completions will be dropped), the farewell is acknowledged, and
       // the connection closes once the reply flushed.
       for (auto& [id, op] : conn.ops) (void)op->token.cancel();
-      for (auto& [id, b] : conn.batches) {
-        for (auto& item : b->items) (void)item->token.cancel();
-      }
       send_frame(conn, FrameType::kGoodbye, header.request_id, {});
       conn.goodbye = true;  // clean exit: the session is never parked
       conn.closing = true;
@@ -769,7 +749,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
 }
 
 void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
-                                 const FrameHeader& header, bool batch,
+                                 const FrameHeader& header,
                                  std::span<const std::uint8_t> payload) {
   ClientSlot& slot = *conn.slot;
 
@@ -814,68 +794,58 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
   }
 
   MultiplyRequest req;
-  if (!decode_multiply(payload, batch, req,
-                       std::max<std::uint32_t>(1, config_.max_quota))) {
+  if (!decode_multiply(payload, req)) {
     decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
                   "malformed MULTIPLY");
     return;
   }
-  const auto k = static_cast<std::uint32_t>(req.operands.size());
+  OperandSpec& spec = req.operand;
+  const std::uint64_t shipped = operand_wire_bytes(spec);
 
-  // Resolve every operand to a pinned snapshot BEFORE submitting or
-  // publishing anything: a structurally bad item rejects the whole
-  // request and leaves the session cache untouched.  Deltas chain — item
-  // i patches item i-1's vector (copy-on-write, so snapshots already
-  // pinned by earlier requests are never mutated).
-  std::vector<std::shared_ptr<const std::vector<double>>> xs;
-  std::vector<std::uint64_t> shipped;
-  xs.reserve(k);
-  shipped.reserve(k);
-  std::shared_ptr<const std::vector<double>> cur = slot.cached_x();
-  for (OperandSpec& spec : req.operands) {
-    shipped.push_back(operand_wire_bytes(spec));
-    switch (spec.mode) {
-      case OperandMode::kFull:
-        cur = std::make_shared<const std::vector<double>>(
-            std::move(spec.full));
-        break;
-      case OperandMode::kDelta: {
-        if (cur == nullptr || cur->size() != spec.n) {
-          decide_status(conn, slot, header.request_id,
-                        StatusCode::kBadRequest,
-                        "delta without a matching cached vector");
-          return;
-        }
-        auto next = std::make_shared<std::vector<double>>(*cur);
-        if (!spmv::net::apply(spec.delta, *next)) {
-          decide_status(conn, slot, header.request_id,
-                        StatusCode::kBadRequest, "inconsistent delta");
-          return;
-        }
-        cur = std::move(next);
-        break;
+  // Resolve the operand to a pinned snapshot BEFORE submitting or
+  // publishing anything: a structurally bad operand rejects the request
+  // and leaves the session cache untouched.  A delta patches a copy
+  // (copy-on-write), so snapshots pinned by earlier requests are never
+  // mutated.
+  std::shared_ptr<const std::vector<double>> x = slot.cached_x();
+  switch (spec.mode) {
+    case OperandMode::kFull:
+      x = std::make_shared<const std::vector<double>>(std::move(spec.full));
+      break;
+    case OperandMode::kDelta: {
+      if (x == nullptr || x->size() != spec.n) {
+        decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
+                      "delta without a matching cached vector");
+        return;
       }
-      case OperandMode::kCached:
-        if (cur == nullptr || cur->size() != spec.n) {
-          decide_status(conn, slot, header.request_id,
-                        StatusCode::kBadRequest, "no cached vector");
-          return;
-        }
-        break;
+      auto next = std::make_shared<std::vector<double>>(*x);
+      if (!spmv::net::apply(spec.delta, *next)) {
+        decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
+                      "inconsistent delta");
+        return;
+      }
+      x = std::move(next);
+      break;
     }
-    xs.push_back(cur);
+    case OperandMode::kCached:
+      if (x == nullptr || x->size() != spec.n) {
+        decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
+                      "no cached vector");
+        return;
+      }
+      break;
   }
   // Publish the evolved cache BEFORE any admission check.  The client's
   // shadow advances unconditionally the moment it ships the frame, so the
   // cache rule must be identical on both sides: a structurally valid
-  // operand sequence always applies, even when the request is then
-  // rejected (draining, quota, unknown matrix, wrong length) — otherwise
-  // a pipelined client whose request was refused would have every later
+  // operand always applies, even when the request is then rejected
+  // (draining, quota, unknown matrix, wrong length) — otherwise a
+  // pipelined client whose request was refused would have every later
   // delta silently patch a stale base.  The client mirrors the
   // structural-failure case by dropping its shadow on
   // kBadRequest/kProtocolError replies.  (Retransmissions never reach
   // this point — they were answered by the classification above.)
-  slot.set_cached_x(cur);
+  slot.set_cached_x(x);
 
   // acquire: pairs with stop()'s release; draining admits nothing new.
   if (draining_.load(std::memory_order_acquire)) {
@@ -887,7 +857,7 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
   // admission stays exact even if a takeover briefly leaves two threads
   // behind this slot.  Every rejection path below releases the
   // reservation via decide_status -> ClientSlot::decide.
-  if (!slot.try_admit(header.request_id, k)) {
+  if (!slot.try_admit(header.request_id)) {
     decide_status(conn, slot, header.request_id,
                   StatusCode::kQuotaExceeded, "session quota exhausted");
     return;
@@ -899,103 +869,54 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
                   "no matrix '" + req.name + "'");
     return;
   }
-  const std::uint32_t rows = entry->plan.rows();
   const std::uint32_t cols = entry->plan.cols();
-  const std::uint64_t dense_bytes =
-      static_cast<std::uint64_t>(cols) * sizeof(double);
-  for (const auto& x : xs) {
-    if (x->size() != cols) {
-      decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
-                    "operand length mismatch");
-      return;
-    }
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const OperandMode mode = req.operands[i].mode;
-    if (mode == OperandMode::kFull) {
-      slot.count_full_operand();
-    } else {
-      const std::uint64_t saved =
-          dense_bytes > shipped[i] ? dense_bytes - shipped[i] : 0;
-      if (mode == OperandMode::kDelta) {
-        slot.count_delta_operand(saved);
-      } else {
-        slot.count_cached_operand(saved);
-      }
-    }
-    slot.count_request();
-  }
-  // relaxed: statistics counter.
-  requests_.fetch_add(k, std::memory_order_relaxed);
-
-  const auto now = Clock::now();
-  serve::SubmitOptions base;
-  if (req.deadline_us != 0) {
-    base.deadline = now + std::chrono::microseconds(req.deadline_us);
-  }
-  base.priority = req.priority;
-  const unsigned io_index = io.index;
-
-  auto make_op = [&](std::size_t i) {
-    auto op = std::make_shared<PendingOp>();
-    op->conn_id = conn.id;
-    op->request_id = header.request_id;
-    op->slot = conn.slot;
-    op->x = xs[i];
-    op->y.assign(rows, 0.0);  // engine semantics are y += A·x
-    op->started = now;
-    return op;
-  };
-
-  if (!batch) {
-    auto op = make_op(0);
-    conn.ops.emplace(header.request_id, op);
-    serve::SubmitOptions opts = base;
-    opts.on_complete = [this, io_index, op] {
-      Completion c;
-      c.conn_id = op->conn_id;
-      c.op = op;
-      post_completion(io_index, std::move(c));
-    };
-    auto handle = scheduler_.submit(
-        entry, std::span<const double>(*op->x), std::span<double>(op->y),
-        opts);
-    op->future = std::move(handle.future);
-    op->token = std::move(handle.token);
+  if (x->size() != cols) {
+    decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
+                  "operand length mismatch");
     return;
   }
-
-  auto bs = std::make_shared<BatchState>();
-  bs->conn_id = conn.id;
-  bs->request_id = header.request_id;
-  bs->slot = conn.slot;
-  bs->started = now;
-  // relaxed: published to the hooks via the submit calls below, which
-  // happen-after this store on this thread.
-  bs->remaining.store(k, std::memory_order_relaxed);
-  bs->items.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) bs->items.push_back(make_op(i));
-  conn.batches.emplace(header.request_id, bs);
-  for (std::size_t i = 0; i < k; ++i) {
-    auto& op = bs->items[i];
-    serve::SubmitOptions opts = base;
-    opts.on_complete = [this, io_index, bs] {
-      // acq_rel: each item's decrement releases its resolution; the
-      // decrementer that observes zero acquires all of them, so the
-      // batch posts with every item's outcome visible.
-      if (bs->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Completion c;
-        c.conn_id = bs->conn_id;
-        c.batch = bs;
-        post_completion(io_index, std::move(c));
-      }
-    };
-    auto handle = scheduler_.submit(
-        entry, std::span<const double>(*op->x), std::span<double>(op->y),
-        opts);
-    op->future = std::move(handle.future);
-    op->token = std::move(handle.token);
+  if (spec.mode == OperandMode::kFull) {
+    slot.count_full_operand();
+  } else {
+    const std::uint64_t dense_bytes =
+        static_cast<std::uint64_t>(cols) * sizeof(double);
+    const std::uint64_t saved =
+        dense_bytes > shipped ? dense_bytes - shipped : 0;
+    if (spec.mode == OperandMode::kDelta) {
+      slot.count_delta_operand(saved);
+    } else {
+      slot.count_cached_operand(saved);
+    }
   }
+  slot.count_request();
+  // relaxed: statistics counter.
+  requests_.fetch_add(1, std::memory_order_relaxed);
+
+  const auto now = Clock::now();
+  auto op = std::make_shared<PendingOp>();
+  op->conn_id = conn.id;
+  op->request_id = header.request_id;
+  op->slot = conn.slot;
+  op->x = std::move(x);
+  op->y.assign(entry->plan.rows(), 0.0);  // engine semantics are y += A·x
+  op->started = now;
+  conn.ops.emplace(header.request_id, op);
+
+  serve::SubmitOptions opts;
+  if (req.deadline_us != 0) {
+    opts.deadline = now + std::chrono::microseconds(req.deadline_us);
+  }
+  opts.priority = req.priority;
+  opts.on_complete = [this, io_index = io.index, op] {
+    Completion c;
+    c.conn_id = op->conn_id;
+    c.op = op;
+    post_completion(io_index, std::move(c));
+  };
+  auto handle = scheduler_.submit(entry, std::span<const double>(*op->x),
+                                  std::span<double>(op->y), opts);
+  op->future = std::move(handle.future);
+  op->token = std::move(handle.token);
 }
 
 void SpmvServer::handle_cancel(Conn& conn, std::uint64_t request_id,
@@ -1006,15 +927,9 @@ void SpmvServer::handle_cancel(Conn& conn, std::uint64_t request_id,
                 "malformed CANCEL");
     return;
   }
-  bool known = false;
-  if (auto it = conn.ops.find(req.target_id); it != conn.ops.end()) {
-    known = true;
-    (void)it->second->token.cancel();
-  } else if (auto bit = conn.batches.find(req.target_id);
-             bit != conn.batches.end()) {
-    known = true;
-    for (auto& item : bit->second->items) (void)item->token.cancel();
-  }
+  const auto it = conn.ops.find(req.target_id);
+  const bool known = it != conn.ops.end();
+  if (known) (void)it->second->token.cancel();
   // kOk acknowledges delivery, not outcome: the multiply itself answers
   // kCancelled or its result, whichever won the race.
   send_status(conn, request_id, known ? StatusCode::kOk : StatusCode::kNotFound,
@@ -1112,91 +1027,33 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     return;
   }
 
-  const auto now = Clock::now();
-  if (c.op != nullptr) {
-    ClientSlot& slot = *c.op->slot;
-    const std::uint64_t request_id = c.op->request_id;
-    std::string msg;
-    const StatusCode sc = op_status(*c.op, msg);
-    const bool ok = sc == StatusCode::kOk;
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                             c.op->started)
-            .count());
-    if (sc == StatusCode::kShed) {
-      // relaxed: statistics counter.
-      shed_replies_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<std::uint8_t> frame;
-    try {
-      if (ok) {
-        MultiplyResult res;
-        res.y = std::move(c.op->y);
-        frame = encode_frame(FrameType::kMultiplyResult, request_id,
-                             encode_multiply_result(res));
-      } else {
-        StatusMsg m;
-        m.code = sc;
-        m.message = std::move(msg);
-        frame = encode_frame(FrameType::kStatus, request_id,
-                             encode_status(m));
-      }
-    } catch (const std::length_error&) {
-      // relaxed: statistics counter.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (conn != nullptr) conn->kill = true;
-      return;
-    }
-    if (conn == nullptr) {
-      // The connection died while the request was in flight.  If the
-      // session is parked (or already re-attached elsewhere), record the
-      // decision into its replay window so the retransmission gets the
-      // same reply; if the session closed with it, drop exactly once.
-      if (slot.record_orphan(request_id, ok ? 1 : 0, ok ? 0 : 1, ns,
-                             std::move(frame), config_.replay_window)) {
-        // relaxed: statistics counter.
-        completions_parked_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // relaxed: statistics counter.
-        completions_dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    conn->ops.erase(request_id);
-    slot.count_outcome(ok, ns);
-    decide_and_send(*conn, slot, request_id, std::move(frame));
-    return;
-  }
-
-  BatchState& bs = *c.batch;
-  ClientSlot& slot = *bs.slot;
-  MultiplyBatchResult res;
-  res.items.reserve(bs.items.size());
+  PendingOp& op = *c.op;
+  ClientSlot& slot = *op.slot;
+  const std::uint64_t request_id = op.request_id;
+  std::string msg;
+  const StatusCode sc = op_status(op, msg);
+  const bool ok = sc == StatusCode::kOk;
   const auto ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - bs.started)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           op.started)
           .count());
-  std::uint32_t ok_items = 0;
-  std::uint32_t failed_items = 0;
-  for (auto& item : bs.items) {
-    BatchItemResult out;
-    std::string msg;
-    out.status = op_status(*item, msg);
-    if (out.status == StatusCode::kOk) {
-      out.y = std::move(item->y);
-      ++ok_items;
-    } else {
-      ++failed_items;
-    }
-    if (out.status == StatusCode::kShed) {
-      // relaxed: statistics counter.
-      shed_replies_.fetch_add(1, std::memory_order_relaxed);
-    }
-    res.items.push_back(std::move(out));
+  if (sc == StatusCode::kShed) {
+    // relaxed: statistics counter.
+    shed_replies_.fetch_add(1, std::memory_order_relaxed);
   }
   std::vector<std::uint8_t> frame;
   try {
-    frame = encode_frame(FrameType::kMultiplyBatchResult, bs.request_id,
-                         encode_multiply_batch_result(res));
+    if (ok) {
+      MultiplyResult res;
+      res.y = std::move(op.y);
+      frame = encode_frame(FrameType::kMultiplyResult, request_id,
+                           encode_multiply_result(res));
+    } else {
+      StatusMsg m;
+      m.code = sc;
+      m.message = std::move(msg);
+      frame = encode_frame(FrameType::kStatus, request_id, encode_status(m));
+    }
   } catch (const std::length_error&) {
     // relaxed: statistics counter.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -1204,8 +1061,12 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     return;
   }
   if (conn == nullptr) {
-    if (slot.record_orphan(bs.request_id, ok_items, failed_items, ns,
-                           std::move(frame), config_.replay_window)) {
+    // The connection died while the request was in flight.  If the
+    // session is parked (or already re-attached elsewhere), record the
+    // decision into its replay window so the retransmission gets the
+    // same reply; if the session closed with it, drop exactly once.
+    if (slot.record_orphan(request_id, ok, ns, std::move(frame),
+                           config_.replay_window)) {
       // relaxed: statistics counter.
       completions_parked_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -1214,12 +1075,9 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     }
     return;
   }
-  conn->batches.erase(bs.request_id);
-  for (std::uint32_t i = 0; i < ok_items; ++i) slot.count_outcome(true, ns);
-  for (std::uint32_t i = 0; i < failed_items; ++i) {
-    slot.count_outcome(false, ns);
-  }
-  decide_and_send(*conn, slot, bs.request_id, std::move(frame));
+  conn->ops.erase(request_id);
+  slot.count_outcome(ok, ns);
+  decide_and_send(*conn, slot, request_id, std::move(frame));
 }
 
 // ---------------------------------------------------------------------------
@@ -1366,9 +1224,6 @@ void SpmvServer::close_conn(IoThread& io, std::uint64_t conn_id) {
     }
   } else {
     for (auto& [id, op] : conn.ops) (void)op->token.cancel();
-    for (auto& [id, b] : conn.batches) {
-      for (auto& item : b->items) (void)item->token.cancel();
-    }
     // Owner-conditional: if a resume raced this permanent close and took
     // the session over, its death here must not retire it.
     if (conn.slot != nullptr) sessions_.close(conn.slot->id, conn.id);
@@ -1393,23 +1248,20 @@ void SpmvServer::reap_idle(IoThread& io) {
     }
   }
 
-  // Read-progress deadlines: a partial frame must complete within
-  // header_timeout (nothing but header bytes yet) / body_timeout of its
-  // first byte.  Unset timeouts fall back to idle_timeout so a
-  // half-delivered frame can never evade the idle reaper by trickling.
-  const auto effective = [&](std::chrono::milliseconds t) {
-    return t.count() > 0 ? t : config_.idle_timeout;
-  };
-  const auto header_limit = effective(config_.header_timeout);
-  const auto body_limit = effective(config_.body_timeout);
+  // Read-progress deadline: a partial frame must complete within
+  // frame_timeout of its first byte.  Unset, it falls back to
+  // idle_timeout so a half-delivered frame can never evade the idle
+  // reaper by trickling or stalling mid-payload.
+  const auto frame_limit = config_.frame_timeout.count() > 0
+                               ? config_.frame_timeout
+                               : config_.idle_timeout;
 
   std::vector<std::uint64_t> doomed;
   for (const auto& [id, conn] : io.conns) {
     if (conn->closing || conn->kill) continue;
     if (conn->partial_since != Clock::time_point{}) {
-      const auto limit =
-          conn->rdbuf.size() < kHeaderSize ? header_limit : body_limit;
-      if (limit.count() > 0 && now - conn->partial_since >= limit) {
+      if (frame_limit.count() > 0 &&
+          now - conn->partial_since >= frame_limit) {
         // relaxed: statistics counter.
         progress_killed_.fetch_add(1, std::memory_order_relaxed);
         conn->kill = true;  // no farewell: the stream is mid-frame anyway
@@ -1427,7 +1279,7 @@ void SpmvServer::reap_idle(IoThread& io) {
       continue;
     }
     if (config_.idle_timeout.count() <= 0) continue;
-    if (!conn->ops.empty() || !conn->batches.empty()) continue;
+    if (!conn->ops.empty()) continue;
     if (now - conn->last_activity >= config_.idle_timeout) {
       doomed.push_back(id);
     }
@@ -1449,8 +1301,7 @@ void SpmvServer::reap_idle(IoThread& io) {
 
 bool SpmvServer::needs_sweep_tick() const {
   return config_.idle_timeout.count() > 0 ||
-         config_.header_timeout.count() > 0 ||
-         config_.body_timeout.count() > 0 ||
+         config_.frame_timeout.count() > 0 ||
          config_.write_stall_bytes > 0 ||
          config_.resume_timeout.count() > 0;
 }

@@ -69,7 +69,7 @@ struct ServerConfig {
   /// Per-frame payload cap advertised in HELLO_OK and enforced before a
   /// single payload byte is buffered (ParseStatus::kOversized closes).
   std::size_t max_payload = std::size_t{256} << 20;
-  /// In-flight multiply-item quota granted when HELLO requests 0.
+  /// In-flight multiply quota granted when HELLO requests 0.
   std::uint32_t default_quota = 16;
   std::uint32_t max_quota = 1024;
   /// Reap sessions with no traffic and nothing in flight for this long.
@@ -90,13 +90,12 @@ struct ServerConfig {
   /// Executed results and pre-execution rejections each get a window of
   /// this size, so rejection bursts cannot evict executed results.
   std::size_t replay_window = 64;
-  /// A partial frame header must complete within this long of its first
-  /// byte, and a partial payload within body_timeout — defeats
-  /// byte-at-a-time tricklers whose per-byte "activity" would evade
-  /// idle_timeout.  0 falls back to idle_timeout (if set); both 0
-  /// disables the progress check.
-  std::chrono::milliseconds header_timeout{0};
-  std::chrono::milliseconds body_timeout{0};
+  /// A partial frame (header and payload) must complete within this long
+  /// of its first byte — defeats byte-at-a-time tricklers whose per-byte
+  /// "activity" would evade idle_timeout, and peers that stall mid-payload.
+  /// 0 falls back to idle_timeout (if set); both 0 disables the progress
+  /// check.
+  std::chrono::milliseconds frame_timeout{0};
   /// Kill a connection whose unsent reply backlog exceeds
   /// write_stall_bytes with no drain progress for write_stall_timeout —
   /// a peer that stops reading cannot pin reply memory forever.  0
@@ -114,7 +113,7 @@ struct NetStatsSnapshot {
   std::uint64_t accepted = 0;
   std::uint64_t active_connections = 0;
   std::uint64_t sessions_opened = 0;
-  std::uint64_t requests = 0;        ///< multiply items admitted
+  std::uint64_t requests = 0;        ///< multiplies admitted
   std::uint64_t responses = 0;       ///< frames written back
   std::uint64_t shed_replies = 0;    ///< SHED status frames sent
   std::uint64_t protocol_errors = 0;
@@ -132,7 +131,7 @@ struct NetStatsSnapshot {
   std::uint64_t resumes = 0;          ///< sessions re-attached via HELLO
   std::uint64_t resume_rejected = 0;  ///< resume attempts refused
   std::uint64_t parked_reaped = 0;    ///< parked sessions past the deadline
-  std::uint64_t progress_killed = 0;  ///< header/body progress deadline hit
+  std::uint64_t progress_killed = 0;  ///< frame progress deadline hit
   std::uint64_t write_stall_killed = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -180,13 +179,11 @@ class SpmvServer {
 
  private:
   struct PendingOp;
-  struct BatchState;
-  /// One message for an I/O thread's inbox: a resolved single op, a fully
-  /// resolved batch, or a pre-encoded reply frame (upload results).
+  /// One message for an I/O thread's inbox: a resolved multiply or a
+  /// pre-encoded reply frame (upload results).
   struct Completion {
     std::uint64_t conn_id = 0;
     std::shared_ptr<PendingOp> op;
-    std::shared_ptr<BatchState> batch;
     std::vector<std::uint8_t> frame;
     bool has_frame = false;
   };
@@ -208,7 +205,7 @@ class SpmvServer {
   void handle_frame(IoThread& io, Conn& conn, const FrameHeader& header,
                     std::span<const std::uint8_t> payload);
   void handle_multiply(IoThread& io, Conn& conn, const FrameHeader& header,
-                       bool batch, std::span<const std::uint8_t> payload);
+                       std::span<const std::uint8_t> payload);
   void handle_cancel(Conn& conn, std::uint64_t request_id,
                      std::span<const std::uint8_t> payload);
   void handle_stats(Conn& conn, std::uint64_t request_id);

@@ -43,6 +43,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "serve/serve_stats.h"
@@ -54,9 +55,9 @@ namespace spmv::net {
 /// Plain-data export of one session's counters.
 struct SessionStatsSnapshot {
   std::uint64_t id = 0;
-  std::uint64_t requests = 0;   ///< multiply/batch items accepted
-  std::uint64_t completed = 0;  ///< items resolved kOk
-  std::uint64_t failed = 0;     ///< items resolved with any error
+  std::uint64_t requests = 0;   ///< multiplies accepted
+  std::uint64_t completed = 0;  ///< multiplies resolved kOk
+  std::uint64_t failed = 0;     ///< multiplies resolved with any error
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::uint64_t full_operands = 0;
@@ -98,7 +99,7 @@ class ClientSlot {
   ClientSlot& operator=(const ClientSlot&) = delete;
 
   const std::uint64_t id;
-  const std::uint32_t quota;  ///< max in-flight multiply items
+  const std::uint32_t quota;  ///< max in-flight multiplies
   /// Opaque proof-of-ownership a resuming HELLO must present.  Not a
   /// security boundary (the transport is plaintext); it guards against
   /// accidental cross-client resumption.
@@ -151,18 +152,17 @@ class ClientSlot {
   }
 
   /// Admission check and reservation in ONE critical section: reserves
-  /// `items` in-flight slots for `request_id` unless that would exceed
-  /// the quota.  Atomic check-and-admit keeps the quota exact even in
-  /// the takeover window where a stale connection's thread has not yet
-  /// observed that it lost the slot.  In-flight work survives a park, so
-  /// quota cannot be evaded by reconnecting; rejection paths after a
-  /// successful reservation release it through decide().
-  [[nodiscard]] bool try_admit(std::uint64_t request_id, std::uint32_t items)
+  /// one in-flight slot for `request_id` unless the quota is used up.
+  /// Atomic check-and-admit keeps the quota exact even in the takeover
+  /// window where a stale connection's thread has not yet observed that
+  /// it lost the slot.  In-flight work survives a park, so quota cannot
+  /// be evaded by reconnecting; rejection paths after a successful
+  /// reservation release it through decide().
+  [[nodiscard]] bool try_admit(std::uint64_t request_id)
       SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
-    if (inflight_items_ + items > quota) return false;
-    inflight_[request_id] = items;
-    inflight_items_ += items;
+    if (inflight_.size() >= quota) return false;
+    inflight_.insert(request_id);
     return true;
   }
 
@@ -187,13 +187,11 @@ class ClientSlot {
 
   /// A completion arrived for a connection that no longer exists (the
   /// session is parked, re-attached elsewhere, or closed).  Record the
-  /// decision into the replay window and count the outcomes so a retry
+  /// decision into the replay window and count the outcome so a retry
   /// can be answered and accounting stays exact.  Returns false when the
   /// slot is already closed — its stats were retired, so the caller must
   /// count the completion as dropped instead.
-  [[nodiscard]] bool record_orphan(std::uint64_t request_id,
-                                   std::uint32_t ok_items,
-                                   std::uint32_t failed_items,
+  [[nodiscard]] bool record_orphan(std::uint64_t request_id, bool ok,
                                    std::uint64_t rpc_ns,
                                    std::vector<std::uint8_t> frame,
                                    std::size_t window)
@@ -205,10 +203,7 @@ class ClientSlot {
       return false;
     }
     decide_locked(request_id, std::move(frame), window, /*executed=*/true);
-    for (std::uint32_t i = 0; i < ok_items; ++i) count_outcome(true, rpc_ns);
-    for (std::uint32_t i = 0; i < failed_items; ++i) {
-      count_outcome(false, rpc_ns);
-    }
+    count_outcome(ok, rpc_ns);
     return true;
   }
 
@@ -333,10 +328,7 @@ class ClientSlot {
   void decide_locked(std::uint64_t request_id, std::vector<std::uint8_t> frame,
                      std::size_t window, bool executed)
       SPMV_REQUIRES(retry_mutex_) {
-    if (auto it = inflight_.find(request_id); it != inflight_.end()) {
-      inflight_items_ -= std::min(inflight_items_, it->second);
-      inflight_.erase(it);
-    }
+    inflight_.erase(request_id);
     max_decided_id_ = std::max(max_decided_id_, request_id);
     if (replay_.count(request_id) != 0 || rejected_.count(request_id) != 0) {
       return;  // double decide: keep the first recording
@@ -376,10 +368,8 @@ class ClientSlot {
   /// Highest request id ever decided: anything at or below it that is
   /// neither replayable nor in flight was evicted -> kRetryUnknown.
   std::uint64_t max_decided_id_ SPMV_GUARDED_BY(retry_mutex_) = 0;
-  /// In-flight multiplies, request id -> item count.
-  std::unordered_map<std::uint64_t, std::uint32_t> inflight_
-      SPMV_GUARDED_BY(retry_mutex_);
-  std::uint32_t inflight_items_ SPMV_GUARDED_BY(retry_mutex_) = 0;
+  /// Request ids of in-flight multiplies, one quota slot each.
+  std::unordered_set<std::uint64_t> inflight_ SPMV_GUARDED_BY(retry_mutex_);
   /// Attach lifecycle.  Mutated only under retry_mutex_; the atomic makes
   /// the advisory attach_state() read legal without it.
   std::atomic<AttachState> state_{AttachState::kAttached};
@@ -536,8 +526,8 @@ class SessionManager {
     return parked_.size();
   }
 
-  /// Cumulative item totals: live and parked sessions plus everything
-  /// retired.
+  /// Cumulative request totals: live and parked sessions plus
+  /// everything retired.
   struct Totals {
     std::uint64_t opened = 0;
     std::uint64_t requests = 0;

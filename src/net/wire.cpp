@@ -11,7 +11,6 @@ bool is_known_frame_type(std::uint8_t t) {
     case FrameType::kHello:
     case FrameType::kUploadMatrix:
     case FrameType::kMultiply:
-    case FrameType::kMultiplyBatch:
     case FrameType::kCancel:
     case FrameType::kStats:
     case FrameType::kHealth:
@@ -19,7 +18,6 @@ bool is_known_frame_type(std::uint8_t t) {
     case FrameType::kHelloOk:
     case FrameType::kStatus:
     case FrameType::kMultiplyResult:
-    case FrameType::kMultiplyBatchResult:
     case FrameType::kStatsResult:
     case FrameType::kHealthResult:
       return true;
@@ -32,7 +30,6 @@ const char* to_string(FrameType t) {
     case FrameType::kHello: return "HELLO";
     case FrameType::kUploadMatrix: return "UPLOAD_MATRIX";
     case FrameType::kMultiply: return "MULTIPLY";
-    case FrameType::kMultiplyBatch: return "MULTIPLY_BATCH";
     case FrameType::kCancel: return "CANCEL";
     case FrameType::kStats: return "STATS";
     case FrameType::kHealth: return "HEALTH";
@@ -40,7 +37,6 @@ const char* to_string(FrameType t) {
     case FrameType::kHelloOk: return "HELLO_OK";
     case FrameType::kStatus: return "STATUS";
     case FrameType::kMultiplyResult: return "MULTIPLY_RESULT";
-    case FrameType::kMultiplyBatchResult: return "MULTIPLY_BATCH_RESULT";
     case FrameType::kStatsResult: return "STATS_RESULT";
     case FrameType::kHealthResult: return "HEALTH_RESULT";
   }
@@ -348,32 +344,17 @@ std::vector<std::uint8_t> encode_multiply(const MultiplyRequest& r) {
   w.put_string(r.name);
   w.put_u64(r.deadline_us);
   w.put_i32(r.priority);
-  w.put_u32(static_cast<std::uint32_t>(r.operands.size()));
-  for (const OperandSpec& spec : r.operands) encode_operand(w, spec);
+  w.put_u32(1);  // operand count: always 1 (see kWireVersion)
+  encode_operand(w, r.operand);
   return w.take();
 }
 
-bool decode_multiply(std::span<const std::uint8_t> p, bool batch,
-                     MultiplyRequest& out, std::uint32_t max_operands) {
+bool decode_multiply(std::span<const std::uint8_t> p, MultiplyRequest& out) {
   ByteReader r(p);
   std::uint32_t count = 0;
-  if (!r.get_string(out.name) || !r.get_u64(out.deadline_us) ||
-      !r.get_i32(out.priority) || !r.get_u32(count)) {
-    return false;
-  }
-  if (count == 0 || (!batch && count != 1)) return false;
-  // The hard cap comes first: each OperandSpec is ~90 bytes of C++
-  // object, so even a count the 5-byte-per-operand check below would
-  // admit can demand a resize orders of magnitude larger than the frame.
-  if (count > max_operands) return false;
-  // Each operand costs >= 5 encoded bytes (mode + n), bounding the count
-  // by what the payload can actually hold.
-  if (r.remaining() / 5 < count) return false;
-  out.operands.resize(count);
-  for (OperandSpec& spec : out.operands) {
-    if (!decode_operand(r, spec)) return false;
-  }
-  return r.remaining() == 0;
+  return r.get_string(out.name) && r.get_u64(out.deadline_us) &&
+         r.get_i32(out.priority) && r.get_u32(count) && count == 1 &&
+         decode_operand(r, out.operand) && r.remaining() == 0;
 }
 
 std::vector<std::uint8_t> encode_multiply_result(const MultiplyResult& r) {
@@ -390,39 +371,6 @@ bool decode_multiply_result(std::span<const std::uint8_t> p,
   if (!r.get_u32(n)) return false;
   out.y.clear();
   return r.get_f64_array(n, out.y) && r.remaining() == 0;
-}
-
-std::vector<std::uint8_t> encode_multiply_batch_result(
-    const MultiplyBatchResult& r) {
-  ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(r.items.size()));
-  for (const BatchItemResult& item : r.items) {
-    w.put_u8(static_cast<std::uint8_t>(item.status));
-    w.put_u32(static_cast<std::uint32_t>(item.y.size()));
-    w.put_f64_span(item.y);
-  }
-  return w.take();
-}
-
-bool decode_multiply_batch_result(std::span<const std::uint8_t> p,
-                                  MultiplyBatchResult& out) {
-  ByteReader r(p);
-  std::uint32_t count = 0;
-  if (!r.get_u32(count) || r.remaining() / 5 < count) return false;
-  out.items.resize(count);
-  for (BatchItemResult& item : out.items) {
-    std::uint8_t status = 0;
-    std::uint32_t n = 0;
-    if (!r.get_u8(status) ||
-        status > static_cast<std::uint8_t>(StatusCode::kRetryPending) ||
-        !r.get_u32(n)) {
-      return false;
-    }
-    item.status = static_cast<StatusCode>(status);
-    item.y.clear();
-    if (!r.get_f64_array(n, item.y)) return false;
-  }
-  return r.remaining() == 0;
 }
 
 std::vector<std::uint8_t> encode_cancel(const CancelRequest& r) {

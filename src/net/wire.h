@@ -26,18 +26,18 @@
 // connection.
 //
 // Request frames: HELLO (session handshake), UPLOAD_MATRIX (CSR arrays,
-// tuned server-side), MULTIPLY / MULTIPLY_BATCH (operands full,
-// delta-encoded against the session's cached x, or cached verbatim —
-// net/delta.h), CANCEL, STATS, HEALTH, GOODBYE.  Response frames echo the
-// request id: HELLO_OK, STATUS (code + message — every failure, SHED
-// included, is a STATUS), MULTIPLY_RESULT, MULTIPLY_BATCH_RESULT,
-// STATS_RESULT, HEALTH_RESULT.  A server-initiated GOODBYE (request id 0)
-// announces drain shutdown.
+// tuned server-side), MULTIPLY (one operand: full, delta-encoded against
+// the session's cached x, or cached verbatim — net/delta.h), CANCEL,
+// STATS, HEALTH, GOODBYE.  Response frames echo the request id: HELLO_OK,
+// STATUS (code + message — every failure, SHED included, is a STATUS),
+// MULTIPLY_RESULT, STATS_RESULT, HEALTH_RESULT.  A server-initiated
+// GOODBYE (request id 0) announces drain shutdown.  k operands in flight
+// are k pipelined MULTIPLYs; their deltas chain through the session cache.
 //
 // Frames that arrive mid-drain: once the server starts draining, it
 // still answers every request frame it has received by its final read,
-// just before it sends its GOODBYE.  MULTIPLY, MULTIPLY_BATCH and
-// UPLOAD_MATRIX get a STATUS kShutdown (a retransmission gets its usual
+// just before it sends its GOODBYE.  MULTIPLY and UPLOAD_MATRIX get a
+// STATUS kShutdown (a retransmission gets its usual
 // replay-window answer instead); HELLO, CANCEL, STATS, HEALTH and GOODBYE
 // are answered as usual.  Requests admitted before the drain get their
 // results.  Then the server half-closes the connection and closes it once
@@ -63,26 +63,21 @@ inline constexpr std::uint32_t kMagic = 0x564D5053u;  // "SPMV"
 /// resume_session_id/resume_token and HELLO_OK gained
 /// resume_token/resumed (required fields — a version-1 peer cannot
 /// parse them, so the handshake must fail as a version mismatch, not as
-/// a malformed payload).
+/// a malformed payload).  Within version 2, frame types 4 (a
+/// multi-operand multiply) and 19 (its result) were retired: they now
+/// parse as kUnknownType, and MULTIPLY's operand count, always 1, is kept
+/// only so MULTIPLY's bytes did not change.
 inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kHeaderSize = 28;
 /// Absolute payload sanity cap; ServerConfig/ClientOptions clamp below it.
 inline constexpr std::size_t kMaxSanePayload = std::size_t{1} << 30;
-/// Decode-time ceiling on MULTIPLY/MULTIPLY_BATCH operand counts when the
-/// caller passes no tighter bound.  The count is also validated against
-/// the bytes actually present, but an operand can encode in as little as
-/// 5 bytes, so without a cap one max-payload frame of kCached operands
-/// could force a multi-GiB transient OperandSpec allocation before any
-/// application-level admission check runs.  Servers pass their
-/// ServerConfig::max_quota instead — any admissible request satisfies it.
-inline constexpr std::uint32_t kMaxMultiplyOperands = 4096;
 
 enum class FrameType : std::uint8_t {
   // client -> server
   kHello = 1,
   kUploadMatrix = 2,
   kMultiply = 3,
-  kMultiplyBatch = 4,
+  // 4 is reserved (retired multi-operand multiply); never reuse it.
   kCancel = 5,
   kStats = 6,
   kHealth = 7,
@@ -91,7 +86,7 @@ enum class FrameType : std::uint8_t {
   kHelloOk = 16,
   kStatus = 17,
   kMultiplyResult = 18,
-  kMultiplyBatchResult = 19,
+  // 19 is reserved (its retired result); never reuse it.
   kStatsResult = 20,
   kHealthResult = 21,
 };
@@ -99,7 +94,7 @@ enum class FrameType : std::uint8_t {
 [[nodiscard]] bool is_known_frame_type(std::uint8_t t);
 [[nodiscard]] const char* to_string(FrameType t);
 
-/// Application-level outcome carried by STATUS frames (and batch items).
+/// Application-level outcome carried by STATUS frames.
 enum class StatusCode : std::uint8_t {
   kOk = 0,
   kInternal = 1,          ///< unexpected server-side failure
@@ -234,22 +229,11 @@ struct MultiplyRequest {
   std::string name;
   std::uint64_t deadline_us = 0;  ///< relative to receipt; 0 = none
   std::int32_t priority = 0;
-  /// Exactly one operand for MULTIPLY; k >= 1 for MULTIPLY_BATCH.  Batch
-  /// deltas chain: item i's delta applies to item i-1's resulting vector.
-  std::vector<OperandSpec> operands;
+  OperandSpec operand;
 };
 
 struct MultiplyResult {
   std::vector<double> y;
-};
-
-struct BatchItemResult {
-  StatusCode status = StatusCode::kOk;
-  std::vector<double> y;  ///< present when status == kOk
-};
-
-struct MultiplyBatchResult {
-  std::vector<BatchItemResult> items;
 };
 
 struct CancelRequest {
@@ -300,8 +284,6 @@ struct HealthResult {
     const MultiplyRequest& r);
 [[nodiscard]] std::vector<std::uint8_t> encode_multiply_result(
     const MultiplyResult& r);
-[[nodiscard]] std::vector<std::uint8_t> encode_multiply_batch_result(
-    const MultiplyBatchResult& r);
 [[nodiscard]] std::vector<std::uint8_t> encode_cancel(const CancelRequest& r);
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_result(
     const StatsResult& r);
@@ -318,15 +300,12 @@ struct HealthResult {
                                  StatusMsg& out);
 [[nodiscard]] bool decode_upload(std::span<const std::uint8_t> p,
                                  UploadMatrixRequest& out);
-/// `max_operands` bounds the operand count before anything is sized from
-/// it (see kMaxMultiplyOperands); counts above it decode as malformed.
-[[nodiscard]] bool decode_multiply(
-    std::span<const std::uint8_t> p, bool batch, MultiplyRequest& out,
-    std::uint32_t max_operands = kMaxMultiplyOperands);
+/// MULTIPLY's payload carries a u32 operand count; any count but 1 is
+/// malformed, rejected before an operand is read.
+[[nodiscard]] bool decode_multiply(std::span<const std::uint8_t> p,
+                                   MultiplyRequest& out);
 [[nodiscard]] bool decode_multiply_result(std::span<const std::uint8_t> p,
                                           MultiplyResult& out);
-[[nodiscard]] bool decode_multiply_batch_result(
-    std::span<const std::uint8_t> p, MultiplyBatchResult& out);
 [[nodiscard]] bool decode_cancel(std::span<const std::uint8_t> p,
                                  CancelRequest& out);
 [[nodiscard]] bool decode_stats_result(std::span<const std::uint8_t> p,

@@ -27,11 +27,32 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// 64 rows of 8 nonzeros each, then 4032 rows of which only every 64th
+/// holds one: the dense rows store cheapest as BCSR, the mostly-empty
+/// rows as BCOO.
+CsrMatrix mixed_coverage_matrix() {
+  constexpr std::uint32_t kRows = 4096;
+  constexpr std::uint32_t kCols = 256;
+  Prng rng(107);
+  std::vector<std::uint64_t> row_ptr{0};
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    const std::uint32_t per_row = r < 64 ? 8 : (r % 64 == 0 ? 1 : 0);
+    for (std::uint32_t j = 0; j < per_row; ++j) {
+      col_idx.push_back(j * 32 + r % 32);
+      values.push_back(rng.next_double(-1.0, 1.0));
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  return CsrMatrix(kRows, kCols, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
 constexpr unsigned kDims[] = {1, 2, 4};
 constexpr BlockFormat kFormats[] = {BlockFormat::kBcsr, BlockFormat::kBcoo};
 constexpr IndexWidth kWidths[] = {IndexWidth::k16, IndexWidth::k32};
-constexpr KernelBackend kSimdBackends[] = {KernelBackend::kAvx2,
-                                           KernelBackend::kAvx512};
+constexpr KernelBackend kSimdBackends[] = {KernelBackend::kAvx2};
 
 /// Run one encoded block under `backend` and under scalar; the outputs
 /// must be bitwise identical (memcmp, not just ==, so even zero signs and
@@ -113,33 +134,8 @@ TEST(KernelBackends, ResolveFollowsHostCapabilities) {
       h.has_avx2 ? KernelBackend::kAvx2 : KernelBackend::kScalar;
   EXPECT_EQ(resolve_kernel_backend(KernelBackend::kAuto), autoExpected);
   EXPECT_EQ(resolve_kernel_backend(KernelBackend::kAvx2), autoExpected);
-  // The AVX-512 request lands on the stubbed backend when the host has it,
-  // else degrades toward AVX2/scalar.
-  const KernelBackend avx512Resolved =
-      resolve_kernel_backend(KernelBackend::kAvx512);
-  if (h.has_avx512f) {
-    EXPECT_EQ(avx512Resolved, KernelBackend::kAvx512);
-  } else {
-    EXPECT_EQ(avx512Resolved, autoExpected);
-  }
   EXPECT_TRUE(kernel_backend_available(KernelBackend::kScalar));
   EXPECT_TRUE(kernel_backend_available(KernelBackend::kAuto));
-}
-
-TEST(KernelBackends, Avx512StubFallsBackPerShape) {
-  // The AVX-512 table is reserved but empty: every lookup is null and
-  // block_kernel degrades (kAvx512 → kAvx2 → scalar) without throwing.
-  for (const BlockFormat fmt : kFormats) {
-    EXPECT_EQ(simd_block_kernel(KernelBackend::kAvx512, fmt, IndexWidth::k32,
-                                4, 4),
-              nullptr);
-  }
-  EXPECT_NE(block_kernel(BlockFormat::kBcsr, IndexWidth::k32, 4, 4,
-                         KernelBackend::kAvx512),
-            nullptr);
-  const KernelBackend got = block_kernel_backend(
-      BlockFormat::kBcsr, IndexWidth::k32, 4, 4, KernelBackend::kAvx512);
-  EXPECT_NE(got, KernelBackend::kAvx512);
 }
 
 TEST(KernelBackends, ShapeCoverageAndScalarFallback) {
@@ -168,6 +164,44 @@ TEST(KernelBackends, ShapeCoverageAndScalarFallback) {
                          KernelBackend::kAvx2),
             block_kernel(BlockFormat::kBcsr, IndexWidth::k32, 4, 4,
                          KernelBackend::kScalar));
+
+  // An explicit kAvx2 plan records the fallback per block, and the blocks
+  // that fell back run bitwise identical to an explicitly scalar plan.
+  // Without register blocking every tile is 1x1: the dense-row half
+  // stores as BCSR (AVX2), the mostly-empty half as BCOO (scalar).
+  const CsrMatrix m = mixed_coverage_matrix();
+  TuningOptions opt = TuningOptions::full(2);
+  opt.tune_prefetch = false;
+  opt.register_blocking = false;
+  opt.backend = KernelBackend::kAvx2;
+  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
+  const TuningReport& r = tuned.report();
+  EXPECT_EQ(r.backend, KernelBackend::kAvx2);
+  std::size_t simd = 0;
+  std::size_t fell_back = 0;
+  for (const auto& b : r.blocks) {
+    EXPECT_EQ(b.decision.backend,
+              block_kernel_backend(b.decision.fmt, b.decision.idx,
+                                   b.decision.br, b.decision.bc, r.backend));
+    if (b.decision.backend == KernelBackend::kScalar) {
+      ++fell_back;
+    } else {
+      ++simd;
+    }
+  }
+  EXPECT_EQ(r.blocks_simd, simd);
+  EXPECT_GT(simd, 0u);
+  EXPECT_GT(fell_back, 0u);
+
+  TuningOptions scalar_opt = opt;
+  scalar_opt.backend = KernelBackend::kScalar;
+  const TunedMatrix scalar_tuned = TunedMatrix::plan(m, scalar_opt);
+  const std::vector<double> x = random_vector(m.cols(), 8);
+  std::vector<double> y(m.rows(), 0.5), y_scalar(m.rows(), 0.5);
+  tuned.multiply(x, y);
+  scalar_tuned.multiply(x, y_scalar);
+  EXPECT_EQ(0, std::memcmp(y.data(), y_scalar.data(),
+                           y.size() * sizeof(double)));
 }
 
 TEST(KernelBackends, InvalidShapeStillThrows) {
@@ -215,49 +249,6 @@ TEST(KernelBackends, PlanRecordsPerBlockBackend) {
   scalar_tuned.multiply(x, y_scalar);
   EXPECT_EQ(0, std::memcmp(y_auto.data(), y_scalar.data(),
                            y_auto.size() * sizeof(double)));
-}
-
-TEST(KernelBackends, Avx512RequestPlansAndFallsBackPerBlock) {
-  // Regression for the stubbed registry slot: an explicit
-  // TuningOptions::backend = kAvx512 must plan and multiply without
-  // crashing even though the kAvx512 kernel table is empty, and the
-  // TuningReport must record what actually happened — the resolved
-  // backend plus a per-block fallback (no block can claim kAvx512).
-  const CsrMatrix m = gen::fem_like(220, 3, 9.0, 40, 106);
-  TuningOptions opt = TuningOptions::full(2);
-  opt.tune_prefetch = false;
-  opt.backend = KernelBackend::kAvx512;
-  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  const TuningReport& r = tuned.report();
-
-  // The report records the host-resolved request (kAvx512 on AVX-512F
-  // hardware, degraded otherwise), never the raw enum the caller set if
-  // the host cannot run it.
-  EXPECT_EQ(r.backend, resolve_kernel_backend(KernelBackend::kAvx512));
-
-  std::size_t simd = 0;
-  for (const auto& b : r.blocks) {
-    // Empty kernel table: every block fell back off kAvx512, and the
-    // fallback is recorded per block.
-    EXPECT_NE(b.decision.backend, KernelBackend::kAvx512);
-    EXPECT_EQ(b.decision.backend,
-              block_kernel_backend(b.decision.fmt, b.decision.idx,
-                                   b.decision.br, b.decision.bc, r.backend));
-    if (b.decision.backend != KernelBackend::kScalar) ++simd;
-  }
-  EXPECT_EQ(r.blocks_simd, simd);
-
-  // And the fallback executes correctly: bitwise identical to an
-  // explicitly scalar plan of the same matrix.
-  TuningOptions scalar_opt = opt;
-  scalar_opt.backend = KernelBackend::kScalar;
-  const TunedMatrix scalar_tuned = TunedMatrix::plan(m, scalar_opt);
-  const std::vector<double> x = random_vector(m.cols(), 8);
-  std::vector<double> y(m.rows(), 0.5), y_scalar(m.rows(), 0.5);
-  tuned.multiply(x, y);
-  scalar_tuned.multiply(x, y_scalar);
-  EXPECT_EQ(0, std::memcmp(y.data(), y_scalar.data(),
-                           y.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -24,6 +26,7 @@
 
 #include "net/chaos_proxy.h"
 #include "net/client.h"
+#include "util/crc32.h"
 
 namespace spmv::net {
 namespace {
@@ -135,11 +138,11 @@ TEST(NetSession, RejectionBurstDoesNotEvictExecutedReplays) {
 // try_admit is check-and-reserve in one critical section; a terminal
 // rejection decided after admission releases the reservation.
 TEST(NetSession, TryAdmitReservesUntilDecided) {
-  ClientSlot slot(/*id=*/1, /*quota=*/2, /*token=*/0x5eed);
-  EXPECT_TRUE(slot.try_admit(1, 2));
-  EXPECT_FALSE(slot.try_admit(2, 1)) << "quota must be exhausted";
+  ClientSlot slot(/*id=*/1, /*quota=*/1, /*token=*/0x5eed);
+  EXPECT_TRUE(slot.try_admit(1));
+  EXPECT_FALSE(slot.try_admit(2)) << "quota must be exhausted";
   slot.decide(1, {0xEE}, /*window=*/4, /*executed=*/false);
-  EXPECT_TRUE(slot.try_admit(3, 2)) << "decide must release the reservation";
+  EXPECT_TRUE(slot.try_admit(3)) << "decide must release the reservation";
 }
 
 TEST(NetLoopback, HelloGrantsClampedQuota) {
@@ -212,29 +215,45 @@ TEST(NetLoopback, CachedOperandReusesServerCopy) {
   const auto x = random_x(loop.m.n, 4);
   const auto r1 = loop.client->multiply("A", x);
   ASSERT_EQ(r1.status, StatusCode::kOk);
-  const auto r2 = loop.client->multiply_cached("A");
+  // The same x again: the client ships kCached, the server reuses its copy.
+  const auto r2 = loop.client->multiply("A", x);
   ASSERT_EQ(r2.status, StatusCode::kOk);
   EXPECT_EQ(
       std::memcmp(r1.y.data(), r2.y.data(), r1.y.size() * sizeof(double)), 0);
   EXPECT_GE(loop.client->counters().cached_operands, 1u);
 }
 
-TEST(NetLoopback, BatchChainsDeltasAcrossItems) {
-  Loop loop;
-  std::vector<std::vector<double>> xs;
-  xs.push_back(random_x(loop.m.n, 5));
-  auto x1 = xs[0];
-  x1[10] += 1.0;  // item 1: small delta against item 0
-  xs.push_back(x1);
-  xs.push_back(x1);  // item 2: identical -> cached
-  const auto batch = loop.client->multiply_batch("A", xs);
-  ASSERT_EQ(batch.status, StatusCode::kOk) << batch.message;
-  ASSERT_EQ(batch.items.size(), 3u);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(batch.items[i].status, StatusCode::kOk) << "item " << i;
-    const auto want = reference(loop.m, xs[i]);
+// k operands in flight are k pipelined MULTIPLYs.  Their deltas chain
+// through the session cache in arrival order, while each request
+// executes against the snapshot it pinned: all three are applied to the
+// cache before anything runs, so the first must still compute A·x0 even
+// though the cache already holds x1 by then.
+TEST(NetLoopback, PipelinedDeltasPinTheirOwnSnapshots) {
+  ServerConfig cfg;
+  cfg.scheduler.start_paused = true;
+  ClientOptions copts;
+  copts.requested_quota = 3;
+  Loop loop(cfg, 257, copts);
+  const auto x0 = random_x(loop.m.n, 5);
+  auto x1 = x0;
+  x1[10] += 1.0;
+  const std::uint64_t ids[] = {
+      loop.client->begin_multiply("A", x0),  // ships full
+      loop.client->begin_multiply("A", x1),  // ships a delta against x0
+      loop.client->begin_multiply("A", x1),  // ships cached
+  };
+  ASSERT_TRUE(wait_until([&] { return loop.server.net_stats().requests == 3; }))
+      << "server never admitted the three multiplies";
+  loop.server.scheduler().resume();
+  const std::vector<double>* xs[] = {&x0, &x1, &x1};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto r = loop.client->await(ids[i]);
+    ASSERT_EQ(r.status, StatusCode::kOk) << "request " << i << ": "
+                                         << r.message;
+    const auto want = reference(loop.m, *xs[i]);
+    ASSERT_EQ(r.y.size(), want.size());
     for (std::size_t j = 0; j < want.size(); ++j) {
-      EXPECT_NEAR(batch.items[i].y[j], want[j], 1e-12);
+      EXPECT_NEAR(r.y[j], want[j], 1e-12) << "request " << i << " j=" << j;
     }
   }
   EXPECT_GE(loop.client->counters().delta_operands, 1u);
@@ -363,12 +382,12 @@ TEST(NetLoopback, QuotaExceededAnswered) {
   EXPECT_EQ(loop.client->await(a).status, StatusCode::kOk);
   EXPECT_EQ(loop.client->await(b).status, StatusCode::kOk);
   // Quota released: a new request is admitted again.
-  EXPECT_EQ(loop.client->multiply_cached("A").status, StatusCode::kOk);
+  EXPECT_EQ(loop.client->multiply("A", x).status, StatusCode::kOk);
 }
 
 // Regression: a rejected multiply must leave the client shadow and the
 // server's session cache in agreement.  The server applies a structurally
-// valid operand sequence to the cache even when it refuses the request
+// valid operand to the cache even when it refuses the request
 // (here: over quota while pipelining), so the next delta still patches
 // the base the client diffed against — without that, the server would
 // answer kOk with silently wrong y forever after.
@@ -571,6 +590,51 @@ TEST(NetLoopback, RequestBeforeHelloRejected) {
   StatusMsg msg;
   ASSERT_TRUE(decode_status(p, msg));
   EXPECT_EQ(msg.code, StatusCode::kProtocolError);
+}
+
+// A peer still speaking the retired type-4 multi-operand multiply gets
+// what any unknown type gets: an addressed STATUS kProtocolError on its
+// live session, then the connection closes.
+TEST(NetLoopback, RetiredFrameTypeAnsweredProtocolError) {
+  Loop loop;
+  const int fd = raw_connect(loop.server.port());
+  auto bytes = encode_frame(FrameType::kHello, 1, encode_hello({}));
+  auto retired = encode_frame(FrameType::kStats, 9, {});
+  retired[5] = 4;  // the type byte
+  const std::uint32_t crc = crc32(retired.data(), kHeaderSize - 4);
+  std::memcpy(retired.data() + kHeaderSize - 4, &crc, 4);
+  bytes.insert(bytes.end(), retired.begin(), retired.end());
+  // A receive timeout turns "never closed" into a failure, not a hang.
+  const timeval limit{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+  ASSERT_GT(::write(fd, bytes.data(), bytes.size()), 0);
+  std::vector<std::uint8_t> buf(4096);
+  std::size_t got = 0;
+  ssize_t n = 0;
+  for (;;) {
+    n = ::read(fd, buf.data() + got, buf.size() - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  const bool closed = n == 0 || errno == ECONNRESET;
+  ::close(fd);
+  EXPECT_TRUE(closed) << "the server must close the connection";
+  std::span<const std::uint8_t> rest(buf.data(), got);
+  FrameHeader h;
+  std::span<const std::uint8_t> p;
+  std::size_t consumed = 0;
+  ASSERT_EQ(parse_frame(rest, kMaxSanePayload, h, p, consumed),
+            ParseStatus::kFrame);
+  EXPECT_EQ(h.type, FrameType::kHelloOk);
+  rest = rest.subspan(consumed);
+  ASSERT_EQ(parse_frame(rest, kMaxSanePayload, h, p, consumed),
+            ParseStatus::kFrame);
+  EXPECT_EQ(h.type, FrameType::kStatus);
+  EXPECT_EQ(h.request_id, 9u);
+  StatusMsg msg;
+  ASSERT_TRUE(decode_status(p, msg));
+  EXPECT_EQ(msg.code, StatusCode::kProtocolError);
+  EXPECT_EQ(rest.size(), consumed) << "nothing may follow the error";
 }
 
 TEST(NetLoopback, OversizedFrameRejectedBeforeBuffering) {

@@ -308,11 +308,11 @@ TEST(NetChaos, ExecutedButUnackedRetryReturnsCachedReply) {
 
 // Satellite regression: one byte of a frame header, then silence.  The
 // read-progress clock anchors when the partial frame STARTS buffering,
-// so the server must kill the connection within header_timeout even
+// so the server must kill the connection within frame_timeout even
 // though idle_timeout alone would never fire (and is not even set).
 TEST(NetChaos, OneByteThenStopKilledByHeaderDeadline) {
   ServerConfig cfg;
-  cfg.header_timeout = 200ms;
+  cfg.frame_timeout = 200ms;
   SpmvServer server(cfg);
   server.start();
   const int fd = raw_connect(server.port());
@@ -333,7 +333,7 @@ TEST(NetChaos, OneByteThenStopKilledByHeaderDeadline) {
 // frame re-arms it — so the drip cannot extend the deadline.
 TEST(NetChaos, TricklerKilledDespiteContinuousBytes) {
   ServerConfig cfg;
-  cfg.header_timeout = 250ms;
+  cfg.frame_timeout = 250ms;
   SpmvServer server(cfg);
   server.start();
   const int fd = raw_connect(server.port());
@@ -353,6 +353,31 @@ TEST(NetChaos, TricklerKilledDespiteContinuousBytes) {
   ASSERT_TRUE(
       wait_until([&] { return server.net_stats().progress_killed >= 1; }));
   EXPECT_LT(sent, frame.size()) << "server should have cut the trickler";
+  server.stop();
+}
+
+// A peer that completes a valid header and then stalls inside the
+// payload is held to the same deadline as a header trickler: the partial
+// frame must complete within frame_timeout of its first byte.  Here a
+// HELLO header announces 1 KiB, 10 payload bytes follow, then silence.
+TEST(NetChaos, StalledBodyKilledByFrameDeadline) {
+  ServerConfig cfg;
+  cfg.frame_timeout = 200ms;
+  SpmvServer server(cfg);
+  server.start();
+  const int fd = raw_connect(server.port());
+  const std::vector<std::uint8_t> payload(1024, 0);
+  const auto frame = encode_frame(FrameType::kHello, 1, payload);
+  const std::size_t partial = kHeaderSize + 10;
+  ASSERT_EQ(::send(fd, frame.data(), partial, MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial));
+  // Bounded wait first: a server that never kills the stalled body must
+  // fail here, not hang in the blocking read below.
+  ASSERT_TRUE(
+      wait_until([&] { return server.net_stats().progress_killed >= 1; }))
+      << "stalled payload was never killed";
+  (void)read_to_eof(fd);  // EOF proves the server closed it
+  ::close(fd);
   server.stop();
 }
 
@@ -412,7 +437,7 @@ TEST(NetChaos, WriteStalledPeerKilled) {
     spec.mode = OperandMode::kFull;
     spec.n = m.n;
     spec.full = x;
-    req.operands.push_back(std::move(spec));
+    req.operand = std::move(spec);
     if (!send_all(encode_frame(FrameType::kMultiply, id,
                                encode_multiply(req)))) {
       break;  // server may already have cut us — that is the point

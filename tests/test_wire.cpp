@@ -12,6 +12,7 @@
 #include <random>
 
 #include "net/delta.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace spmv::net {
@@ -119,14 +120,20 @@ TEST(WireFrame, OversizedRejectedBeforeBuffering) {
 }
 
 TEST(WireFrame, UnknownTypeRejected) {
-  auto f = frame_of(FrameType::kStats, 3, {});
-  f[5] = 0x7F;
-  const std::uint32_t crc = crc32(f.data(), 24);
-  std::memcpy(f.data() + 24, &crc, 4);
-  FrameHeader h;
-  std::span<const std::uint8_t> p;
-  std::size_t consumed = 0;
-  EXPECT_EQ(parse(f, h, p, consumed), ParseStatus::kUnknownType);
+  // 4 and 19 are the retired multi-operand multiply and its result: they
+  // must parse as unknown, never as some other frame.
+  for (const std::uint8_t type : {0x7F, 4, 19}) {
+    auto f = frame_of(FrameType::kStats, 3, {});
+    f[5] = type;
+    const std::uint32_t crc = crc32(f.data(), 24);
+    std::memcpy(f.data() + 24, &crc, 4);
+    FrameHeader h;
+    std::span<const std::uint8_t> p;
+    std::size_t consumed = 0;
+    EXPECT_EQ(parse(f, h, p, consumed), ParseStatus::kUnknownType)
+        << "type " << int{type};
+    EXPECT_EQ(h.request_id, 3u) << "the error reply must stay addressable";
+  }
 }
 
 TEST(WireFrame, BackToBackFramesParseInOrder) {
@@ -229,85 +236,83 @@ TEST(WirePayload, MultiplyFullOperandRoundTrip) {
   spec.mode = OperandMode::kFull;
   spec.n = 4;
   spec.full = {1.0, -0.0, 3.5, std::numeric_limits<double>::infinity()};
-  in.operands.push_back(std::move(spec));
+  in.operand = std::move(spec);
+  const std::vector<std::uint8_t> bytes = encode_multiply(in);
+  // The v2 MULTIPLY payload, byte for byte: name (u16 length + bytes),
+  // deadline_us, priority, operand count (always 1), then the operand
+  // (mode, n, n doubles).  Pins the format peers already speak.
+  const std::vector<std::uint8_t> v2 = {
+      0x01, 0x00, 0x41, 0x90, 0xd0, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfd,
+      0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x40,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x7f};
+  EXPECT_EQ(bytes, v2);
   MultiplyRequest out;
-  ASSERT_TRUE(decode_multiply(encode_multiply(in), false, out));
+  ASSERT_TRUE(decode_multiply(bytes, out));
   EXPECT_EQ(out.name, "A");
   EXPECT_EQ(out.deadline_us, 250000u);
   EXPECT_EQ(out.priority, -3);
-  ASSERT_EQ(out.operands.size(), 1u);
-  EXPECT_EQ(out.operands[0].mode, OperandMode::kFull);
+  EXPECT_EQ(out.operand.mode, OperandMode::kFull);
+  ASSERT_EQ(out.operand.full.size(), 4u);
   // Bit-identical including the -0.0.
-  EXPECT_EQ(std::memcmp(out.operands[0].full.data(),
-                        in.operands[0].full.data(), 4 * sizeof(double)),
+  EXPECT_EQ(std::memcmp(out.operand.full.data(), in.operand.full.data(),
+                        4 * sizeof(double)),
             0);
 }
 
-TEST(WirePayload, MultiplyBatchWithDeltaAndCachedRoundTrip) {
-  MultiplyRequest in;
-  in.name = "B";
-  OperandSpec full;
-  full.mode = OperandMode::kFull;
-  full.n = 8;
-  full.full.assign(8, 2.0);
-  OperandSpec delta;
-  delta.mode = OperandMode::kDelta;
-  delta.n = 8;
-  delta.delta.n = 8;
-  delta.delta.runs = {{1, 2}, {6, 1}};
-  delta.delta.values = {9.0, 10.0, 11.0};
-  OperandSpec cached;
-  cached.mode = OperandMode::kCached;
-  cached.n = 8;
-  in.operands.push_back(std::move(full));
-  in.operands.push_back(std::move(delta));
-  in.operands.push_back(std::move(cached));
+TEST(WirePayload, MultiplyDeltaAndCachedOperandsRoundTrip) {
+  MultiplyRequest delta_in;
+  delta_in.name = "B";
+  delta_in.operand.mode = OperandMode::kDelta;
+  delta_in.operand.n = 8;
+  delta_in.operand.delta.n = 8;
+  delta_in.operand.delta.runs = {{1, 2}, {6, 1}};
+  delta_in.operand.delta.values = {9.0, 10.0, 11.0};
   MultiplyRequest out;
-  ASSERT_TRUE(decode_multiply(encode_multiply(in), true, out));
-  ASSERT_EQ(out.operands.size(), 3u);
-  EXPECT_EQ(out.operands[1].mode, OperandMode::kDelta);
-  ASSERT_EQ(out.operands[1].delta.runs.size(), 2u);
-  EXPECT_EQ(out.operands[1].delta.runs[0].start, 1u);
-  EXPECT_EQ(out.operands[1].delta.runs[1].count, 1u);
-  EXPECT_EQ(out.operands[1].delta.values.size(), 3u);
-  EXPECT_EQ(out.operands[2].mode, OperandMode::kCached);
+  ASSERT_TRUE(decode_multiply(encode_multiply(delta_in), out));
+  EXPECT_EQ(out.name, "B");
+  EXPECT_EQ(out.operand.mode, OperandMode::kDelta);
+  ASSERT_EQ(out.operand.delta.runs.size(), 2u);
+  EXPECT_EQ(out.operand.delta.runs[0].start, 1u);
+  EXPECT_EQ(out.operand.delta.runs[1].count, 1u);
+  EXPECT_EQ(out.operand.delta.values.size(), 3u);
+
+  MultiplyRequest cached_in;
+  cached_in.name = "B";
+  cached_in.operand.mode = OperandMode::kCached;
+  cached_in.operand.n = 8;
+  MultiplyRequest cached_out;
+  ASSERT_TRUE(decode_multiply(encode_multiply(cached_in), cached_out));
+  EXPECT_EQ(cached_out.operand.mode, OperandMode::kCached);
+  EXPECT_EQ(cached_out.operand.n, 8u);
 }
 
-TEST(WirePayload, MultiplyRejectsBatchArityOnSingleFrame) {
-  MultiplyRequest in;
-  in.name = "A";
-  OperandSpec s;
-  s.mode = OperandMode::kCached;
-  s.n = 4;
-  in.operands.push_back(s);
-  in.operands.push_back(s);
-  const auto bytes = encode_multiply(in);
-  MultiplyRequest out;
-  EXPECT_FALSE(decode_multiply(bytes, /*batch=*/false, out));
-  EXPECT_TRUE(decode_multiply(bytes, /*batch=*/true, out));
+/// A MULTIPLY payload whose operand-count field reads `count`, followed
+/// by `operands` well-formed kCached operands of length 4.
+std::vector<std::uint8_t> multiply_with_count(std::uint32_t count,
+                                              std::uint32_t operands) {
+  ByteWriter w;
+  w.put_string("A");
+  w.put_u64(0);  // deadline_us
+  w.put_i32(0);  // priority
+  w.put_u32(count);
+  for (std::uint32_t i = 0; i < operands; ++i) {
+    w.put_u8(static_cast<std::uint8_t>(OperandMode::kCached));
+    w.put_u32(4);
+  }
+  return w.take();
 }
 
-TEST(WirePayload, OperandCountCapRejectsFloods) {
-  // kCached operands encode in 5 bytes, so a modest frame can advertise a
-  // count whose OperandSpec resize is orders of magnitude larger than the
-  // payload; the decode-time cap must reject it before anything is sized.
-  OperandSpec s;
-  s.mode = OperandMode::kCached;
-  s.n = 4;
-  MultiplyRequest in;
-  in.name = "A";
-  in.operands.assign(kMaxMultiplyOperands + 1, s);
+TEST(WirePayload, MultiplyOperandCountMustBeOne) {
+  // MULTIPLY carries exactly one operand.  Any other count is rejected
+  // before an operand is read: none, two well-formed operands, or a
+  // flood-sized claim that nothing may ever be sized from.
   MultiplyRequest out;
-  EXPECT_FALSE(decode_multiply(encode_multiply(in), /*batch=*/true, out));
-
-  // A caller-supplied tighter bound (the server passes its max_quota,
-  // which any admissible request satisfies) wins over the default.
-  MultiplyRequest small;
-  small.name = "A";
-  small.operands.assign(3, s);
-  const auto bytes = encode_multiply(small);
-  EXPECT_FALSE(decode_multiply(bytes, /*batch=*/true, out, /*max_operands=*/2));
-  EXPECT_TRUE(decode_multiply(bytes, /*batch=*/true, out, /*max_operands=*/3));
+  EXPECT_TRUE(decode_multiply(multiply_with_count(1, 1), out));
+  EXPECT_FALSE(decode_multiply(multiply_with_count(0, 0), out));
+  EXPECT_FALSE(decode_multiply(multiply_with_count(2, 2), out));
+  EXPECT_FALSE(decode_multiply(multiply_with_count(0xFFFFFFFFu, 1), out));
 }
 
 TEST(WirePayload, ResultsRoundTrip) {
@@ -316,23 +321,6 @@ TEST(WirePayload, ResultsRoundTrip) {
   MultiplyResult out;
   ASSERT_TRUE(decode_multiply_result(encode_multiply_result(in), out));
   EXPECT_EQ(out.y, in.y);
-
-  MultiplyBatchResult bin;
-  BatchItemResult ok;
-  ok.status = StatusCode::kOk;
-  ok.y = {1.0, 2.0};
-  BatchItemResult shed;
-  shed.status = StatusCode::kShed;
-  bin.items.push_back(std::move(ok));
-  bin.items.push_back(std::move(shed));
-  MultiplyBatchResult bout;
-  ASSERT_TRUE(
-      decode_multiply_batch_result(encode_multiply_batch_result(bin), bout));
-  ASSERT_EQ(bout.items.size(), 2u);
-  EXPECT_EQ(bout.items[0].status, StatusCode::kOk);
-  EXPECT_EQ(bout.items[0].y.size(), 2u);
-  EXPECT_EQ(bout.items[1].status, StatusCode::kShed);
-  EXPECT_TRUE(bout.items[1].y.empty());
 }
 
 TEST(WirePayload, StatsAndHealthRoundTrip) {
@@ -482,7 +470,7 @@ TEST(WireFuzz, MutatedFramesNeverCrashDecoders) {
   spec.delta.n = 16;
   spec.delta.runs = {{0, 4}, {8, 2}};
   spec.delta.values = {1, 2, 3, 4, 5, 6};
-  req.operands.push_back(std::move(spec));
+  req.operand = std::move(spec);
   const auto payload = encode_multiply(req);
 
   for (int iter = 0; iter < 2000; ++iter) {
@@ -492,13 +480,11 @@ TEST(WireFuzz, MutatedFramesNeverCrashDecoders) {
       mutated[pos(rng)] = static_cast<std::uint8_t>(byte(rng));
     }
     MultiplyRequest out;
-    (void)decode_multiply(mutated, false, out);
+    (void)decode_multiply(mutated, out);
     UploadMatrixRequest up;
     (void)decode_upload(mutated, up);
     StatsResult st;
     (void)decode_stats_result(mutated, st);
-    MultiplyBatchResult br;
-    (void)decode_multiply_batch_result(mutated, br);
   }
 }
 
