@@ -1,15 +1,14 @@
-// Kernel backend and dispatch-mode comparison — the perf trajectory
-// points for this PR's two optimizations.
+// Kernel backends and dispatch cost — two perf trajectory points.
 //
 // Part 1: scalar vs SIMD register-tile kernels (GFLOP/s, serial plan so
 // the kernel body dominates) across register-blocking-friendly suite
 // matrices of increasing size, plus how many cache blocks actually got a
 // SIMD kernel.
 //
-// Part 2: condvar vs spin dispatch on a small matrix, where the
+// Part 2: serial vs parallel multiply on a small matrix, where the
 // per-multiply dispatch overhead is a visible fraction of the µs-scale
 // SpMV body.  The serial column is the kernel-only floor: the gap between
-// it and each parallel column is dispatch + barrier cost on this host.
+// it and serial/threads is dispatch + barrier cost on this host.
 //
 //   --matrices=a,b,c   comma-separated suite names for part 1
 //   --threads=<n>      worker count for part 2 (default min(4, CPUs), ≥2)
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
   }
   cfg.emit(backends, "Kernel backends");
 
-  // --- Part 2: dispatch wait modes ---
+  // --- Part 2: dispatch barrier ---
   // Deliberately small and scale-independent: the multiply body is a few
   // µs, so fixed dispatch cost shows directly in the per-multiply time.
   const CsrMatrix small = gen::banded(2000, 4, 0.6, 17);
@@ -83,28 +82,23 @@ int main(int argc, char** argv) {
   const TimingResult serial = time_kernel(
       [&] { serial_plan.multiply(x, y); }, cfg.measure_seconds, 3);
 
-  auto parallel_us = [&](WaitMode mode) {
-    engine::ExecutionContext ctx({.pin_threads = false, .wait_mode = mode});
-    TuningOptions opt = TuningOptions::full(threads);
-    opt.tune_prefetch = false;
-    opt.pin_threads = false;
-    opt.context = &ctx;
-    const TunedMatrix plan = TunedMatrix::plan(small, opt);
-    // Warm the pool so the measurement sees steady-state dispatch.
-    plan.multiply(x, y);
-    const TimingResult t =
-        time_kernel([&] { plan.multiply(x, y); }, cfg.measure_seconds, 3);
-    return t.best_s * 1e6;
-  };
-  const double us_condvar = parallel_us(WaitMode::kCondvar);
-  const double us_spin = parallel_us(WaitMode::kSpin);
+  engine::ExecutionContext ctx({.pin_threads = false});
+  TuningOptions popt = TuningOptions::full(threads);
+  popt.tune_prefetch = false;
+  popt.pin_threads = false;
+  popt.context = &ctx;
+  const TunedMatrix parallel_plan = TunedMatrix::plan(small, popt);
+  // Warm the pool so the measurement sees steady-state dispatch.
+  parallel_plan.multiply(x, y);
+  const TimingResult parallel = time_kernel(
+      [&] { parallel_plan.multiply(x, y); }, cfg.measure_seconds, 3);
 
-  Table modes({"matrix", "threads", "serial µs", "condvar µs", "spin µs",
-               "condvar/spin"});
-  modes.add_row({"banded 2000", std::to_string(threads),
-                 Table::fmt(serial.best_s * 1e6, 2), Table::fmt(us_condvar, 2),
-                 Table::fmt(us_spin, 2),
-                 Table::fmt(us_condvar / us_spin, 3)});
-  cfg.emit(modes, "Dispatch wait modes");
+  const double us_serial = serial.best_s * 1e6;
+  const double us_parallel = parallel.best_s * 1e6;
+  Table dispatch({"matrix", "threads", "serial µs", "parallel µs", "speedup"});
+  dispatch.add_row({"banded 2000", std::to_string(threads),
+                    Table::fmt(us_serial, 2), Table::fmt(us_parallel, 2),
+                    Table::fmt(us_serial / us_parallel, 3)});
+  cfg.emit(dispatch, "Dispatch barrier");
   return 0;
 }

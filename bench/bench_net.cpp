@@ -166,12 +166,21 @@ PointResult run_point(std::uint16_t port, const LossyLink& lossy, int clients,
             }
           }
         }
+        // Drain the window still in flight, counted as the loop counts:
+        // the byte counters already include these requests' operands.
         while (!inflight.empty()) {
           try {
-            (void)client.await(inflight.front().id);
+            const auto r = client.await(inflight.front().id);
+            const double us = inflight.front().since.seconds() * 1e6;
+            inflight.pop_front();
+            ++partial[c].calls;
+            if (r.status != net::StatusCode::kOk) continue;
+            lat_us[c].push_back(us);
+            ++partial[c].ops;
           } catch (const std::exception&) {
+            partial[c].calls += inflight.size();
+            inflight.clear();
           }
-          inflight.pop_front();
         }
       }
       partial[c].op_bytes_sent = client.counters().operand_bytes_sent;

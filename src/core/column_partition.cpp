@@ -23,7 +23,6 @@ ColumnPartitionedSpmv ColumnPartitionedSpmv::plan(const CsrMatrix& a,
   s.prefetch_ = opt.prefetch_distance;
   s.pin_threads_ = opt.pin_threads;
   s.backend_ = resolve_kernel_backend(opt.backend);
-  s.wait_mode_ = opt.wait_mode;
   s.ctx_ = &engine::context_or_global(opt.context);
 
   // Column nonzero histogram -> nnz-balanced stripe boundaries.
@@ -106,9 +105,8 @@ void ColumnPartitionedSpmv::execute(const double* x, double* y,
           run_block(blk, x, py.data(), prefetch_, backend_);
         }
       },
-      pin_threads_, wait_mode_);
-  engine::reduce_private_y(*ctx_, threads, rows_, pin_threads_, s, y,
-                           wait_mode_);
+      pin_threads_);
+  engine::reduce_private_y(*ctx_, threads, rows_, pin_threads_, s, y);
 }
 
 }  // namespace spmv

@@ -71,7 +71,6 @@ class ColumnPartitionedSpmv final : public engine::SpmvPlan {
   unsigned prefetch_ = 0;
   bool pin_threads_ = true;
   KernelBackend backend_ = KernelBackend::kScalar;  ///< resolved at plan
-  std::optional<WaitMode> wait_mode_;  ///< TuningOptions::wait_mode
   std::vector<Stripe> stripes_;
   std::vector<std::uint32_t> boundaries_;
   engine::ExecutionContext* ctx_ = nullptr;

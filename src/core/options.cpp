@@ -22,14 +22,6 @@ const char* to_string(KernelBackend backend) {
   return "?";
 }
 
-const char* to_string(WaitMode mode) {
-  switch (mode) {
-    case WaitMode::kCondvar: return "condvar";
-    case WaitMode::kSpin: return "spin";
-  }
-  return "?";
-}
-
 const char* to_string(BatchExecMode mode) {
   switch (mode) {
     case BatchExecMode::kAuto: return "auto";

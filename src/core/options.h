@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 namespace spmv::engine {
 class ExecutionContext;
@@ -41,15 +40,6 @@ enum class KernelBackend : std::uint8_t {
 };
 
 const char* to_string(KernelBackend backend);
-
-/// How a parallel dispatch waits at its barriers (paper §4.3: SpMV bodies
-/// are microseconds, so dispatch overhead must stay far below that).
-enum class WaitMode : std::uint8_t {
-  kCondvar,  ///< mutex + condition variable park on every dispatch
-  kSpin,     ///< atomic generation barrier: spin → yield → park (~50 µs)
-};
-
-const char* to_string(WaitMode mode);
 
 /// How multiply_batch executes a coalesced batch (OSKI's "multiple
 /// vectors" optimization, paper §2.1): fused SpMM — one matrix sweep
@@ -117,12 +107,6 @@ struct TuningOptions {
   /// Encode each thread's blocks on that thread so first-touch places them
   /// in the local NUMA domain (memory affinity).
   bool numa_first_touch = true;
-  /// Barrier wait mode for this plan's dispatches.  Unset (the default)
-  /// follows the context's ExecutionConfig::wait_mode — kSpin unless the
-  /// context says otherwise — so multiply()/multiply_batch() hot loops get
-  /// the low-latency path for free.  Set kCondvar to force the classic
-  /// mutex/condvar dispatch for debugging.
-  std::optional<WaitMode> wait_mode;
   /// Execution context whose shared worker pool the plan borrows for both
   /// NUMA-aware encoding and every multiply; nullptr means the process-wide
   /// engine::ExecutionContext::global().  The context must outlive the plan.

@@ -11,10 +11,10 @@ namespace {
 
 thread_local bool t_on_pool_worker = false;
 
-/// How long a spin-mode waiter burns before parking on the condvar.  Long
-/// enough to bridge the gap between back-to-back multiplies (the engine
-/// re-dispatches within a few µs on a warm pool), short enough that an
-/// idle pool goes quiet almost immediately.
+/// How long a waiter burns before parking on the condvar.  Long enough to
+/// bridge the gap between back-to-back multiplies (the engine re-dispatches
+/// within a few µs on a warm pool), short enough that an idle pool goes
+/// quiet almost immediately.
 constexpr std::chrono::microseconds kSpinBudget{50};
 
 inline void cpu_relax() {
@@ -50,16 +50,14 @@ bool spin_with_backoff(const Pred& pred) {
 /// Busy-waiting only pays when every waiter can sit on its own CPU; once
 /// the dispatch's threads exceed the host, a spinning thread is stealing
 /// cycles from the very thread it waits for, so both sides park
-/// immediately instead (the participation win — one fewer handoff than
-/// condvar mode — remains).  A spin dispatch of width `active` occupies
-/// exactly `active` threads: the caller runs tid 0 and worker 0 idles.
+/// immediately instead.  A dispatch of width `active` occupies exactly
+/// `active` threads: the caller runs tid 0, workers run the rest.
 inline bool spin_pays(unsigned active) {
   return active <= host_info().logical_cpus;
 }
 
-/// Marks the current thread as a pool worker for the duration of a task
-/// the *caller* executes (spin-mode participation), so nested dispatches
-/// inline exactly as they would on a real worker.
+/// Marks the calling thread as a pool worker while it runs its tid-0
+/// share, so nested dispatches inline exactly as they would on a worker.
 class WorkerScope {
  public:
   WorkerScope() : prev_(t_on_pool_worker) { t_on_pool_worker = true; }
@@ -76,8 +74,8 @@ ThreadPool::ThreadPool(unsigned threads, bool pin) {
   if (threads > kActiveMask) {
     throw std::invalid_argument("ThreadPool: too many threads");
   }
-  workers_.reserve(threads);
-  for (unsigned tid = 0; tid < threads; ++tid) {
+  workers_.reserve(threads - 1);
+  for (unsigned tid = 1; tid < threads; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });
     if (pin) {
       pin_thread(workers_.back(), tid % host_info().logical_cpus);
@@ -86,18 +84,17 @@ ThreadPool::ThreadPool(unsigned threads, bool pin) {
 }
 
 void ThreadPool::pin_workers() {
-  for (unsigned tid = 0; tid < workers_.size(); ++tid) {
-    pin_thread(workers_[tid], tid % host_info().logical_cpus);
+  for (unsigned tid = 1; tid < size(); ++tid) {
+    pin_thread(workers_[tid - 1], tid % host_info().logical_cpus);
   }
 }
 
 ThreadPool::~ThreadPool() {
+  // The empty critical section below orders this store against any worker
+  // between "decided to park" and "asleep": either it already waits (the
+  // notify wakes it) or its predicate re-check happens-after our unlock,
+  // so it sees shutdown_.  seq_cst; spinners read the atomic directly.
   shutdown_.store(true, std::memory_order_seq_cst);
-  // The empty critical section orders the shutdown store against any
-  // worker that is between "decided to park" and "asleep": either it is
-  // already waiting (the notify below wakes it) or it has not locked yet
-  // and its predicate re-check happens-after our unlock, so it sees
-  // shutdown_.  Spinning workers observe the atomic directly.
   { MutexLock lock(mutex_); }
   cv_start_.notify_all();
   for (auto& w : workers_) w.join();
@@ -110,52 +107,49 @@ void ThreadPool::record_error(std::exception_ptr e) {
   if (!first_error_) first_error_ = std::move(e);
 }
 
-void ThreadPool::run(const std::function<void(unsigned)>& task,
-                     WaitMode mode) {
-  run(size(), task, mode);
+void ThreadPool::run(const std::function<void(unsigned)>& task) {
+  run(size(), task);
 }
 
 void ThreadPool::run(unsigned active,
-                     const std::function<void(unsigned)>& task,
-                     WaitMode mode) {
+                     const std::function<void(unsigned)>& task) {
   if (active > size()) {
     throw std::invalid_argument(
         "ThreadPool::run: active exceeds worker count");
   }
   if (active == 0) return;
-  const bool participate = mode == WaitMode::kSpin;
-  if (participate && active == 1) {
+  if (active == 1) {
     // The whole dispatch is the caller's share: no barrier at all.
     const WorkerScope scope;
     task(0);
     return;
   }
-  const unsigned helpers = participate ? active - 1 : active;
 
-  // Publish the dispatch: plain fields first, then the generation word.
-  // No dispatch is in flight (contract), so nothing reads them yet, and
-  // the release in the seq_cst store makes them visible to every worker
-  // that acquires the new word.
+  // Publish the dispatch: task_ first, then the generation word.  No
+  // dispatch is in flight (contract), so nothing reads them yet.
   task_ = &task;
-  dispatch_mode_ = mode;
   reset_error();
-  caller_parked_.store(false, std::memory_order_relaxed);
-  remaining_.store(helpers, std::memory_order_relaxed);
+  // relaxed: published by the dispatch-word store below, whose release
+  // half orders it before any worker's acquire of the new word.
+  remaining_.store(active - 1, std::memory_order_relaxed);
+  // relaxed: only run() writes the word, and run() calls are serialized
+  // (contract), so this thread's own last store is what it reads back.
   const std::uint64_t prev = dispatch_word_.load(std::memory_order_relaxed);
-  const std::uint64_t next = (((prev >> kActiveBits) + 1) << kActiveBits) |
-                             (participate ? kParticipateBit : 0) | active;
+  const std::uint64_t next =
+      (((prev >> kActiveBits) + 1) << kActiveBits) | active;
   // seq_cst, not just release: the store must be ordered before the
   // parked_ load (Dekker handshake with a worker that is about to park).
   dispatch_word_.store(next, std::memory_order_seq_cst);
+  // seq_cst: the other half of that Dekker handshake — either we see the
+  // worker's parked_ increment and wake it, or its predicate sees the word.
   if (parked_.load(std::memory_order_seq_cst) > 0) {
     MutexLock lock(mutex_);
     cv_start_.notify_all();
   }
 
-  if (participate) {
-    // Fork-join with caller participation: tid 0 runs right here while
-    // the workers chew tids 1..active-1 — one fewer handoff per dispatch,
-    // and the caller's CPU does useful work instead of waiting.
+  // Fork-join with caller participation: tid 0 runs right here while the
+  // workers chew tids 1..active-1.
+  {
     const WorkerScope scope;
     try {
       task(0);
@@ -164,25 +158,34 @@ void ThreadPool::run(unsigned active,
     }
   }
 
-  // Wait for the barrier.  The spin path touches no lock at all when the
-  // workers finish within the budget — the common case for a warm pool
-  // running microsecond SpMV bodies.
+  // Wait for the barrier.  This touches no lock at all when the workers
+  // finish within the budget — the common case for a warm pool running
+  // microsecond SpMV bodies.
+  // acquire: pairs with each worker's remaining_ decrement, so reading 0
+  // makes every worker's task writes (and error slot) visible here.
   bool done = remaining_.load(std::memory_order_acquire) == 0;
-  if (!done && mode == WaitMode::kSpin && spin_pays(active)) {
-    done = spin_with_backoff(
-        [&] { return remaining_.load(std::memory_order_acquire) == 0; });
+  if (!done && spin_pays(active)) {
+    done = spin_with_backoff([&] {
+      // acquire: same pairing as the first check above.
+      return remaining_.load(std::memory_order_acquire) == 0;
+    });
   }
   if (!done) {
     // seq_cst store/load pair: Dekker handshake with the last worker's
     // remaining_ decrement / caller_parked_ load (see worker_loop) — the
     // caller must not park after the wake it is waiting for.
     caller_parked_.store(true, std::memory_order_seq_cst);
+    // seq_cst: second half of the handshake above.
     if (remaining_.load(std::memory_order_seq_cst) != 0) {
       MutexLock lock(mutex_);
+      // acquire: pairs with the workers' decrements, as above.
       while (remaining_.load(std::memory_order_acquire) != 0) {
         cv_done_.wait(mutex_);
       }
     }
+    // relaxed: no worker reads the flag again in this dispatch (the last
+    // one already did), and the next dispatch-word store publishes the
+    // reset to the workers of the next one.
     caller_parked_.store(false, std::memory_order_relaxed);
   }
   task_ = nullptr;
@@ -192,14 +195,18 @@ void ThreadPool::run(unsigned active,
 }
 
 std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen,
-                                            WaitMode idle_mode) {
+                                            bool stay_hot) {
+  // acquire: pairs with run()'s word store, publishing task_ and the
+  // barrier counters of the dispatch it names.
   std::uint64_t w = dispatch_word_.load(std::memory_order_acquire);
+  // relaxed: shutdown_ publishes no data; a late sight only delays exit.
   if (w != seen || shutdown_.load(std::memory_order_relaxed)) return w;
-  // After a spin-mode task, stay hot for the budget: back-to-back
+  // After executing a task, stay hot for the budget: back-to-back
   // multiplies re-dispatch long before it expires, making the whole
   // round-trip mutex-free.
-  if (idle_mode == WaitMode::kSpin) {
+  if (stay_hot) {
     if (spin_with_backoff([&] {
+          // acquire: as the first load above; relaxed shutdown_ likewise.
           w = dispatch_word_.load(std::memory_order_acquire);
           return w != seen || shutdown_.load(std::memory_order_relaxed);
         })) {
@@ -211,48 +218,51 @@ std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen,
     // seq_cst increment before the predicate's word load: Dekker handshake
     // with run()'s word store / parked_ load pair (see there).
     parked_.fetch_add(1, std::memory_order_seq_cst);
-    // seq_cst word load in the predicate: same Dekker handshake.
+    // seq_cst word load in the predicate: same Dekker handshake.  relaxed
+    // shutdown_: the destructor's store is ordered by mutex_ (see there).
     while (dispatch_word_.load(std::memory_order_seq_cst) == seen &&
            !shutdown_.load(std::memory_order_relaxed)) {
       cv_start_.wait(mutex_);
     }
+    // relaxed: the count only gates run()'s notify; a stale nonzero read
+    // costs one spurious notify, and it is decremented under mutex_.
     parked_.fetch_sub(1, std::memory_order_relaxed);
   }
+  // acquire: pairs with run()'s word store, as above.
   return dispatch_word_.load(std::memory_order_acquire);
 }
 
 void ThreadPool::worker_loop(unsigned tid) {
   t_on_pool_worker = true;
   std::uint64_t seen = 0;
-  WaitMode idle_mode = WaitMode::kCondvar;
+  bool stay_hot = false;
   for (;;) {
-    const std::uint64_t w = wait_for_dispatch(seen, idle_mode);
+    const std::uint64_t w = wait_for_dispatch(seen, stay_hot);
+    // relaxed: shutdown_ publishes no data (see wait_for_dispatch).
     if (shutdown_.load(std::memory_order_relaxed)) return;
     seen = w;
     const unsigned active = static_cast<unsigned>(w & kActiveMask);
-    if (tid >= active ||
-        (tid == 0 && (w & kParticipateBit) != 0)) {
-      // Not part of this dispatch's barrier (tid 0's share runs on the
-      // caller when the participate bit is set) — and not entitled to
-      // read its fields either (the caller may republish them the moment
-      // the executing workers finish), so idle cold until next selected.
-      idle_mode = WaitMode::kCondvar;
+    if (tid >= active) {
+      // Not part of this dispatch's barrier — and not entitled to read
+      // task_ either (the caller may republish it the moment the
+      // executing workers finish), so idle cold until next selected.
+      stay_hot = false;
       continue;
     }
-    // Safe to read the dispatch fields: this worker is active in the
-    // acquired word, and the caller cannot overwrite them until our
-    // remaining_ decrement below.
-    idle_mode = dispatch_mode_ == WaitMode::kSpin && spin_pays(active)
-                    ? WaitMode::kSpin
-                    : WaitMode::kCondvar;
+    // Safe to read task_: this worker is active in the acquired word, and
+    // the caller cannot overwrite it until our remaining_ decrement below.
+    stay_hot = spin_pays(active);
     try {
       (*task_)(tid);
     } catch (...) {
       record_error(std::current_exception());
     }
+    // seq_cst: the release half publishes this task's writes to the
+    // caller's acquire of remaining_ == 0; the full order is the Dekker
+    // handshake with run()'s caller_parked_ store / remaining_ load.
     if (remaining_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      // Last one out: wake the caller iff it actually parked (Dekker
-      // handshake with run()'s caller_parked_ store / remaining_ load).
+      // Last one out: wake the caller iff it actually parked.  seq_cst:
+      // second half of the same handshake.
       if (caller_parked_.load(std::memory_order_seq_cst)) {
         MutexLock lock(mutex_);
         cv_done_.notify_one();

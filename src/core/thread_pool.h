@@ -8,19 +8,21 @@
 // encoding *on* the owning worker so first-touch places pages locally
 // (memory affinity).
 //
-// Two wait modes (WaitMode, see core/options.h):
-//  * kCondvar — caller and workers park on a mutex/condvar at every
-//    barrier.  Robust, zero busy-wait, ~µs wake latency.
-//  * kSpin — the dispatch itself is lock-free: the caller publishes the
-//    task with one release store of the generation word, executes tid 0's
-//    share *itself* (fork-join with caller participation: one fewer
-//    thread handoff per dispatch, and the pool never oversubscribes the
-//    caller's CPU), and spins (with bounded exponential backoff: pause →
-//    yield → condvar park after ~50 µs idle) for the remaining workers;
-//    workers that just finished a spin-mode task spin the same way for
-//    the next generation.  Back-to-back multiplies on a warm pool
-//    therefore never touch the mutex.  Workers and caller fall back to
-//    parking after the budget, so an idle pool costs nothing.
+// One barrier, fork-join with caller participation: the caller publishes
+// the task with one release store of the generation word, executes tid
+// 0's share *itself* (so a pool of width n starts only n-1 threads, and
+// the caller's CPU does useful work instead of waiting), and spins — with
+// bounded exponential backoff: pause → yield → condvar park after ~50 µs
+// idle — for the remaining workers.  Workers that just finished a task
+// spin the same way for the next generation.  Back-to-back multiplies on
+// a warm pool therefore never touch the mutex, and everyone parks after
+// the budget, so an idle pool costs nothing.  On the 4-vCPU KVM Xeon this
+// barrier beat a mutex/condvar park at 2, 4 and 8 (oversubscribed)
+// threads.
+//
+// This file is on lint_concurrency.py's lock-free audit list: every
+// atomic operation states its memory_order and argues it in an adjacent
+// comment.
 #pragma once
 
 #include <atomic>
@@ -30,15 +32,16 @@
 #include <thread>
 #include <vector>
 
-#include "core/options.h"
 #include "util/thread_annotations.h"
 
 namespace spmv {
 
 class ThreadPool {
  public:
-  /// Spawn `threads` workers.  When `pin` is set, worker i is pinned to
-  /// logical CPU i modulo the host CPU count.
+  /// A pool of width `threads`: tid 0 is whichever thread calls run(),
+  /// so this starts `threads - 1` workers, for tids 1..threads-1.  When
+  /// `pin` is set, worker tid is pinned to logical CPU tid modulo the host
+  /// CPU count.
   explicit ThreadPool(unsigned threads, bool pin = false);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -46,49 +49,48 @@ class ThreadPool {
 
   ~ThreadPool();
 
+  /// Dispatch width: the workers plus the calling thread.
   [[nodiscard]] unsigned size() const {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(workers_.size()) + 1;
   }
 
-  /// Run `task(tid)` on every worker (tid in [0, size())) and wait for all
-  /// of them to finish.  Exceptions thrown by tasks propagate (first one
-  /// wins) after the barrier completes — in either wait mode.
-  void run(const std::function<void(unsigned)>& task,
-           WaitMode mode = WaitMode::kCondvar);
+  /// Run `task(tid)` for every tid in [0, size()) and wait for all of
+  /// them to finish.  Exceptions thrown by tasks propagate (first one
+  /// wins) after the barrier completes.
+  void run(const std::function<void(unsigned)>& task);
 
   /// Run `task(tid)` for tid in [0, active) only; the remaining workers
   /// stay out of this dispatch's barrier entirely, so a narrow dispatch on
   /// a wide shared pool completes without waiting for idle workers.
   /// Throws std::invalid_argument when `active` exceeds size() — silently
   /// skipping iterations would drop row partitions.
-  /// In kCondvar mode every tid runs on pool worker tid; in kSpin mode the
-  /// caller runs task(0) itself (on_worker_thread() is true inside it, so
-  /// nested dispatches inline like they do on workers) and workers run
+  /// The caller runs task(0) itself (on_worker_thread() is true inside it,
+  /// so nested dispatches inline like they do on workers) and workers run
   /// tids 1..active-1.
   /// Only one run()/run(active, ...) may be in flight at a time — callers
   /// that share a pool must serialize dispatches (ExecutionContext does).
-  void run(unsigned active, const std::function<void(unsigned)>& task,
-           WaitMode mode = WaitMode::kCondvar);
+  void run(unsigned active, const std::function<void(unsigned)>& task);
 
-  /// Pin every worker i to logical CPU i modulo the host CPU count, as the
-  /// pinning constructor would have.  Lets a shared pool spawned unpinned
-  /// be upgraded when a plan that wants process affinity first dispatches.
+  /// Pin every worker tid to logical CPU tid modulo the host CPU count, as
+  /// the pinning constructor would have.  Lets a shared pool spawned
+  /// unpinned be upgraded when a plan that wants process affinity first
+  /// dispatches.  Tid 0 stays on the caller's CPU.
   void pin_workers();
 
-  /// True when called from inside one of *any* ThreadPool's workers.  Used
-  /// to refuse (or inline) nested dispatches that would deadlock.
+  /// True when called from inside one of *any* ThreadPool's workers, or
+  /// from a caller running its tid-0 share.  Used to refuse (or inline)
+  /// nested dispatches that would deadlock.
   static bool on_worker_thread();
 
  private:
   void worker_loop(unsigned tid);
   /// Block until the dispatch word moves past `seen`, or shutdown, and
-  /// return the new word.  `idle_mode` is the mode of the dispatch this
-  /// worker last *executed*: after a spin-mode task the worker stays hot
-  /// for ~kSpinBudget before parking; otherwise it parks immediately.
-  std::uint64_t wait_for_dispatch(std::uint64_t seen, WaitMode idle_mode);
+  /// return the new word.  With `stay_hot` (this worker just executed a
+  /// task of a dispatch that fits the host) it spins for ~kSpinBudget
+  /// before parking; otherwise it parks immediately.
+  std::uint64_t wait_for_dispatch(std::uint64_t seen, bool stay_hot);
   /// Record `e` as the dispatch's error if it is the first one.  Called
-  /// from whichever thread's task threw (workers, or the participating
-  /// caller).
+  /// from whichever thread's task threw (workers, or the caller).
   void record_error(std::exception_ptr e) SPMV_EXCLUDES(error_mutex_);
   /// Pre-dispatch reset and post-barrier steal of first_error_ WITHOUT
   /// error_mutex_ — the documented lock-free boundary of the barrier.
@@ -104,23 +106,22 @@ class ThreadPool {
     return e;
   }
 
+  /// workers_[i] runs tid i + 1.
   std::vector<std::thread> workers_;
 
   // One dispatch is described by the generation word (generation in the
-  // high bits, a caller-participates flag, and the active count in the low
-  // 15) plus the plain fields below it.  The caller writes the fields,
-  // then release-stores the word; a worker acquire-loads the word and
-  // reads the fields only when it executes part of *that* dispatch —
-  // bystanders (tid >= active, and tid 0 when the caller participates)
-  // never touch them, so the next dispatch may overwrite the fields as
-  // soon as the executing workers have all decremented remaining_.
+  // high bits, the active count in the low kActiveBits) plus task_.  The
+  // caller writes task_, then release-stores the word; a worker
+  // acquire-loads the word and reads task_ only when it executes part of
+  // *that* dispatch — bystanders (tid >= active) never touch it, so the
+  // next dispatch may overwrite it as soon as the executing workers have
+  // all decremented remaining_.
   static constexpr unsigned kActiveBits = 16;
-  static constexpr std::uint64_t kParticipateBit = 1u << 15;
-  static constexpr unsigned kActiveMask = (1u << 15) - 1;
+  static constexpr unsigned kActiveMask = (1u << kActiveBits) - 1;
   std::atomic<std::uint64_t> dispatch_word_{0};
   const std::function<void(unsigned)>* task_ = nullptr;
-  WaitMode dispatch_mode_ = WaitMode::kCondvar;
 
+  /// Workers of the current dispatch that have not finished their task.
   std::atomic<unsigned> remaining_{0};
   std::atomic<bool> shutdown_{false};
   /// Workers currently parked in cv_start_ (Dekker-style handshake with

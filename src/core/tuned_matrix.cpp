@@ -91,7 +91,8 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
   }
 
   // 3. Encode.  With NUMA first touch the encode of thread t's blocks runs
-  // on pool worker t (pinned), so the pages land in its local domain.
+  // on the thread that runs tid t at multiply time (pinned pool worker t,
+  // or the caller for t = 0), so the pages land in its local domain.
   m.blocks_.resize(opt.threads);
   auto encode_thread = [&](unsigned t) {
     auto& dst = m.blocks_[t];
@@ -105,8 +106,7 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
   // Encoding borrows the same shared pool multiply() will use, so the
   // first-touch pages stay with the workers that later stream them.
   if (opt.threads > 1 && opt.numa_first_touch) {
-    m.ctx_->parallel_for(opt.threads, encode_thread, opt.pin_threads,
-                         opt.wait_mode);
+    m.ctx_->parallel_for(opt.threads, encode_thread, opt.pin_threads);
   } else {
     for (unsigned t = 0; t < opt.threads; ++t) encode_thread(t);
   }
@@ -236,7 +236,7 @@ void TunedMatrix::execute(const double* x, double* y,
           kernels_[t][b](blocks_[t][b], x, y, pf);
         }
       },
-      opt_.pin_threads, opt_.wait_mode);
+      opt_.pin_threads);
 }
 
 void TunedMatrix::multiply_batch_looped(
@@ -263,7 +263,7 @@ void TunedMatrix::execute_batch_looped(std::span<const double* const> xs,
           }
         }
       },
-      opt_.pin_threads, opt_.wait_mode);
+      opt_.pin_threads);
 }
 
 void TunedMatrix::fused_sweep(const double* xp, double* yp,
@@ -282,8 +282,7 @@ void TunedMatrix::fused_sweep(const double* xp, double* yp,
   }
   // Workers write disjoint yp row ranges (cache blocks never cross thread
   // row partitions), so one dispatch per chunk suffices.
-  ctx_->parallel_for(opt_.threads, sweep_thread, opt_.pin_threads,
-                     opt_.wait_mode);
+  ctx_->parallel_for(opt_.threads, sweep_thread, opt_.pin_threads);
 }
 
 void TunedMatrix::execute_batch(std::span<const double* const> xs,

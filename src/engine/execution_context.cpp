@@ -19,8 +19,7 @@ unsigned ExecutionContext::capacity() const {
 
 void ExecutionContext::parallel_for(unsigned threads,
                                     const std::function<void(unsigned)>& task,
-                                    bool pin,
-                                    std::optional<WaitMode> wait_mode) {
+                                    bool pin) {
   if (threads <= 1) {
     task(0);
     return;
@@ -46,7 +45,7 @@ void ExecutionContext::parallel_for(unsigned threads,
     pool_->pin_workers();
     pinned_ = true;
   }
-  pool_->run(threads, task, wait_mode.value_or(config_.wait_mode));
+  pool_->run(threads, task);
   dispatches_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -7,7 +7,9 @@
 // other.  ExecutionContext centralizes that ownership: one lazily grown,
 // optionally pinned ThreadPool that all plans borrow for NUMA first-touch
 // encoding and for every multiply, with concurrent dispatches serialized so
-// multiply() is safe from any number of caller threads.
+// multiply() is safe from any number of caller threads.  Every dispatch
+// goes through the pool's one barrier (core/thread_pool.h): the caller
+// runs t = 0 and spins briefly for the workers.
 //
 // Most code uses the process-wide ExecutionContext::global(); tests and
 // embedders that need isolation construct their own and pass it through
@@ -18,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "core/thread_pool.h"
 #include "util/thread_annotations.h"
@@ -31,12 +32,6 @@ struct ExecutionConfig {
   /// is pinned from the first pin-requesting dispatch onward (upgrade-only,
   /// order-independent) — see parallel_for.
   bool pin_threads = true;
-  /// Barrier wait mode for dispatches that do not override it.  kSpin by
-  /// default: SpMV bodies are microseconds, so every multiply on this
-  /// context gets the lock-free generation barrier for free.  Set kCondvar
-  /// to force classic parked dispatch context-wide (debugging, or hosts
-  /// where busy-waiting is unwelcome).
-  WaitMode wait_mode = WaitMode::kSpin;
 };
 
 class ExecutionContext {
@@ -64,16 +59,13 @@ class ExecutionContext {
   ///    allows pinning; pin = false never unpins a shared pool.
   ///  * Concurrent callers serialize on an internal mutex, so any number of
   ///    host threads may execute plans simultaneously.
-  ///  * Called from inside a pool worker (nested parallelism), the task
+  ///  * The caller runs t = 0 itself and pool workers run the rest (see
+  ///    ThreadPool::run); every dispatch shares the pool's one barrier.
+  ///  * Called from inside a pool task (nested parallelism), the task
   ///    runs inline serially instead of deadlocking on the dispatch lock.
-  ///  * `wait_mode` overrides the context's ExecutionConfig::wait_mode for
-  ///    this dispatch (e.g. TuningOptions::wait_mode); nullopt follows the
-  ///    config.
   void parallel_for(unsigned threads,
                     const std::function<void(unsigned)>& task,
-                    bool pin = true,
-                    std::optional<WaitMode> wait_mode = std::nullopt)
-      SPMV_EXCLUDES(dispatch_mutex_);
+                    bool pin = true) SPMV_EXCLUDES(dispatch_mutex_);
 
   /// Current worker count (0 until the first parallel dispatch).
   [[nodiscard]] unsigned capacity() const SPMV_EXCLUDES(dispatch_mutex_);

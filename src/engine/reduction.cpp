@@ -6,8 +6,7 @@ namespace spmv::engine {
 
 void reduce_private_y(ExecutionContext& ctx, unsigned threads,
                       std::uint32_t rows, bool pin,
-                      const PrivateYScratch& s, double* y,
-                      std::optional<WaitMode> wait_mode) {
+                      const PrivateYScratch& s, double* y) {
   ctx.parallel_for(
       threads,
       [&](unsigned t) {
@@ -20,7 +19,7 @@ void reduce_private_y(ExecutionContext& ctx, unsigned threads,
           for (std::uint64_t r = r0; r < r1; ++r) y[r] += py[r];
         }
       },
-      pin, wait_mode);
+      pin);
 }
 
 }  // namespace spmv::engine

@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "core/options.h"
 #include "engine/spmv_plan.h"
 
 namespace spmv::engine {
@@ -28,11 +26,9 @@ struct PrivateYScratch final : Scratch {
 
 /// y[r] += sum over workers of s.private_y[worker][r], as a chunked
 /// parallel reduction on `ctx`: worker t folds row chunk t of every
-/// private vector.  `wait_mode` is the dispatching plan's barrier
-/// preference (nullopt: the context default).
+/// private vector.
 void reduce_private_y(ExecutionContext& ctx, unsigned threads,
                       std::uint32_t rows, bool pin,
-                      const PrivateYScratch& s, double* y,
-                      std::optional<WaitMode> wait_mode = std::nullopt);
+                      const PrivateYScratch& s, double* y);
 
 }  // namespace spmv::engine

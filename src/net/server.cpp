@@ -972,7 +972,6 @@ void SpmvServer::handle_health(Conn& conn, std::uint64_t request_id) {
   h.ready = (!draining && hs != serve::HealthState::kShedding) ? 1 : 0;
   h.health_state = static_cast<std::uint8_t>(hs);
   h.draining = draining ? 1 : 0;
-  h.stalled_dispatchers = scheduler_.watchdog().stalled_dispatchers();
   send_frame(conn, FrameType::kHealthResult, request_id,
              encode_health_result(h));
 }

@@ -29,7 +29,7 @@
 //   client disconnect → CancelToken::cancel() on every in-flight request
 //   admission         → session quota at the wire + OverflowPolicy::kShed
 //                       (a shed resolves as a SHED status frame)
-//   readiness         → HealthWatchdog / OverloadDetector via HEALTH
+//   readiness         → OverloadDetector state + drain flag via HEALTH
 //   SIGTERM           → request_stop() (async-signal-safe) → drain
 //                       shutdown: scheduler drains, every in-flight
 //                       request and every frame already received is

@@ -435,15 +435,16 @@ std::vector<std::uint8_t> encode_health_result(const HealthResult& r) {
   w.put_u8(r.ready);
   w.put_u8(r.health_state);
   w.put_u8(r.draining);
-  w.put_u64(r.stalled_dispatchers);
+  w.put_u64(0);  // retired v2 slot (see HealthResult)
   return w.take();
 }
 
 bool decode_health_result(std::span<const std::uint8_t> p,
                           HealthResult& out) {
   ByteReader r(p);
+  std::uint64_t retired = 0;
   return r.get_u8(out.ready) && r.get_u8(out.health_state) &&
-         r.get_u8(out.draining) && r.get_u64(out.stalled_dispatchers) &&
+         r.get_u8(out.draining) && r.get_u64(retired) &&
          r.remaining() == 0;
 }
 

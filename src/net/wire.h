@@ -268,10 +268,8 @@ struct HealthResult {
   std::uint8_t ready = 0;         ///< accepting work: not shedding/draining
   std::uint8_t health_state = 0;  ///< serve::HealthState
   std::uint8_t draining = 0;
-  /// 1 while the watchdog flags the scheduler's one dispatcher stalled,
-  /// else 0 (the field predates the single dispatcher; name and slot
-  /// stay for wire compatibility).
-  std::uint64_t stalled_dispatchers = 0;
+  // v2 payloads end with a u64 slot that carried a stalled-dispatcher
+  // count; encode writes 0 there and decode skips it.  Wire v3 drops it.
 };
 
 // Encoders: payload bytes only (wrap with encode_frame).

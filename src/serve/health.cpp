@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/fault_point.h"
-
 namespace spmv::serve {
 
 const char* to_string(HealthState s) noexcept {
@@ -97,68 +95,6 @@ void OverloadDetector::record_latency(std::chrono::microseconds latency) {
       return;
     }
   }
-}
-
-HealthWatchdog::HealthWatchdog(ProbeFn probe, std::chrono::milliseconds interval,
-                               std::uint32_t stall_intervals)
-    : probe_(std::move(probe)),
-      interval_(interval),
-      stall_intervals_(std::max<std::uint32_t>(1, stall_intervals)) {
-  if (interval_.count() > 0) {
-    thread_ = std::thread([this] { run(); });
-  }
-}
-
-HealthWatchdog::~HealthWatchdog() { stop(); }
-
-void HealthWatchdog::stop() {
-  {
-    MutexLock lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void HealthWatchdog::run() {
-  MutexLock lock(mutex_);
-  while (!stopping_) {
-    (void)cv_.wait_until(mutex_,
-                         std::chrono::steady_clock::now() + interval_);
-    if (stopping_) break;
-    tick_locked();
-  }
-}
-
-void HealthWatchdog::tick() {
-  MutexLock lock(mutex_);
-  tick_locked();
-}
-
-void HealthWatchdog::tick_locked() {
-  const HealthProbe probe = probe_();
-  // Simulated probe hiccup: a skipped probe must only delay detection,
-  // never corrupt the tracking below.
-  if (SPMV_FAULT_POINT("health.probe_skip")) {
-    // relaxed: statistics counter (see probes()).
-    probes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (probe.heartbeat != track_.last_beat || !probe.work_pending) {
-    // Progress, or legitimately idle: healthy.
-    track_.last_beat = probe.heartbeat;
-    track_.frozen = 0;
-    track_.stalled = false;
-  } else if (++track_.frozen >= stall_intervals_ && !track_.stalled) {
-    track_.stalled = true;
-    // relaxed: statistics counter (see stall_events()).
-    stall_events_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // relaxed: gauge published for monitoring; one-probe staleness is fine.
-  stalled_now_.store(track_.stalled ? 1 : 0, std::memory_order_relaxed);
-  // relaxed: statistics counter (see probes()).
-  probes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace spmv::serve

@@ -1,5 +1,4 @@
-// Serving-plane health: overload detection with hysteresis and a
-// stalled-dispatcher watchdog.
+// Serving-plane health: overload detection with hysteresis.
 //
 // The scheduler's third overflow policy (OverflowPolicy::kShed) needs a
 // signal for *when* to shed.  Raw queue depth is too twitchy — a linger
@@ -7,7 +6,7 @@
 // OverloadDetector is a small hysteresis state machine over the depth
 // fraction (depth / capacity), with an EWMA of observed queue latency on
 // the side for deadline-aware admission ("would this request's deadline
-// already be blown by the time it reaches a dispatcher?"):
+// already be blown by the time it reaches the dispatcher?"):
 //
 //      depth/capacity >= shed_frac ──────────────► kShedding
 //      depth/capacity >= overload_frac ──────────► kOverloaded
@@ -18,24 +17,15 @@
 // requires a sustained streak below recover_frac (hysteresis), so the
 // state doesn't flap at the boundary while the queue drains.
 //
-// The HealthWatchdog is an optional background thread that periodically
-// probes the data plane: the dispatcher exposes a heartbeat counter it
-// bumps every loop iteration, and if that heartbeat has not moved across
-// `stall_intervals` probes *while work is pending* the dispatcher is
-// declared stalled.  (No pending work means the dispatcher is
-// legitimately asleep — not a stall.)
-//
 // This header is on lint_concurrency.py's lock-free audit list: every
 // atomic operation states its memory_order and argues it in an adjacent
 // comment.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <thread>
-
-#include "util/thread_annotations.h"
 
 namespace spmv::serve {
 
@@ -116,82 +106,6 @@ class OverloadDetector {
   std::atomic<std::uint64_t> packed_{0};
   std::atomic<std::uint64_t> transitions_{0};
   std::atomic<std::uint64_t> ewma_us_{0};
-};
-
-/// One probe of the data plane, as seen by the watchdog.
-struct HealthProbe {
-  /// The dispatcher's loop-iteration counter (monotonic while healthy).
-  std::uint64_t heartbeat = 0;
-  /// Whether the queue held work at probe time.  Heartbeat stagnation
-  /// with no pending work is a parked dispatcher, not a stalled one.
-  bool work_pending = false;
-};
-
-/// Background prober: calls `probe` every `interval`, flags the
-/// dispatcher stalled when its heartbeat is frozen across
-/// `stall_intervals` probes while work is pending.  interval == 0 starts
-/// no thread — tests drive tick() directly for determinism.
-class HealthWatchdog {
- public:
-  using ProbeFn = std::function<HealthProbe()>;
-
-  HealthWatchdog(ProbeFn probe, std::chrono::milliseconds interval,
-                 std::uint32_t stall_intervals = 3);
-  ~HealthWatchdog();
-
-  HealthWatchdog(const HealthWatchdog&) = delete;
-  HealthWatchdog& operator=(const HealthWatchdog&) = delete;
-
-  /// Stop the background thread (idempotent; no-op when interval was 0).
-  void stop();
-
-  /// Run one probe cycle synchronously (what the thread does each
-  /// interval).  Exposed so tests control probe timing exactly.
-  void tick() SPMV_EXCLUDES(mutex_);
-
-  /// 1 while the dispatcher is considered stalled, else 0.
-  [[nodiscard]] std::uint64_t stalled_dispatchers() const {
-    // relaxed: statistics gauge; readers tolerate one-probe staleness.
-    return stalled_now_.load(std::memory_order_relaxed);
-  }
-
-  /// Cumulative healthy->stalled transitions (a flap counts once per
-  /// entry).
-  [[nodiscard]] std::uint64_t stall_events() const {
-    // relaxed: statistics counter, read after quiescing.
-    return stall_events_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t probes() const {
-    // relaxed: statistics counter.
-    return probes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void run() SPMV_EXCLUDES(mutex_);
-  void tick_locked() SPMV_REQUIRES(mutex_);
-
-  const ProbeFn probe_;
-  const std::chrono::milliseconds interval_;
-  const std::uint32_t stall_intervals_;
-
-  mutable Mutex mutex_;
-  CondVar cv_;
-  bool stopping_ SPMV_GUARDED_BY(mutex_) = false;
-  /// The dispatcher's [last heartbeat, frozen-probe streak, stalled
-  /// flag]; tick() is serialized under mutex_ so plain fields suffice.
-  struct Track {
-    std::uint64_t last_beat = 0;
-    std::uint32_t frozen = 0;
-    bool stalled = false;
-  };
-  Track track_ SPMV_GUARDED_BY(mutex_);
-
-  std::atomic<std::uint64_t> stalled_now_{0};
-  std::atomic<std::uint64_t> stall_events_{0};
-  std::atomic<std::uint64_t> probes_{0};
-
-  std::thread thread_;  ///< joined by stop(); empty when interval was 0
 };
 
 }  // namespace spmv::serve

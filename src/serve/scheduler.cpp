@@ -71,20 +71,6 @@ Scheduler::Scheduler(MatrixRegistry& registry, SchedulerConfig config)
       queue_(std::max<std::size_t>(1, config.queue_capacity)) {
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
-  watchdog_ = std::make_unique<HealthWatchdog>(
-      [this] {
-        HealthProbe probe;
-        // relaxed: a liveness counter — any recent value answers "has
-        // it moved since the last probe"; no data rides on it.
-        probe.heartbeat = heartbeat_.load(std::memory_order_relaxed);
-        // A frozen heartbeat only signals a stall when there is work the
-        // dispatcher should be making progress on; a paused dispatcher
-        // is idle by design (acquire pairs with resume()'s release).
-        probe.work_pending = queue_.approx_size() != 0 &&
-                             !paused_.load(std::memory_order_acquire);
-        return probe;
-      },
-      config_.watchdog_interval, config_.watchdog_stall_intervals);
   // relaxed: stored before the dispatcher thread exists; thread creation
   // synchronizes-with the thread's start, which publishes this.
   paused_.store(config_.start_paused, std::memory_order_relaxed);
@@ -602,9 +588,6 @@ void Scheduler::dispatcher_loop() {
   // requests of other entries, and requests split off by a conflict.
   std::deque<Request> pending;
   for (;;) {
-    // relaxed: a liveness counter for the watchdog — "has it moved since
-    // the last probe" needs no ordering with the work it witnesses.
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
     // acquire: makes discard_'s relaxed store visible once stopping_
     // reads true (discard_ is stored before stopping_'s release).
     const bool stopping = stopping_.load(std::memory_order_acquire);
@@ -717,8 +700,6 @@ void Scheduler::shutdown(Drain mode) {
       execute_batch(std::move(one));
     }
   }
-  // The plane is quiesced; stop probing it.
-  watchdog_->stop();
 }
 
 ServeStatsSnapshot Scheduler::stats() const {
@@ -737,8 +718,6 @@ ServeStatsSnapshot Scheduler::stats() const {
   out.data_plane.health_state = detector_.state();
   out.data_plane.overload_transitions = detector_.transitions();
   out.data_plane.ewma_queue_latency_us = detector_.ewma_latency_us();
-  out.data_plane.stalled_dispatchers = watchdog_->stalled_dispatchers();
-  out.data_plane.stall_events = watchdog_->stall_events();
 #if defined(SPMV_FAULT_INJECTION)
   out.data_plane.faults_fired = FaultInjector::instance().total_fired();
 #endif

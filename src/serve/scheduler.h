@@ -53,12 +53,10 @@
 // hysteresis and an EWMA of queue latency, and while it reports
 // kShedding, new priority<=0 submits shed immediately (kQueueFull) and
 // deadline-carrying submits whose deadline the EWMA already overruns
-// shed with kDeadlineExceeded.  A HealthWatchdog probes the dispatcher's
-// heartbeat counter to flag a stalled dispatcher.  Every path is
-// observable (shed/expired/cancelled counters in DataPlaneStats) and
-// testable under the seeded fault points (util/fault_point.h):
-// scheduler.queue_full, scheduler.slow_dispatch, and the eventcount's
-// eventcount.spurious_wake.
+// shed with kDeadlineExceeded.  Every path is observable
+// (shed/expired/cancelled counters in DataPlaneStats) and testable under
+// the seeded fault points (util/fault_point.h): scheduler.queue_full,
+// scheduler.slow_dispatch, and the eventcount's eventcount.spurious_wake.
 #pragma once
 
 #include <atomic>
@@ -142,13 +140,6 @@ struct SchedulerConfig {
   /// Hysteresis thresholds for the overload detector feeding kShed
   /// admission and the health() state.
   OverloadConfig overload{};
-  /// Probe period of the stalled-dispatcher watchdog.  0 (default)
-  /// starts no watchdog thread; tests drive Scheduler::watchdog().tick()
-  /// directly for deterministic probe timing.
-  std::chrono::milliseconds watchdog_interval{0};
-  /// Consecutive frozen-heartbeat probes (with work pending) before the
-  /// dispatcher is declared stalled.
-  std::uint32_t watchdog_stall_intervals = 3;
 };
 
 /// Per-request submit options.  The defaults reproduce the plain
@@ -267,11 +258,6 @@ class Scheduler {
   [[nodiscard]] const OverloadDetector& overload_detector() const {
     return detector_;
   }
-  /// The stalled-dispatcher watchdog.  Always constructed; it only runs
-  /// a thread when config().watchdog_interval > 0 — with interval 0,
-  /// call watchdog().tick() to probe on demand.
-  [[nodiscard]] HealthWatchdog& watchdog() { return *watchdog_; }
-  [[nodiscard]] const HealthWatchdog& watchdog() const { return *watchdog_; }
 
  private:
   struct Request {
@@ -358,9 +344,6 @@ class Scheduler {
   OverloadDetector detector_;
 
   MpmcQueue<Request> queue_;
-  /// Dispatcher liveness counter, bumped once per loop iteration and
-  /// read by the watchdog probe.
-  std::atomic<std::uint64_t> heartbeat_{0};
   EventCount work_ec_;   ///< the dispatcher sleeps here; submits notify
   EventCount space_ec_;  ///< kBlock submitters sleep here; pops notify
 
@@ -376,10 +359,6 @@ class Scheduler {
 
   Mutex join_mutex_;
   std::thread dispatcher_ SPMV_GUARDED_BY(join_mutex_);
-
-  /// Declared last: destroyed first, so the probe thread (which reads
-  /// heartbeat_ and the queue) is joined before anything it touches.
-  std::unique_ptr<HealthWatchdog> watchdog_;
 };
 
 }  // namespace spmv::serve

@@ -106,8 +106,7 @@ struct DataPlaneStats {
   CountHistogram queue_depth;  ///< total queued depth sampled at submit
 };
 
-/// Plain-data export of DataPlaneStats plus the detector and watchdog
-/// state.
+/// Plain-data export of DataPlaneStats plus the detector state.
 struct DataPlaneSnapshot {
   std::uint64_t dispatcher_sleeps = 0;
   std::uint64_t requests_shed = 0;
@@ -119,9 +118,6 @@ struct DataPlaneSnapshot {
   HealthState health_state = HealthState::kOk;
   std::uint64_t overload_transitions = 0;
   std::uint64_t ewma_queue_latency_us = 0;
-  /// Stalled-dispatcher watchdog at snapshot time (0 or 1).
-  std::uint64_t stalled_dispatchers = 0;
-  std::uint64_t stall_events = 0;
   /// Total fault-point fires (0 unless built -DSPMV_FAULT_INJECTION=ON).
   std::uint64_t faults_fired = 0;
   CountHistogram::Snapshot batch_width;

@@ -1,13 +1,11 @@
-// Spin-mode mirror of the engine concurrency tests: the low-latency
-// generation barrier must give the same guarantees the condvar path gives
-// — bit-identical concurrent multiplies, correct batches, per-plan
-// override back to condvar — under hammering from several host threads.
-// Named Engine* so the TSan CI job (ctest -R spmv_concurrency) gates the
-// new barrier's memory ordering.
+// The engine's guarantees over the pool's generation barrier (caller runs
+// tid 0, spin → yield → park): bit-identical concurrent multiplies,
+// correct batches and pool growth under hammering from several host
+// threads.  Named Engine* so the TSan CI job (ctest -R spmv_concurrency)
+// gates the barrier's memory ordering.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -59,8 +57,7 @@ void expect_concurrent_bit_identical(const MultiplyFn& mult,
 }
 
 TEST(EngineSpinDispatch, TunedMatrixConcurrentMultiply) {
-  engine::ExecutionContext ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kSpin});
+  engine::ExecutionContext ctx({.pin_threads = false});
   const CsrMatrix m = gen::fem_like(300, 3, 9.0, 50, 31);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
@@ -72,58 +69,16 @@ TEST(EngineSpinDispatch, TunedMatrixConcurrentMultiply) {
 }
 
 TEST(EngineSpinDispatch, SegmentedScanConcurrentMultiply) {
-  // A reduction-based variant (uses engine scratch) — it inherits the spin
-  // dispatch purely through the context default.
-  engine::ExecutionContext ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kSpin});
+  // A reduction-based variant (uses engine scratch) on the same barrier.
+  engine::ExecutionContext ctx({.pin_threads = false});
   const CsrMatrix m = gen::uniform_random(900, 850, 7.0, 33);
   const SegmentedScanSpmv ss(m, 4, &ctx);
   expect_concurrent_bit_identical(
       [&](auto x, auto y) { ss.multiply(x, y); }, m.cols(), m.rows(), 34);
 }
 
-TEST(EngineSpinDispatch, SpinMatchesCondvarBitwise) {
-  const CsrMatrix m = gen::fem_like(250, 2, 8.0, 40, 35);
-  engine::ExecutionContext spin_ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kSpin});
-  engine::ExecutionContext cv_ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kCondvar});
-
-  TuningOptions opt = TuningOptions::full(4);
-  opt.tune_prefetch = false;
-  opt.pin_threads = false;
-  opt.context = &spin_ctx;
-  const TunedMatrix spin_plan = TunedMatrix::plan(m, opt);
-  opt.context = &cv_ctx;
-  const TunedMatrix cv_plan = TunedMatrix::plan(m, opt);
-
-  const std::vector<double> x = random_vector(m.cols(), 36);
-  std::vector<double> y_spin(m.rows(), 0.25), y_cv(m.rows(), 0.25);
-  spin_plan.multiply(x, y_spin);
-  cv_plan.multiply(x, y_cv);
-  EXPECT_EQ(0, std::memcmp(y_spin.data(), y_cv.data(),
-                           y_spin.size() * sizeof(double)));
-}
-
-TEST(EngineSpinDispatch, TuningOptionsForceCondvarOnSpinContext) {
-  // The per-plan debugging override: a spin-default context still serves a
-  // plan that insists on condvar dispatch.
-  engine::ExecutionContext ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kSpin});
-  const CsrMatrix m = gen::banded(600, 5, 0.5, 37);
-  TuningOptions opt = TuningOptions::full(3);
-  opt.tune_prefetch = false;
-  opt.pin_threads = false;
-  opt.context = &ctx;
-  opt.wait_mode = WaitMode::kCondvar;
-  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  expect_concurrent_bit_identical(
-      [&](auto x, auto y) { tuned.multiply(x, y); }, m.cols(), m.rows(), 38);
-}
-
 TEST(EngineSpinDispatch, BatchedMultiplyUnderSpin) {
-  engine::ExecutionContext ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kSpin});
+  engine::ExecutionContext ctx({.pin_threads = false});
   const CsrMatrix m = gen::fem_like(280, 3, 9.0, 45, 39);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
@@ -155,8 +110,7 @@ TEST(EngineSpinDispatch, BatchedMultiplyUnderSpin) {
 }
 
 TEST(EngineSpinDispatch, PoolGrowsUnderSpin) {
-  engine::ExecutionContext ctx(
-      {.pin_threads = false, .wait_mode = WaitMode::kSpin});
+  engine::ExecutionContext ctx({.pin_threads = false});
   const CsrMatrix m = gen::banded(500, 3, 0.5, 41);
   const SegmentedScanSpmv narrow(m, 2, &ctx);
   const auto x = random_vector(m.cols(), 42);

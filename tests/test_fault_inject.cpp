@@ -20,7 +20,6 @@
 #include "engine/execution_context.h"
 #include "engine/executor.h"
 #include "gen/generators.h"
-#include "serve/health.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/serve_stats.h"
@@ -219,52 +218,6 @@ TEST(FaultServe, InjectedQueueFullUnderBlockRetriesWithoutDeadlock) {
     EXPECT_EQ(y, expect);
   }
   EXPECT_EQ(FaultInjector::instance().fired("scheduler.queue_full"), 4u);
-}
-
-TEST(FaultServe, SlowDispatchIsFlaggedStalledByTheWatchdog) {
-  engine::ExecutionContext ctx({.pin_threads = false});
-  MatrixRegistry reg;
-  const CsrMatrix m = gen::banded(100, 3, 0.7, 79);
-  reg.put("A", m, serve_options(&ctx, 1));
-  const auto x = random_vector(100, 80);
-  const std::vector<double> expect = direct_result(*reg.find("A"), x, 0.0);
-
-  SchedulerConfig cfg;
-  cfg.max_linger = 0us;
-  cfg.watchdog_stall_intervals = 1;  // one frozen probe with work = stalled
-  Scheduler sched(reg, cfg);
-  FaultArm arm(17);
-  auto& fi = FaultInjector::instance();
-  fi.set_rate("scheduler.slow_dispatch", 1.0);
-  fi.set_delay("scheduler.slow_dispatch", 1000ms);
-
-  std::vector<double> y1(100, 0.0);
-  std::vector<double> y2(100, 0.0);
-  auto f1 = sched.submit("A", x, y1);  // dispatcher enters the 1s stall
-  // Give the dispatcher time to pop the first request and enter the
-  // injected delay, THEN queue the second: it must still be in the ring
-  // (work pending) while the heartbeat is frozen, or the watchdog would
-  // rightly read the freeze as a parked-idle dispatcher.
-  std::this_thread::sleep_for(100ms);
-  auto f2 = sched.submit("A", x, y2);
-  // Probe until the stall registers: two consecutive ticks inside the
-  // delay window see a frozen heartbeat with work pending.
-  for (int i = 0; i < 150 && sched.watchdog().stall_events() == 0; ++i) {
-    sched.watchdog().tick();
-    std::this_thread::sleep_for(2ms);
-  }
-  EXPECT_EQ(sched.watchdog().stall_events(), 1u);
-  EXPECT_EQ(sched.watchdog().stalled_dispatchers(), 1u);
-  EXPECT_GE(sched.stats().data_plane.stall_events, 1u);
-
-  // Stop injecting, let the backlog drain, and watch it recover.
-  fi.set_rate("scheduler.slow_dispatch", 0.0);
-  EXPECT_NO_THROW(f1.get());
-  EXPECT_NO_THROW(f2.get());
-  EXPECT_EQ(y1, expect);
-  EXPECT_EQ(y2, expect);
-  sched.watchdog().tick();  // heartbeat moved (or queue idle): healthy
-  EXPECT_EQ(sched.watchdog().stalled_dispatchers(), 0u);
 }
 
 TEST(FaultServe, DispatcherSelfSubmitFailsFastViaHandler) {
@@ -493,38 +446,6 @@ TEST(FaultServe, LifecycleUnderFaultStormResolvesEveryFutureOnce) {
   const auto* cell = stats.find("A");
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->requests_completed, static_cast<std::uint64_t>(ok));
-}
-
-// ---------------------------------------------------------------------------
-// Health watchdog fault point.
-// ---------------------------------------------------------------------------
-
-TEST(FaultHealth, SkippedProbesOnlyDelayStallDetection) {
-  std::uint64_t beat = 1;  // frozen for the whole test
-  HealthWatchdog wd(
-      [&] {
-        HealthProbe p;
-        p.heartbeat = beat;
-        p.work_pending = true;
-        return p;
-      },
-      std::chrono::milliseconds(0), /*stall_intervals=*/1);
-
-  FaultArm arm(41);
-  auto& fi = FaultInjector::instance();
-  fi.set_rate("health.probe_skip", 1.0);
-  wd.tick();
-  wd.tick();
-  // Every probe was skipped: counted, but no tracking state advanced.
-  EXPECT_EQ(wd.probes(), 2u);
-  EXPECT_EQ(wd.stall_events(), 0u);
-  EXPECT_EQ(wd.stalled_dispatchers(), 0u);
-
-  fi.set_rate("health.probe_skip", 0.0);
-  wd.tick();  // baseline for the (frozen) heartbeat
-  wd.tick();  // frozen with work pending -> stalled
-  EXPECT_EQ(wd.stall_events(), 1u);
-  EXPECT_EQ(wd.stalled_dispatchers(), 1u);
 }
 
 }  // namespace

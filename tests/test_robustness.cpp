@@ -1,7 +1,7 @@
 // Request-lifecycle robustness tests: deadlines, cancellation tokens,
-// kShed admission control with the overload detector's hysteresis, the
-// health watchdog, shutdown interaction with dead requests, and the
-// registry's tuning-failure propagation.  All suites are named Serve* so
+// kShed admission control with the overload detector's hysteresis,
+// shutdown interaction with dead requests, and the registry's
+// tuning-failure propagation.  All suites are named Serve* so
 // the spmv_concurrency CTest entry (the sanitizer gate) picks them up.
 #include <gtest/gtest.h>
 
@@ -72,7 +72,7 @@ bool all_equal(const std::vector<double>& y, double fill) {
 }
 
 // ---------------------------------------------------------------------------
-// Overload detector + watchdog units.
+// Overload detector units.
 // ---------------------------------------------------------------------------
 
 TEST(ServeHealth, DetectorEntersImmediatelyAndRecoversWithHysteresis) {
@@ -119,72 +119,6 @@ TEST(ServeHealth, EwmaLatencySmoothsAndClampsAboveZero) {
   // distinguishable from the no-data sentinel.
   for (int i = 0; i < 64; ++i) det.record_latency(0us);
   EXPECT_EQ(det.ewma_latency_us(), 1u);
-}
-
-TEST(ServeHealth, WatchdogFlagsStallOnlyWhileWorkIsPending) {
-  std::uint64_t beat = 1;
-  bool pending = false;
-  HealthWatchdog wd(
-      [&] {
-        HealthProbe p;
-        p.heartbeat = beat;
-        p.work_pending = pending;
-        return p;
-      },
-      std::chrono::milliseconds(0), /*stall_intervals=*/2);
-
-  wd.tick();  // first sight of the heartbeat: baseline, healthy
-  wd.tick();  // frozen but idle: parked, not stalled
-  EXPECT_EQ(wd.stalled_dispatchers(), 0u);
-  pending = true;
-  wd.tick();  // frozen 1/2
-  EXPECT_EQ(wd.stalled_dispatchers(), 0u);
-  wd.tick();  // frozen 2/2 -> stalled
-  EXPECT_EQ(wd.stalled_dispatchers(), 1u);
-  EXPECT_EQ(wd.stall_events(), 1u);
-  wd.tick();  // still stalled: a continuing stall is one event
-  EXPECT_EQ(wd.stalled_dispatchers(), 1u);
-  EXPECT_EQ(wd.stall_events(), 1u);
-  beat = 2;
-  wd.tick();  // progress -> recovered
-  EXPECT_EQ(wd.stalled_dispatchers(), 0u);
-  EXPECT_EQ(wd.stall_events(), 1u);
-  EXPECT_EQ(wd.probes(), 6u);
-}
-
-TEST(ServeHealth, SchedulerWatchdogSeesParkedDispatchersAsHealthy) {
-  engine::ExecutionContext ctx({.pin_threads = false});
-  MatrixRegistry reg;
-  const CsrMatrix m = gen::banded(80, 3, 0.7, 21);
-  reg.put("A", m, serve_options(&ctx, 1));
-  const auto x = random_vector(80, 22);
-
-  Scheduler sched(reg, {.max_linger = std::chrono::microseconds(0)});
-  std::vector<double> y(80, 0.0);
-  EXPECT_NO_THROW(sched.submit("A", x, y).get());
-  // An empty queue means work_pending == false: a dispatcher parked on
-  // the eventcount is healthy no matter how long its heartbeat is frozen.
-  sched.watchdog().tick();
-  sched.watchdog().tick();
-  sched.watchdog().tick();
-  EXPECT_EQ(sched.watchdog().stalled_dispatchers(), 0u);
-  EXPECT_EQ(sched.watchdog().stall_events(), 0u);
-  EXPECT_GE(sched.watchdog().probes(), 3u);
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.data_plane.stalled_dispatchers, 0u);
-  EXPECT_EQ(stats.data_plane.stall_events, 0u);
-}
-
-TEST(ServeHealth, WatchdogThreadProbesOnItsOwn) {
-  engine::ExecutionContext ctx({.pin_threads = false});
-  MatrixRegistry reg;
-  const CsrMatrix m = gen::banded(60, 2, 0.8, 23);
-  reg.put("A", m, serve_options(&ctx, 1));
-
-  Scheduler sched(reg, {.watchdog_interval = std::chrono::milliseconds(2)});
-  std::this_thread::sleep_for(50ms);
-  EXPECT_GE(sched.watchdog().probes(), 1u);
-  EXPECT_EQ(sched.watchdog().stalled_dispatchers(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -82,7 +86,7 @@ TEST(ThreadPool, ParallelSumIsCorrect) {
 
 TEST(ThreadPool, PartialWidthRunHitsOnlyActiveTids) {
   // A wide shared pool serving a narrower plan: tids >= active skip the
-  // task but still join the barrier.
+  // task and stay out of the barrier.
   ThreadPool pool(6);
   std::vector<std::atomic<int>> hits(6);
   pool.run(2, [&](unsigned tid) { hits[tid].fetch_add(1); });
@@ -114,22 +118,74 @@ TEST(ThreadPool, DestructionWithoutRunsIsClean) {
   // No run() at all: destructor must join cleanly (no hang, no crash).
 }
 
-// --- spin dispatch mode ---
+TEST(ThreadPool, CallerRunsTidZero) {
+  // Fork-join with caller participation: tid 0 of every dispatch, full or
+  // partial width, runs on the thread that called run().
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id full_tid0;
+  std::thread::id partial_tid0;
+  std::atomic<int> workers_on_caller{0};
+  pool.run([&](unsigned tid) {
+    if (tid == 0) {
+      full_tid0 = std::this_thread::get_id();
+    } else if (std::this_thread::get_id() == caller) {
+      workers_on_caller.fetch_add(1);
+    }
+  });
+  pool.run(2, [&](unsigned tid) {
+    if (tid == 0) partial_tid0 = std::this_thread::get_id();
+  });
+  EXPECT_EQ(full_tid0, caller);
+  EXPECT_EQ(partial_tid0, caller);
+  EXPECT_EQ(workers_on_caller.load(), 0);
+}
+
+/// Thread ids listed in /proc/self/task, or nullopt where the directory
+/// is absent (non-Linux hosts).
+std::optional<std::set<std::string>> task_ids() {
+  const std::filesystem::path dir("/proc/self/task");
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) return std::nullopt;
+  std::set<std::string> ids;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+    ids.insert(e.path().filename().string());
+  }
+  if (ec) return std::nullopt;
+  return ids;
+}
+
+TEST(ThreadPool, StartsOneThreadFewerThanItsWidth) {
+  // The caller is tid 0, so a pool of width 4 needs only 3 threads of its
+  // own.  Counted as ids that appear across the construction, so a thread
+  // another test left exiting cannot skew the count.
+  const auto before = task_ids();
+  if (!before) GTEST_SKIP() << "/proc/self/task is not available";
+  const ThreadPool pool(4);
+  const auto after = task_ids();
+  ASSERT_TRUE(after.has_value());
+  std::size_t started = 0;
+  for (const std::string& id : *after) started += before->count(id) == 0;
+  EXPECT_EQ(started, 3u);
+  EXPECT_EQ(pool.size(), 4u);
+}
+
+// --- the barrier: warm handoffs, parking, partial width, exceptions ---
 
 TEST(ThreadPoolSpin, RunsEveryTidExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(4);
-  pool.run([&](unsigned tid) { hits[tid].fetch_add(1); }, WaitMode::kSpin);
+  pool.run([&](unsigned tid) { hits[tid].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolSpin, BackToBackDispatchesOnWarmPool) {
-  // The hot loop the mode exists for: workers should catch successive
+  // The hot loop the barrier exists for: workers should catch successive
   // generations while still spinning.  Correctness is what we can assert.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int i = 0; i < 500; ++i) {
-    pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+    pool.run([&](unsigned) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 1000);
 }
@@ -137,53 +193,39 @@ TEST(ThreadPoolSpin, BackToBackDispatchesOnWarmPool) {
 TEST(ThreadPoolSpin, ParkAfterBudgetThenWakeForNextDispatch) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+  pool.run([&](unsigned) { counter.fetch_add(1); });
   // Sleep far past the ~50µs spin budget so every worker has parked on
-  // the condvar; the next spin dispatch must still wake them.
+  // the condvar; the next dispatch must still wake them.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+  pool.run([&](unsigned) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 6);
-}
-
-TEST(ThreadPoolSpin, AlternatingModesInterleaveCleanly) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    const WaitMode mode = i % 2 == 0 ? WaitMode::kSpin : WaitMode::kCondvar;
-    pool.run([&](unsigned) { counter.fetch_add(1); }, mode);
-  }
-  EXPECT_EQ(counter.load(), 200);
 }
 
 TEST(ThreadPoolSpin, PartialWidthHitsOnlyActiveTids) {
   ThreadPool pool(6);
   std::vector<std::atomic<int>> hits(6);
-  pool.run(2, [&](unsigned tid) { hits[tid].fetch_add(1); },
-           WaitMode::kSpin);
+  pool.run(2, [&](unsigned tid) { hits[tid].fetch_add(1); });
   EXPECT_EQ(hits[0].load(), 1);
   EXPECT_EQ(hits[1].load(), 1);
   for (std::size_t t = 2; t < 6; ++t) EXPECT_EQ(hits[t].load(), 0);
 }
 
 TEST(ThreadPoolSpin, ExceptionPropagatesFirstOnly) {
-  // Regression (the condvar path recorded only the first exception after
-  // the barrier; the lock-free path must preserve that contract): all
-  // workers throw, exactly one exception propagates, the barrier still
-  // completes, and the pool stays usable in both modes afterwards.
+  // Every tid throws — the caller's tid 0 and the workers alike: exactly
+  // one exception propagates, the barrier still completes, and the pool
+  // stays usable for later dispatches.
   ThreadPool pool(3);
   try {
-    pool.run(
-        [](unsigned tid) {
-          throw std::runtime_error("boom " + std::to_string(tid));
-        },
-        WaitMode::kSpin);
+    pool.run([](unsigned tid) {
+      throw std::runtime_error("boom " + std::to_string(tid));
+    });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()).rfind("boom ", 0), 0u) << e.what();
   }
   std::atomic<int> counter{0};
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kCondvar);
+  pool.run([&](unsigned) { counter.fetch_add(1); });
+  pool.run([&](unsigned) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 6);
 }
 
@@ -191,12 +233,10 @@ TEST(ThreadPoolSpin, SingleThrowerAmongWorkers) {
   ThreadPool pool(4);
   std::atomic<int> completed{0};
   EXPECT_THROW(
-      pool.run(
-          [&](unsigned tid) {
-            if (tid == 2) throw std::logic_error("just tid 2");
-            completed.fetch_add(1);
-          },
-          WaitMode::kSpin),
+      pool.run([&](unsigned tid) {
+        if (tid == 2) throw std::logic_error("just tid 2");
+        completed.fetch_add(1);
+      }),
       std::logic_error);
   // The barrier waited for everyone, not just the thrower.
   EXPECT_EQ(completed.load(), 3);
@@ -207,7 +247,7 @@ TEST(ThreadPoolSpin, ManyDispatchesWithRandomGaps) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int i = 0; i < 40; ++i) {
-    pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+    pool.run([&](unsigned) { counter.fetch_add(1); });
     if (i % 8 == 7) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }

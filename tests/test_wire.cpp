@@ -340,13 +340,23 @@ TEST(WirePayload, StatsAndHealthRoundTrip) {
 
   HealthResult hin;
   hin.ready = 1;
+  hin.health_state = 2;
   hin.draining = 1;
-  hin.stalled_dispatchers = 2;
+  // HEALTH_RESULT keeps its v2 bytes: ready, health_state, draining, then
+  // the retired u64 slot, written as 0.
+  const std::vector<std::uint8_t> v2_bytes = {1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(encode_health_result(hin), v2_bytes);
   HealthResult hout;
-  ASSERT_TRUE(decode_health_result(encode_health_result(hin), hout));
+  ASSERT_TRUE(decode_health_result(v2_bytes, hout));
   EXPECT_EQ(hout.ready, 1);
+  EXPECT_EQ(hout.health_state, 2);
   EXPECT_EQ(hout.draining, 1);
-  EXPECT_EQ(hout.stalled_dispatchers, 2u);
+  // A v2 peer that still fills the slot decodes; the value is dropped.
+  const std::vector<std::uint8_t> slot_set = {1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0};
+  ASSERT_TRUE(decode_health_result(slot_set, hout));
+  EXPECT_EQ(hout.ready, 1);
+  EXPECT_EQ(hout.health_state, 0);
+  EXPECT_EQ(hout.draining, 0);
 }
 
 TEST(WirePayload, CancelRoundTrip) {

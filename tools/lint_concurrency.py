@@ -11,7 +11,7 @@ cannot fully enforce by itself:
     are invisible to the analysis and therefore banned outside the wrapper
     header.  Raw std::thread is banned outside the files that already own
     audited thread lifecycles (the worker pool, the scheduler's
-    dispatchers, the pinning utility) — new parallelism goes through
+    dispatcher, the pinning utility) — new parallelism goes through
     ExecutionContext or Scheduler, not ad-hoc threads.
 
  2. Every atomic operation states its memory order, and every
@@ -46,10 +46,8 @@ THREAD_FILES = WRAPPER_FILES | {
     "src/util/cpu.cpp",        # hardware_concurrency probe
     "src/core/thread_pool.h",  # the worker pool owns its threads
     "src/core/thread_pool.cpp",
-    "src/serve/scheduler.h",   # dispatcher threads, joined in shutdown()
+    "src/serve/scheduler.h",   # one dispatcher thread, joined in shutdown()
     "src/serve/scheduler.cpp",
-    "src/serve/health.h",      # watchdog probe thread, joined in stop()
-    "src/serve/health.cpp",
     "src/net/server.h",        # I/O + upload threads, joined in stop()
     "src/net/server.cpp",
     "src/net/chaos_proxy.h",   # single relay thread, joined in stop()
@@ -65,8 +63,12 @@ LOCKFREE_FILES = {
     # (hit counters, thresholds) on hot paths; the orders ARE the contract.
     "src/util/fault_point.h",
     "src/util/fault_point.cpp",
-    # Overload detector (packed state word CAS, EWMA CAS) and watchdog
-    # counters: sampled from the submit fast path, mutated lock-free.
+    # The pool's generation barrier: spin-then-park with Dekker handshakes
+    # between the dispatching caller and parked workers.
+    "src/core/thread_pool.h",
+    "src/core/thread_pool.cpp",
+    # Overload detector (packed state word CAS, EWMA CAS): sampled from the
+    # submit fast path, mutated lock-free.
     "src/serve/health.h",
     "src/serve/health.cpp",
     # Per-session slots are mutated from an I/O thread while stats snapshots
