@@ -161,8 +161,12 @@ std::vector<std::uint8_t> encode_frame(FrameType type,
 // ---------------------------------------------------------------------------
 // Payload codecs
 
+// Every encoder sizes its writer to the exact payload, so the buffer is
+// allocated once and holds no slack while it waits in a send queue or a
+// replay window.
+
 std::vector<std::uint8_t> encode_hello(const HelloRequest& r) {
-  ByteWriter w;
+  ByteWriter w(4 + 4 + ByteWriter::string_size(r.client_name) + 8 + 8);
   w.put_u32(r.app_version);
   w.put_u32(r.requested_quota);
   w.put_string(r.client_name);
@@ -179,7 +183,7 @@ bool decode_hello(std::span<const std::uint8_t> p, HelloRequest& out) {
 }
 
 std::vector<std::uint8_t> encode_hello_ok(const HelloOk& r) {
-  ByteWriter w;
+  ByteWriter w(8 + 4 + 8 + 4 + 8 + 1);
   w.put_u64(r.session_id);
   w.put_u32(r.quota);
   w.put_u64(r.max_payload);
@@ -198,7 +202,7 @@ bool decode_hello_ok(std::span<const std::uint8_t> p, HelloOk& out) {
 }
 
 std::vector<std::uint8_t> encode_status(const StatusMsg& r) {
-  ByteWriter w;
+  ByteWriter w(1 + ByteWriter::string_size(r.message));
   w.put_u8(static_cast<std::uint8_t>(r.code));
   w.put_string(r.message);
   return w.take();
@@ -218,16 +222,19 @@ bool decode_status(std::span<const std::uint8_t> p, StatusMsg& out) {
 }
 
 std::vector<std::uint8_t> encode_upload(const UploadMatrixRequest& r) {
-  ByteWriter w;
+  ByteWriter w(ByteWriter::string_size(r.name) + 4 + 4 + 3 * 8 +
+               r.row_ptr.size() * sizeof(std::uint64_t) +
+               r.col_idx.size() * sizeof(std::uint32_t) +
+               r.values.size() * sizeof(double));
   w.put_string(r.name);
   w.put_u32(r.rows);
   w.put_u32(r.cols);
   w.put_u64(r.row_ptr.size());
-  for (const std::uint64_t v : r.row_ptr) w.put_u64(v);
+  w.put_array<std::uint64_t>(r.row_ptr);
   w.put_u64(r.col_idx.size());
-  for (const std::uint32_t v : r.col_idx) w.put_u32(v);
+  w.put_array<std::uint32_t>(r.col_idx);
   w.put_u64(r.values.size());
-  w.put_f64_span(r.values);
+  w.put_array<double>(r.values);
   return w.take();
 }
 
@@ -238,28 +245,13 @@ bool decode_upload(std::span<const std::uint8_t> p,
       !r.get_u32(out.cols)) {
     return false;
   }
+  // get_array checks every count against the bytes actually present
+  // before the vector is sized from it — a forged count fails there, it
+  // never allocates.
   std::uint64_t n = 0;
-  // Every count is checked against the bytes actually present before the
-  // vector is sized from it — a forged count fails here, it never
-  // reserves.
-  if (!r.get_u64(n) || r.remaining() / sizeof(std::uint64_t) < n) {
-    return false;
-  }
-  out.row_ptr.resize(static_cast<std::size_t>(n));
-  for (auto& v : out.row_ptr) {
-    if (!r.get_u64(v)) return false;
-  }
-  if (!r.get_u64(n) || r.remaining() / sizeof(std::uint32_t) < n) {
-    return false;
-  }
-  out.col_idx.resize(static_cast<std::size_t>(n));
-  for (auto& v : out.col_idx) {
-    if (!r.get_u32(v)) return false;
-  }
-  if (!r.get_u64(n)) return false;
-  out.values.clear();
-  return r.get_f64_array(static_cast<std::size_t>(n), out.values) &&
-         r.remaining() == 0;
+  if (!r.get_u64(n) || !r.get_array(n, out.row_ptr)) return false;
+  if (!r.get_u64(n) || !r.get_array(n, out.col_idx)) return false;
+  return r.get_u64(n) && r.get_array(n, out.values) && r.remaining() == 0;
 }
 
 namespace {
@@ -269,7 +261,7 @@ void encode_operand(ByteWriter& w, const OperandSpec& spec) {
   w.put_u32(spec.n);
   switch (spec.mode) {
     case OperandMode::kFull:
-      w.put_f64_span(spec.full);
+      w.put_array<double>(spec.full);
       break;
     case OperandMode::kDelta:
       w.put_u32(static_cast<std::uint32_t>(spec.delta.runs.size()));
@@ -277,7 +269,7 @@ void encode_operand(ByteWriter& w, const OperandSpec& spec) {
         w.put_u32(run.start);
         w.put_u32(run.count);
       }
-      w.put_f64_span(spec.delta.values);
+      w.put_array<double>(spec.delta.values);
       break;
     case OperandMode::kCached:
       break;
@@ -294,8 +286,7 @@ bool decode_operand(ByteReader& r, OperandSpec& out) {
   out.mode = static_cast<OperandMode>(mode);
   switch (out.mode) {
     case OperandMode::kFull:
-      out.full.clear();
-      return r.get_f64_array(out.n, out.full);
+      return r.get_array(out.n, out.full);
     case OperandMode::kDelta: {
       out.delta.n = out.n;
       std::uint32_t run_count = 0;
@@ -311,10 +302,7 @@ bool decode_operand(ByteReader& r, OperandSpec& out) {
         if (!r.get_u32(run.start) || !r.get_u32(run.count)) return false;
         total += run.count;
       }
-      out.delta.values.clear();
-      if (r.remaining() / sizeof(double) < total) return false;
-      return r.get_f64_array(static_cast<std::size_t>(total),
-                             out.delta.values);
+      return r.get_array(total, out.delta.values);
     }
     case OperandMode::kCached:
       return true;
@@ -340,7 +328,8 @@ std::size_t operand_wire_bytes(const OperandSpec& spec) {
 }
 
 std::vector<std::uint8_t> encode_multiply(const MultiplyRequest& r) {
-  ByteWriter w;
+  ByteWriter w(ByteWriter::string_size(r.name) + 8 + 4 + 4 +
+               operand_wire_bytes(r.operand));
   w.put_string(r.name);
   w.put_u64(r.deadline_us);
   w.put_i32(r.priority);
@@ -358,9 +347,9 @@ bool decode_multiply(std::span<const std::uint8_t> p, MultiplyRequest& out) {
 }
 
 std::vector<std::uint8_t> encode_multiply_result(const MultiplyResult& r) {
-  ByteWriter w;
+  ByteWriter w(4 + r.y.size() * sizeof(double));
   w.put_u32(static_cast<std::uint32_t>(r.y.size()));
-  w.put_f64_span(r.y);
+  w.put_array<double>(r.y);
   return w.take();
 }
 
@@ -368,13 +357,11 @@ bool decode_multiply_result(std::span<const std::uint8_t> p,
                             MultiplyResult& out) {
   ByteReader r(p);
   std::uint32_t n = 0;
-  if (!r.get_u32(n)) return false;
-  out.y.clear();
-  return r.get_f64_array(n, out.y) && r.remaining() == 0;
+  return r.get_u32(n) && r.get_array(n, out.y) && r.remaining() == 0;
 }
 
 std::vector<std::uint8_t> encode_cancel(const CancelRequest& r) {
-  ByteWriter w;
+  ByteWriter w(8);
   w.put_u64(r.target_id);
   return w.take();
 }
@@ -385,7 +372,7 @@ bool decode_cancel(std::span<const std::uint8_t> p, CancelRequest& out) {
 }
 
 std::vector<std::uint8_t> encode_stats_result(const StatsResult& r) {
-  ByteWriter w;
+  ByteWriter w(15 * 8 + 4 + 1 + 8);
   w.put_u64(r.requests);
   w.put_u64(r.completed);
   w.put_u64(r.failed);
@@ -431,7 +418,7 @@ bool decode_stats_result(std::span<const std::uint8_t> p, StatsResult& out) {
 }
 
 std::vector<std::uint8_t> encode_health_result(const HealthResult& r) {
-  ByteWriter w;
+  ByteWriter w(3 + 8);
   w.put_u8(r.ready);
   w.put_u8(r.health_state);
   w.put_u8(r.draining);

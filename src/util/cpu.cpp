@@ -16,6 +16,18 @@ namespace spmv {
 
 namespace {
 
+// CPUID.1:ECX bits.
+constexpr std::uint32_t kPclmul = 1u << 1;
+constexpr std::uint32_t kFma = 1u << 12;
+constexpr std::uint32_t kOsxsave = 1u << 27;
+// CPUID.(7,0):EBX bits.
+constexpr std::uint32_t kAvx2 = 1u << 5;
+constexpr std::uint32_t kAvx512f = 1u << 16;
+// XCR0 state components: SSE | AVX, and those plus opmask | ZMM_Hi256 |
+// Hi16_ZMM.
+constexpr std::uint64_t kYmmState = 0x6;
+constexpr std::uint64_t kZmmState = 0xE6;
+
 std::size_t read_size_file(const char* path, std::size_t fallback) {
   std::ifstream in(path);
   if (!in) return fallback;
@@ -39,16 +51,20 @@ std::size_t read_size_file(const char* path, std::size_t fallback) {
 
 HostInfo probe() {
   HostInfo info;
-  info.logical_cpus = std::max(1u, std::thread::hardware_concurrency());
 #if defined(__x86_64__)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
-    info.has_avx2 = (ebx & (1u << 5)) != 0;
-    info.has_avx512f = (ebx & (1u << 16)) != 0;
+  std::uint32_t leaf1_ecx = 0;
+  std::uint32_t leaf7_ebx = 0;
+  std::uint64_t xcr0 = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) leaf1_ecx = ecx;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) leaf7_ebx = ebx;
+  if ((leaf1_ecx & kOsxsave) != 0) {
+    // XGETBV(0) reads XCR0; it is legal only once OSXSAVE is set.
+    std::uint32_t lo = 0, hi = 0;
+    __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+    xcr0 = (static_cast<std::uint64_t>(hi) << 32) | lo;
   }
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
-    info.has_fma = (ecx & (1u << 12)) != 0;
-  }
+  info = decode_simd_features(leaf1_ecx, leaf7_ebx, xcr0);
   char brand[49] = {};
   unsigned* words = reinterpret_cast<unsigned*>(brand);
   for (unsigned leaf = 0; leaf < 3; ++leaf) {
@@ -61,6 +77,7 @@ HostInfo probe() {
   }
   info.vendor = brand;
 #endif
+  info.logical_cpus = std::max(1u, std::thread::hardware_concurrency());
 #if defined(__linux__)
   info.cache_line_bytes = read_size_file(
       "/sys/devices/system/cpu/cpu0/cache/index0/coherency_line_size", 64);
@@ -84,6 +101,19 @@ bool pin_native(pthread_t handle, unsigned logical_cpu) {
 #endif
 
 }  // namespace
+
+HostInfo decode_simd_features(std::uint32_t leaf1_ecx,
+                              std::uint32_t leaf7_ebx, std::uint64_t xcr0) {
+  const bool osxsave = (leaf1_ecx & kOsxsave) != 0;
+  const bool ymm = osxsave && (xcr0 & kYmmState) == kYmmState;
+  const bool zmm = osxsave && (xcr0 & kZmmState) == kZmmState;
+  HostInfo info;
+  info.has_avx2 = ymm && (leaf7_ebx & kAvx2) != 0;
+  info.has_fma = ymm && (leaf1_ecx & kFma) != 0;
+  info.has_avx512f = zmm && (leaf7_ebx & kAvx512f) != 0;
+  info.has_pclmul = (leaf1_ecx & kPclmul) != 0;
+  return info;
+}
 
 const HostInfo& host_info() {
   static const HostInfo info = probe();

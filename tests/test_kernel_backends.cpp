@@ -126,6 +126,52 @@ TEST(KernelBackends, SubExtentBlocksMatchScalar) {
   }
 }
 
+TEST(KernelBackends, SimdFlagsNeedOsEnabledRegisterState) {
+  constexpr std::uint32_t kPclmul = 1u << 1, kFma = 1u << 12,
+                          kOsxsave = 1u << 27;
+  constexpr std::uint32_t kAvx2 = 1u << 5, kAvx512f = 1u << 16;
+  const std::uint32_t ecx = kPclmul | kFma | kOsxsave;
+  const std::uint32_t ebx = kAvx2 | kAvx512f;
+
+  // Everything present and enabled.
+  HostInfo h = decode_simd_features(ecx, ebx, 0xE7);
+  EXPECT_TRUE(h.has_avx2);
+  EXPECT_TRUE(h.has_fma);
+  EXPECT_TRUE(h.has_avx512f);
+  EXPECT_TRUE(h.has_pclmul);
+
+  // YMM state off: the CPUID bits alone must not select AVX2 kernels.
+  h = decode_simd_features(ecx, ebx, 0x3);
+  EXPECT_FALSE(h.has_avx2);
+  EXPECT_FALSE(h.has_fma);
+  EXPECT_FALSE(h.has_avx512f);
+  EXPECT_TRUE(h.has_pclmul);  // XMM state only
+
+  // YMM on, ZMM state off (or any one ZMM component off).
+  h = decode_simd_features(ecx, ebx, 0x7);
+  EXPECT_TRUE(h.has_avx2);
+  EXPECT_TRUE(h.has_fma);
+  EXPECT_FALSE(h.has_avx512f);
+  for (const std::uint64_t missing : {0x20u, 0x40u, 0x80u}) {
+    EXPECT_FALSE(decode_simd_features(ecx, ebx, 0xE7 & ~missing).has_avx512f)
+        << "xcr0 without " << missing;
+  }
+
+  // No OSXSAVE: XCR0 cannot be trusted, so no AVX flag is set.
+  h = decode_simd_features(kPclmul | kFma, ebx, 0xE7);
+  EXPECT_FALSE(h.has_avx2);
+  EXPECT_FALSE(h.has_fma);
+  EXPECT_FALSE(h.has_avx512f);
+  EXPECT_TRUE(h.has_pclmul);
+
+  // Enabled state without the CPUID bits sets nothing.
+  h = decode_simd_features(kOsxsave, 0, 0xE7);
+  EXPECT_FALSE(h.has_avx2);
+  EXPECT_FALSE(h.has_fma);
+  EXPECT_FALSE(h.has_avx512f);
+  EXPECT_FALSE(h.has_pclmul);
+}
+
 TEST(KernelBackends, ResolveFollowsHostCapabilities) {
   const HostInfo& h = host_info();
   EXPECT_EQ(resolve_kernel_backend(KernelBackend::kScalar),

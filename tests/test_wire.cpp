@@ -152,6 +152,95 @@ TEST(WireFrame, BackToBackFramesParseInOrder) {
   EXPECT_EQ(p.size(), 3u);
 }
 
+// Whole v2 frames, byte for byte: header, both CRC words and payload, as
+// the first version-2 codec (slicing-by-8 CRC, per-element arrays)
+// wrote them.  Round-trip tests cannot catch a CRC or codec change that
+// both ends share; these frames can.  Both payloads are over 64 bytes,
+// so the CRC's folding path runs on hosts that have it.
+
+/// 20 doubles covering -0.0, +inf and a subnormal.
+MultiplyResult pinned_result() {
+  MultiplyResult r;
+  for (int i = 0; i < 20; ++i) r.y.push_back(0.25 * i - 1.5);
+  r.y[3] = -0.0;
+  r.y[7] = std::numeric_limits<double>::infinity();
+  r.y[11] = 1e-310;
+  r.y[19] = 6.02214076e23;
+  return r;
+}
+
+TEST(WireFrame, MultiplyResultFrameBytesPinned) {
+  const std::vector<std::uint8_t> v2 = {
+      0x53, 0x50, 0x4d, 0x56, 0x02, 0x12, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05,
+      0x04, 0x03, 0x02, 0x01, 0xa4, 0x00, 0x00, 0x00, 0x31, 0xbd, 0xe9, 0xd2,
+      0x0b, 0x8b, 0xb6, 0xb2, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xf8, 0xbf, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0xbf,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xbf, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0xbf, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x7f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+      0x2b, 0xe6, 0x70, 0x8b, 0x68, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfc, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x02, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x40, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x08, 0x40, 0x17, 0xc5, 0x57, 0xca, 0x85, 0xe1, 0xdf, 0x44};
+  const MultiplyResult in = pinned_result();
+  EXPECT_EQ(frame_of(FrameType::kMultiplyResult, 0x0102030405060708ull,
+                     encode_multiply_result(in)),
+            v2);
+  FrameHeader h;
+  std::span<const std::uint8_t> p;
+  std::size_t consumed = 0;
+  ASSERT_EQ(parse(v2, h, p, consumed), ParseStatus::kFrame);
+  EXPECT_EQ(h.type, FrameType::kMultiplyResult);
+  EXPECT_EQ(consumed, v2.size());
+  MultiplyResult out;
+  ASSERT_TRUE(decode_multiply_result(p, out));
+  ASSERT_EQ(out.y.size(), in.y.size());
+  EXPECT_EQ(std::memcmp(out.y.data(), in.y.data(),
+                        in.y.size() * sizeof(double)),
+            0);
+}
+
+TEST(WireFrame, UploadFrameBytesPinned) {
+  const std::vector<std::uint8_t> v2 = {
+      0x53, 0x50, 0x4d, 0x56, 0x02, 0x02, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x7f, 0x00, 0x00, 0x00, 0xd2, 0x3f, 0x33, 0xd1,
+      0xfd, 0xb7, 0x3f, 0x59, 0x01, 0x00, 0x41, 0x03, 0x00, 0x00, 0x00, 0x04,
+      0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x05,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x11, 0x40, 0x59, 0xf3, 0xf8, 0xc2, 0x1f, 0x6e, 0xa5, 0x01};
+  UploadMatrixRequest in;
+  in.name = "A";
+  in.rows = 3;
+  in.cols = 4;
+  in.row_ptr = {0, 2, 2, 5};
+  in.col_idx = {0, 3, 1, 2, 3};
+  in.values = {1.5, -2.0, 0.0, 4.25, 1e-300};
+  EXPECT_EQ(frame_of(FrameType::kUploadMatrix, 42, encode_upload(in)), v2);
+  FrameHeader h;
+  std::span<const std::uint8_t> p;
+  std::size_t consumed = 0;
+  ASSERT_EQ(parse(v2, h, p, consumed), ParseStatus::kFrame);
+  EXPECT_EQ(h.type, FrameType::kUploadMatrix);
+  EXPECT_EQ(h.request_id, 42u);
+  UploadMatrixRequest out;
+  ASSERT_TRUE(decode_upload(p, out));
+  EXPECT_EQ(out.row_ptr, in.row_ptr);
+  EXPECT_EQ(out.col_idx, in.col_idx);
+  EXPECT_EQ(out.values, in.values);
+}
+
 // --- payload codecs ---------------------------------------------------------
 
 TEST(WirePayload, HelloRoundTrip) {
@@ -357,6 +446,46 @@ TEST(WirePayload, StatsAndHealthRoundTrip) {
   EXPECT_EQ(hout.ready, 1);
   EXPECT_EQ(hout.health_state, 0);
   EXPECT_EQ(hout.draining, 0);
+}
+
+TEST(WirePayload, EncodersSizeTheirBufferExactly) {
+  // Each payload is allocated once at its final size: no growth copies,
+  // and no slack held while it waits in a send queue or replay window.
+  HelloRequest hello;
+  hello.client_name = "solver";
+  UploadMatrixRequest upload;
+  upload.name = "A";
+  upload.row_ptr = {0, 1};
+  upload.col_idx = {0};
+  upload.values = {1.0};
+  MultiplyRequest full;
+  full.name = "A";
+  full.operand.n = 3;
+  full.operand.full = {1.0, 2.0, 3.0};
+  MultiplyRequest delta;
+  delta.name = "A";
+  delta.operand.mode = OperandMode::kDelta;
+  delta.operand.n = 8;
+  delta.operand.delta.n = 8;
+  delta.operand.delta.runs = {{1, 2}};
+  delta.operand.delta.values = {4.0, 5.0};
+  MultiplyResult result;
+  result.y = {1.0, 2.0};
+  // Checked on the returned vectors themselves: a copy would allocate
+  // exactly whatever the encoder did.
+  const auto exact = [](const std::vector<std::uint8_t>& v) {
+    return v.capacity() == v.size();
+  };
+  EXPECT_TRUE(exact(encode_hello(hello)));
+  EXPECT_TRUE(exact(encode_hello_ok(HelloOk{})));
+  EXPECT_TRUE(exact(encode_status(StatusMsg{StatusCode::kShed, "full"})));
+  EXPECT_TRUE(exact(encode_upload(upload)));
+  EXPECT_TRUE(exact(encode_multiply(full)));
+  EXPECT_TRUE(exact(encode_multiply(delta)));
+  EXPECT_TRUE(exact(encode_multiply_result(result)));
+  EXPECT_TRUE(exact(encode_cancel(CancelRequest{1})));
+  EXPECT_TRUE(exact(encode_stats_result(StatsResult{})));
+  EXPECT_TRUE(exact(encode_health_result(HealthResult{})));
 }
 
 TEST(WirePayload, CancelRoundTrip) {
