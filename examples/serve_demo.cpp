@@ -2,10 +2,9 @@
 //
 //   ./build/serve_demo [--clients=4] [--requests=200]
 //
-// Registers two suite matrices (one tuned synchronously, one in the
-// background), serves a burst of concurrent clients through the
-// coalescing scheduler, hot-swaps one matrix mid-traffic, and prints the
-// ServeStats snapshot — request counts, achieved batch width, and
+// Registers two suite matrices, serves a burst of concurrent clients
+// through the coalescing scheduler, hot-swaps one matrix mid-traffic, and
+// prints the ServeStats snapshot — request counts, achieved batch width, and
 // queue/dispatch latency percentiles per matrix.
 #include <chrono>
 #include <cstdio>
@@ -32,18 +31,16 @@ int main(int argc, char** argv) {
   TuningOptions opt = TuningOptions::full(threads);
   opt.tune_prefetch = false;
 
-  // Register: "dense" now, "qcd" in the background — clients can start
-  // hitting "dense" while "qcd" is still tuning.
+  // Register both matrices: put() tunes, then publishes.
   serve::MatrixRegistry registry;
   const CsrMatrix dense = gen::generate_suite_matrix("Dense", 0.05);
   const CsrMatrix qcd = gen::generate_suite_matrix("QCD", 0.05);
   registry.put("dense", dense, opt);
-  auto qcd_ready = registry.put_async("qcd", qcd, opt);
-  std::printf("registered 'dense' (%u x %u), tuning 'qcd' in background\n",
-              dense.rows(), dense.cols());
-  qcd_ready.wait();
+  std::printf("registered 'dense' (%u x %u)\n", dense.rows(), dense.cols());
+  const serve::MatrixRegistry::EntryPtr qcd_entry =
+      registry.put("qcd", qcd, opt);
   std::printf("'qcd' published (version %llu)\n",
-              static_cast<unsigned long long>(qcd_ready.get()->version));
+              static_cast<unsigned long long>(qcd_entry->version));
 
   serve::SchedulerConfig config;
   config.max_batch = 32;

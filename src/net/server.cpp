@@ -61,18 +61,15 @@ void make_pipe(int fds[2]) {
 
 /// One in-flight multiply: pins the operand snapshot it was
 /// submitted with (copy-on-write cache discipline — a later delta can
-/// never mutate it), owns the result buffer, and carries the future +
-/// cancel token.  Shared between the connection's in-flight map and the
-/// scheduler's on_complete hook; whichever side finishes last frees it,
-/// so a disconnect can never leak a future or dangle a buffer under the
-/// executing batch.
+/// never mutate it), owns the result buffer, and carries the cancel
+/// token.  Shared between the connection's in-flight map and the
+/// scheduler's on_complete hook, which hands it back in a Completion
+/// with the outcome; whichever side finishes last frees it, so a
+/// disconnect can never dangle a buffer under the executing batch.
 struct SpmvServer::PendingOp {
-  std::uint64_t conn_id = 0;
-  std::uint64_t request_id = 0;
   std::shared_ptr<ClientSlot> slot;
   std::shared_ptr<const std::vector<double>> x;
   std::vector<double> y;
-  std::future<void> future;
   serve::CancelToken token;
   Clock::time_point started;
 };
@@ -221,7 +218,7 @@ void SpmvServer::stop() {
   if (upload_thread_.joinable()) upload_thread_.join();
 
   // Phase 3 — drain the scheduler.  When this returns every in-flight
-  // request has resolved AND fired its on_complete hook, so every
+  // request has finished, and its on_complete hook has run, so every
   // completion record is already in some I/O thread's inbox; the I/O
   // threads keep writing replies out during the whole drain.
   scheduler_.shutdown(serve::Scheduler::Drain::kDrain);
@@ -292,22 +289,18 @@ void SpmvServer::upload_loop() {
       job = std::move(uploads_.front());
       uploads_.pop_front();
     }
-    StatusMsg result;
+    Completion c;
+    c.conn_id = job.conn_id;
+    c.request_id = job.request_id;
     try {
       CsrMatrix m(job.req.rows, job.req.cols, std::move(job.req.row_ptr),
                   std::move(job.req.col_idx), std::move(job.req.values));
       registry_.put(job.req.name, m, config_.tuning);
-      result.code = StatusCode::kOk;
-      result.message = "tuned '" + job.req.name + "'";
+      c.message = "tuned '" + job.req.name + "'";
     } catch (const std::exception& e) {
-      result.code = StatusCode::kBadRequest;
-      result.message = e.what();
+      c.status = StatusCode::kBadRequest;
+      c.message = e.what();
     }
-    Completion c;
-    c.conn_id = job.conn_id;
-    c.frame = encode_frame(FrameType::kStatus, job.request_id,
-                           encode_status(result));
-    c.has_frame = true;
     post_completion(job.io_index, std::move(c));
   }
 }
@@ -894,8 +887,6 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
 
   const auto now = Clock::now();
   auto op = std::make_shared<PendingOp>();
-  op->conn_id = conn.id;
-  op->request_id = header.request_id;
   op->slot = conn.slot;
   op->x = std::move(x);
   op->y.assign(entry->plan.rows(), 0.0);  // engine semantics are y += A·x
@@ -907,16 +898,22 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
     opts.deadline = now + std::chrono::microseconds(req.deadline_us);
   }
   opts.priority = req.priority;
-  opts.on_complete = [this, io_index = io.index, op] {
+  opts.on_complete = [this, io_index = io.index, conn_id = conn.id,
+                      request_id = header.request_id,
+                      op](const serve::ServeError* error) {
     Completion c;
-    c.conn_id = op->conn_id;
+    c.conn_id = conn_id;
+    c.request_id = request_id;
     c.op = op;
+    if (error != nullptr) {
+      c.status = status_of(error->code());
+      c.message = error->what();
+    }
     post_completion(io_index, std::move(c));
   };
-  auto handle = scheduler_.submit(entry, std::span<const double>(*op->x),
-                                  std::span<double>(op->y), opts);
-  op->future = std::move(handle.future);
-  op->token = std::move(handle.token);
+  op->token = scheduler_.submit(entry, std::span<const double>(*op->x),
+                                std::span<double>(op->y), opts)
+                  .token;
 }
 
 void SpmvServer::handle_cancel(Conn& conn, std::uint64_t request_id,
@@ -979,64 +976,55 @@ void SpmvServer::handle_health(Conn& conn, std::uint64_t request_id) {
 // ---------------------------------------------------------------------------
 // Completion path (I/O thread, fed by dispatcher hooks + control thread)
 
-StatusCode SpmvServer::op_status(PendingOp& op, std::string& message) {
-  try {
-    op.future.get();
-    return StatusCode::kOk;
-  } catch (const serve::ServeError& e) {
-    message = e.what();
-    switch (e.code()) {
-      case serve::ServeErrorCode::kUnknownMatrix:
-        return StatusCode::kUnknownMatrix;
-      case serve::ServeErrorCode::kInvalidOperand:
-        return StatusCode::kBadRequest;
-      case serve::ServeErrorCode::kQueueFull:
-        // Under kShed the scheduler's door reject IS admission control:
-        // surface it as SHED so clients can back off distinctly from a
-        // merely-full queue.
-        return config_.scheduler.overflow ==
-                       serve::SchedulerConfig::OverflowPolicy::kShed
-                   ? StatusCode::kShed
-                   : StatusCode::kBusy;
-      case serve::ServeErrorCode::kShutdown:
-        return StatusCode::kShutdown;
-      case serve::ServeErrorCode::kDeadlineExceeded:
-        return StatusCode::kDeadlineExceeded;
-      case serve::ServeErrorCode::kCancelled:
-        return StatusCode::kCancelled;
-    }
-    return StatusCode::kInternal;
-  } catch (const std::exception& e) {
-    message = e.what();
-    return StatusCode::kInternal;
+StatusCode SpmvServer::status_of(serve::ServeErrorCode code) const {
+  switch (code) {
+    case serve::ServeErrorCode::kUnknownMatrix:
+      return StatusCode::kUnknownMatrix;
+    case serve::ServeErrorCode::kInvalidOperand:
+      return StatusCode::kBadRequest;
+    case serve::ServeErrorCode::kQueueFull:
+      // Under kShed the scheduler's door reject IS admission control:
+      // surface it as SHED so clients can back off distinctly from a
+      // merely-full queue.
+      return config_.scheduler.overflow ==
+                     serve::SchedulerConfig::OverflowPolicy::kShed
+                 ? StatusCode::kShed
+                 : StatusCode::kBusy;
+    case serve::ServeErrorCode::kShutdown:
+      return StatusCode::kShutdown;
+    case serve::ServeErrorCode::kDeadlineExceeded:
+      return StatusCode::kDeadlineExceeded;
+    case serve::ServeErrorCode::kCancelled:
+      return StatusCode::kCancelled;
+    case serve::ServeErrorCode::kInternal:
+      return StatusCode::kInternal;
   }
+  return StatusCode::kInternal;
 }
 
 void SpmvServer::process_completion(IoThread& io, Completion&& c) {
   auto it = io.conns.find(c.conn_id);
   Conn* conn = it == io.conns.end() ? nullptr : it->second.get();
 
-  if (c.has_frame) {  // pre-encoded reply (upload results — not replayed)
+  if (c.op == nullptr) {  // upload result: answered once, never replayed
     if (conn == nullptr) {
       // relaxed: statistics counter.
       completions_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    queue_frame(*conn, std::move(c.frame));
+    send_status(*conn, c.request_id, c.status, c.message);
     return;
   }
 
   PendingOp& op = *c.op;
   ClientSlot& slot = *op.slot;
-  const std::uint64_t request_id = op.request_id;
-  std::string msg;
-  const StatusCode sc = op_status(op, msg);
-  const bool ok = sc == StatusCode::kOk;
+  const std::uint64_t request_id = c.request_id;
+  const bool ok = c.status == StatusCode::kOk;
   const auto ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            op.started)
           .count());
-  if (sc == StatusCode::kShed) {
+  if (c.status == StatusCode::kShed) {
     // relaxed: statistics counter.
     shed_replies_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -1049,8 +1037,8 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
                            encode_multiply_result(res));
     } else {
       StatusMsg m;
-      m.code = sc;
-      m.message = std::move(msg);
+      m.code = c.status;
+      m.message = std::move(c.message);
       frame = encode_frame(FrameType::kStatus, request_id, encode_status(m));
     }
   } catch (const std::length_error&) {

@@ -14,15 +14,16 @@
 //   MULTIPLY ──Scheduler::submit(on_complete=hook)─────┘
 //              (hook runs on the resolving dispatcher: push + wake, O(1))
 //
-// Responses complete asynchronously off the scheduler's future
-// resolution: the SubmitOptions::on_complete hook pushes a completion
-// record onto the owning I/O thread's inbox and rings its doorbell pipe —
-// no thread ever blocks on a future, and there is no thread-per-request
-// anywhere.  Operand lifetime is pin-based like the rest of the serving
-// plane: each request holds shared ownership of the exact cached-vector
-// snapshot it was submitted with (see net/session.h), its y buffer, and
-// its registry entry, all carried in the completion record until the
-// reply is written.
+// Responses complete asynchronously through the scheduler's one
+// completion: the SubmitOptions::on_complete hook receives the request's
+// outcome, pushes a completion record carrying its status code onto the
+// owning I/O thread's inbox and rings its doorbell pipe.  The net path
+// holds no future, and there is no thread-per-request anywhere.  Upload
+// results reach the I/O thread as the same record, status and message.
+// Operand lifetime is pin-based like the rest of the serving plane: each
+// request holds shared ownership of the exact cached-vector snapshot it
+// was submitted with (see net/session.h), its y buffer, and its registry
+// entry, all carried in the completion record until the reply is written.
 //
 // Protocol events map onto the serving primitives one-to-one:
 //   RPC deadline      → SubmitOptions::deadline (expiry sweeps, EWMA shed)
@@ -179,13 +180,15 @@ class SpmvServer {
 
  private:
   struct PendingOp;
-  /// One message for an I/O thread's inbox: a resolved multiply or a
-  /// pre-encoded reply frame (upload results).
+  /// One message for an I/O thread's inbox: the outcome of a multiply
+  /// (`op` set) or of an upload (`op` null).  The I/O thread encodes the
+  /// reply.
   struct Completion {
     std::uint64_t conn_id = 0;
+    std::uint64_t request_id = 0;
     std::shared_ptr<PendingOp> op;
-    std::vector<std::uint8_t> frame;
-    bool has_frame = false;
+    StatusCode status = StatusCode::kOk;
+    std::string message;
   };
   struct Conn;
   struct IoThread;
@@ -212,8 +215,8 @@ class SpmvServer {
   void handle_health(Conn& conn, std::uint64_t request_id);
 
   void process_completion(IoThread& io, Completion&& c);
-  /// Reply outcome of one resolved scheduler future.
-  StatusCode op_status(PendingOp& op, std::string& message);
+  /// The reply status for a multiply the scheduler failed with `code`.
+  [[nodiscard]] StatusCode status_of(serve::ServeErrorCode code) const;
 
   void send_frame(Conn& conn, FrameType type, std::uint64_t request_id,
                   std::span<const std::uint8_t> payload);

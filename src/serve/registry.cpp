@@ -1,6 +1,5 @@
 #include "serve/registry.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -11,8 +10,8 @@ namespace spmv::serve {
 namespace {
 
 /// Tuning with the registry's fault points applied: injected planning
-/// latency (a slow background tune) and injected planning failure (which
-/// must propagate to the waiter and leave no half-registered entry —
+/// latency (a slow tune) and injected planning failure (which must
+/// propagate to the caller and leave no half-registered entry —
 /// regression-tested in tests/test_fault_inject.cpp).
 TunedMatrix tuned_plan(const CsrMatrix& m, const TuningOptions& opt) {
   SPMV_FAULT_DELAY("registry.tune_slow");
@@ -37,36 +36,6 @@ MatrixRegistry::EntryPtr MatrixRegistry::put(const std::string& name,
   // Tune outside the lock: planning is the expensive part and must not
   // serialize lookups or other publishes.
   return publish(name, tuned_plan(m, opt));
-}
-
-std::shared_future<MatrixRegistry::EntryPtr> MatrixRegistry::put_async(
-    std::string name, CsrMatrix m, TuningOptions opt) {
-  std::shared_future<EntryPtr> fut =
-      std::async(std::launch::async,
-                 [this, name = std::move(name), m = std::move(m),
-                  opt]() -> EntryPtr {
-                   // A plan() throw propagates through the shared_future
-                   // to every waiter; publish() is never reached, so no
-                   // placeholder or half-registered entry can exist.
-                   return publish(name, tuned_plan(m, opt));
-                 })
-          .share();
-  MutexLock lock(mutex_);
-  // Sweep finished tunes so pending_ tracks only live background work.
-  std::erase_if(pending_, [](const std::shared_future<EntryPtr>& f) {
-    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  });
-  pending_.push_back(fut);
-  return fut;
-}
-
-MatrixRegistry::~MatrixRegistry() {
-  std::vector<std::shared_future<EntryPtr>> pending;
-  {
-    MutexLock lock(mutex_);
-    pending.swap(pending_);
-  }
-  for (const auto& f : pending) f.wait();  // errors surfaced via the future
 }
 
 MatrixRegistry::EntryPtr MatrixRegistry::find(const std::string& name) const {

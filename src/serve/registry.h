@@ -1,9 +1,8 @@
 // MatrixRegistry: named, refcounted, hot-swappable tuned matrices.
 //
-// A serving process tunes each matrix once (possibly in the background —
-// planning itself already runs its NUMA-aware encoding on the shared
-// engine pool) and then shares the immutable plan across every client and
-// dispatcher thread.  Entries are published as shared_ptr<const Entry>:
+// A serving process tunes each matrix once (planning itself already runs
+// its NUMA-aware encoding on the shared engine pool) and then shares the
+// immutable plan across every client and dispatcher thread.  Entries are published as shared_ptr<const Entry>:
 // lookup pins the plan, so replace()/erase() never destroy a plan under an
 // in-flight request — the old version is retired when its last pin drops.
 // Each entry also carries a ScratchCache, so batched dispatches on plans
@@ -11,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,26 +41,18 @@ class MatrixRegistry {
 
   /// Tune `m` under `opt` and publish it as `name`, replacing any existing
   /// entry (the old version stays alive for holders that already pinned
-  /// it).  Returns the published entry.  Tuning runs on the caller; for
-  /// background tuning use put_async().
+  /// it).  Returns the published entry.  Tuning runs on the caller, and
+  /// lookups see the entry only once tuning finished; a tuning error
+  /// propagates and publishes nothing.  Concurrent puts on one name are
+  /// safe — last publish wins, versions stay monotonic.  To tune while
+  /// traffic flows, call put() from a thread of the caller's own (the
+  /// network server runs uploads on its control thread).
   EntryPtr put(const std::string& name, const CsrMatrix& m,
                const TuningOptions& opt = {});
-
-  /// Tune-and-publish on a background thread (the encoding work inside
-  /// still lands on the plan's shared engine pool).  The future yields the
-  /// published entry or rethrows the planning error; lookups see the entry
-  /// only once tuning finished.  Concurrent put/put_async on one name are
-  /// safe — last publish wins, versions stay monotonic.  The registry
-  /// keeps its own reference to the in-flight tune, so discarding the
-  /// returned future never blocks; destroying the registry joins any
-  /// tunes still running.
-  std::shared_future<EntryPtr> put_async(std::string name, CsrMatrix m,
-                                         TuningOptions opt = {});
 
   MatrixRegistry() = default;
   MatrixRegistry(const MatrixRegistry&) = delete;
   MatrixRegistry& operator=(const MatrixRegistry&) = delete;
-  ~MatrixRegistry();  ///< joins in-flight put_async tunes
 
   /// The current entry for `name`, or nullptr.  The returned pin keeps the
   /// plan alive regardless of later replace/erase.
@@ -81,10 +71,6 @@ class MatrixRegistry {
   mutable Mutex mutex_;
   std::map<std::string, EntryPtr> entries_ SPMV_GUARDED_BY(mutex_);
   std::uint64_t next_version_ SPMV_GUARDED_BY(mutex_) = 1;
-  /// In-flight background tunes (swept when done): keeps the async shared
-  /// state alive so a discarded put_async future doesn't block, and gives
-  /// the destructor something to join.
-  std::vector<std::shared_future<EntryPtr>> pending_ SPMV_GUARDED_BY(mutex_);
 };
 
 }  // namespace spmv::serve

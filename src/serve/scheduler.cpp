@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/thread_pool.h"
@@ -17,16 +18,26 @@ const char* to_string(ServeErrorCode code) {
     case ServeErrorCode::kShutdown: return "shutdown";
     case ServeErrorCode::kDeadlineExceeded: return "deadline-exceeded";
     case ServeErrorCode::kCancelled: return "cancelled";
+    case ServeErrorCode::kInternal: return "internal";
   }
   return "?";
 }
 
 namespace {
 
-std::future<void> failed_future(ServeErrorCode code, const std::string& what) {
-  std::promise<void> p;
-  p.set_exception(std::make_exception_ptr(ServeError(code, what)));
-  return p.get_future();
+/// The completion submit() installs when the caller gives none: it
+/// resolves `out`.  Shared, as std::function needs a copyable target.
+std::function<void(const ServeError*)> future_completion(
+    std::future<void>& out) {
+  auto state = std::make_shared<std::promise<void>>();
+  out = state->get_future();
+  return [state](const ServeError* error) {
+    if (error == nullptr) {
+      state->set_value();
+    } else {
+      state->set_exception(std::make_exception_ptr(*error));
+    }
+  };
 }
 
 /// CancelToken state machine: kQueued -> kRequested (client cancel) or
@@ -56,9 +67,9 @@ bool CancelToken::cancel() {
   if (state_ == nullptr) return false;
   std::uint8_t expected = kCancelQueued;
   // relaxed CAS: the token word IS the whole protocol — no payload is
-  // published through it, and the request's outcome travels through the
-  // promise/future machinery, which synchronizes on its own.  Winning
-  // the CAS only means the dispatcher's later claim-CAS will fail.
+  // published through it, and the request's outcome travels through its
+  // completion, which synchronizes on its own.  Winning the CAS only
+  // means the dispatcher's later claim-CAS will fail.
   return state_->compare_exchange_strong(expected, kCancelRequested,
                                          std::memory_order_relaxed,
                                          std::memory_order_relaxed);
@@ -83,48 +94,36 @@ Scheduler::~Scheduler() { shutdown(Drain::kDrain); }
 std::future<void> Scheduler::submit(const std::string& name,
                                     std::span<const double> x,
                                     std::span<double> y) {
-  MatrixRegistry::EntryPtr entry = registry_.find(name);
-  if (entry == nullptr) {
-    stats_.record_unknown_matrix();
-    return failed_future(ServeErrorCode::kUnknownMatrix,
-                         "serve: no matrix registered as '" + name + "'");
-  }
-  return do_submit(std::move(entry), x, y, SubmitOptions{}, nullptr);
+  return do_submit(registry_.find(name), &name, x, y, SubmitOptions{},
+                   nullptr);
 }
 
 std::future<void> Scheduler::submit(MatrixRegistry::EntryPtr entry,
                                     std::span<const double> x,
                                     std::span<double> y) {
-  return do_submit(std::move(entry), x, y, SubmitOptions{}, nullptr);
+  return do_submit(std::move(entry), nullptr, x, y, SubmitOptions{}, nullptr);
 }
 
 SubmitHandle Scheduler::submit(const std::string& name,
                                std::span<const double> x, std::span<double> y,
                                const SubmitOptions& options) {
-  MatrixRegistry::EntryPtr entry = registry_.find(name);
-  if (entry == nullptr) {
-    stats_.record_unknown_matrix();
-    SubmitHandle handle{
-        failed_future(ServeErrorCode::kUnknownMatrix,
-                      "serve: no matrix registered as '" + name + "'"),
-        CancelToken{}};
-    // The future is already resolved; the completion contract ("invoked
-    // exactly once, after resolution") holds for door failures too.
-    if (options.on_complete) options.on_complete();
-    return handle;
-  }
-  return submit(std::move(entry), x, y, options);
+  SubmitHandle handle;
+  handle.future =
+      do_submit(registry_.find(name), &name, x, y, options, &handle.token);
+  return handle;
 }
 
 SubmitHandle Scheduler::submit(MatrixRegistry::EntryPtr entry,
                                std::span<const double> x, std::span<double> y,
                                const SubmitOptions& options) {
   SubmitHandle handle;
-  handle.future = do_submit(std::move(entry), x, y, options, &handle.token);
+  handle.future =
+      do_submit(std::move(entry), nullptr, x, y, options, &handle.token);
   return handle;
 }
 
 std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
+                                       const std::string* name,
                                        std::span<const double> x,
                                        std::span<double> y,
                                        const SubmitOptions& options,
@@ -147,22 +146,29 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
         "dispatcher thread; a blocked submit here would deadlock the "
         "dispatcher on the queue it is responsible for draining");
   }
+  std::future<void> fut;
+  std::function<void(const ServeError*)> complete =
+      options.on_complete ? options.on_complete : future_completion(fut);
   if (entry == nullptr) {
-    std::future<void> failed = failed_future(ServeErrorCode::kUnknownMatrix,
-                                             "serve: null registry entry");
-    if (options.on_complete) options.on_complete();
-    return failed;
+    // An unknown name counts in one aggregate counter, never in a
+    // per-name cell (see ServeStats); a null entry counts nowhere.
+    const ServeError error(
+        ServeErrorCode::kUnknownMatrix,
+        name == nullptr ? std::string("serve: null registry entry")
+                        : "serve: no matrix registered as '" + *name + "'");
+    finish(complete,
+           name == nullptr ? nullptr : &stats_.unknown_matrix_rejected(),
+           &error);
+    return fut;
   }
   std::shared_ptr<MatrixServeStats> cell = stats_.cell(entry->name);
   cell->requests_submitted.fetch_add(1, std::memory_order_relaxed);
   try {
     engine::validate_multiply_operands(entry->plan, x, y);
   } catch (const std::invalid_argument& e) {
-    cell->requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    std::future<void> failed =
-        failed_future(ServeErrorCode::kInvalidOperand, e.what());
-    if (options.on_complete) options.on_complete();
-    return failed;
+    const ServeError error(ServeErrorCode::kInvalidOperand, e.what());
+    finish(complete, &cell->requests_rejected, &error);
+    return fut;
   }
 
   Request req;
@@ -176,7 +182,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   req.stats = std::move(cell);
   req.deadline = options.deadline;
   req.priority = options.priority;
-  req.on_complete = options.on_complete;
+  req.complete = std::move(complete);
   if (token_out != nullptr) {
     req.cancel = std::make_shared<std::atomic<std::uint8_t>>(kCancelQueued);
     *token_out = CancelToken(req.cancel);
@@ -186,7 +192,6 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // (a histogram that hid backpressure would read healthy exactly when
   // saturation is throttling clients).
   req.enqueued = std::chrono::steady_clock::now();
-  std::future<void> fut = req.promise.get_future();
 
   const auto reject = [&req](ServeErrorCode code, const char* what) {
     if (req.cancel != nullptr) {
@@ -196,10 +201,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
       // is still inside submit(), so nobody can race this token yet.
       req.cancel->store(kCancelClaimed, std::memory_order_relaxed);
     }
-    req.stats->requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    req.promise.set_exception(
-        std::make_exception_ptr(ServeError(code, what)));
-    if (req.on_complete) req.on_complete();
+    const ServeError error(code, what);
+    finish(req.complete, &req.stats->requests_rejected, &error);
   };
 
   // Admission control.  Feed the overload detector a pre-push depth
@@ -322,16 +325,16 @@ bool Scheduler::resolve_if_dead(Request& req,
   if (req.cancel != nullptr) {
     if (claim_token || expired) {
       // Terminal either way — a dispatch claim, or an expiry about to
-      // resolve the future — so the token must close: a cancel() that
+      // finish the request — so the token must close: a cancel() that
       // arrives after this point has to report false, never "true" for
-      // a request that resolved kDeadlineExceeded.
+      // a request that finished kDeadlineExceeded.
       std::uint8_t expected = kCancelQueued;
       // relaxed CAS: the token word is the whole protocol (see
-      // CancelToken::cancel) — no payload rides on it; the promise
-      // machinery synchronizes the outcome.  Success closes the
-      // cancellation window for good; failure means a concurrent
-      // cancel() already owns the request — cancellation wins even when
-      // the deadline also passed.
+      // CancelToken::cancel) — no payload rides on it; the completion
+      // synchronizes the outcome.  Success closes the cancellation
+      // window for good; failure means a concurrent cancel() already
+      // owns the request — cancellation wins even when the deadline also
+      // passed.
       cancelled = !req.cancel->compare_exchange_strong(
           expected, kCancelClaimed, std::memory_order_relaxed,
           std::memory_order_relaxed);
@@ -492,8 +495,8 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
     }
     if (freed) space_ec_.notify_all();  // ring slots freed
     // Stall detection: an arrival sweep that brought only foreign work
-    // means every client of THIS entry is already queued or blocked on a
-    // future we hold — no amount of further lingering can widen the
+    // means every client of THIS entry is already queued or waiting on a
+    // request we hold — no amount of further lingering can widen the
     // batch, so dispatch (the loop condition sees pending non-empty).
     // Wakes without any arrival keep lingering.
     if (grew || !pending.empty()) continue;
@@ -514,16 +517,25 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
   }
 }
 
+void Scheduler::finish(const std::function<void(const ServeError*)>& complete,
+                       std::atomic<std::uint64_t>* counter,
+                       const ServeError* error) {
+  // Count before completing: a caller that sees its completion and then
+  // snapshots stats must see itself counted.  relaxed: the completion's
+  // own synchronization (a future's state, an inbox lock) publishes it.
+  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+  complete(error);
+}
+
 void Scheduler::fail_request(Request& req, ServeErrorCode code,
                              const char* what) {
-  req.stats->requests_failed.fetch_add(1, std::memory_order_relaxed);
-  req.promise.set_exception(std::make_exception_ptr(ServeError(code, what)));
-  if (req.on_complete) req.on_complete();
+  const ServeError error(code, what);
+  finish(req.complete, &req.stats->requests_failed, &error);
 }
 
 void Scheduler::execute_batch(std::vector<Request> batch) {
   MatrixServeStats& stats = *batch.front().stats;
-  // Executing from here until just before the first promise resolves, so
+  // Executing from here until just before the first member finishes, so
   // a closed-loop client never sees its own batch here.  relaxed: the
   // linger gate's heuristic hint (see do_submit).
   stats.batches_executing.fetch_add(1, std::memory_order_relaxed);
@@ -550,34 +562,35 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
   }
   plane_.batch_width.record(batch.size());
   const MatrixRegistry::Entry& entry = *batch.front().entry;
-  std::exception_ptr err;
+  // A multiply that throws fails the whole batch: every member finishes
+  // kInternal with the exception's message.
+  std::optional<ServeError> failure;
   try {
+    SPMV_FAULT_THROW("scheduler.dispatch_fail", std::runtime_error,
+                     "serve: injected dispatch failure");
     engine::Executor exec(entry.plan, entry.scratch);
     exec.multiply_batch(xs, ys);
+  } catch (const std::exception& e) {
+    failure.emplace(ServeErrorCode::kInternal, e.what());
   } catch (...) {
-    err = std::current_exception();
+    failure.emplace(ServeErrorCode::kInternal,
+                    "serve: batch multiply threw a non-standard exception");
   }
   // relaxed: as the increment above.
   stats.batches_executing.fetch_sub(1, std::memory_order_relaxed);
-  if (err == nullptr) {
+  const ServeError* error = failure ? &*failure : nullptr;
+  if (error == nullptr) {
     const auto end = std::chrono::steady_clock::now();
     stats.record_batch(batch.size());
     stats.dispatch_latency.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count()));
-    for (Request& r : batch) {
-      // Count before resolving: a client that waits on its future and then
-      // snapshots stats must see its own completion.
-      r.stats->requests_completed.fetch_add(1, std::memory_order_relaxed);
-      r.promise.set_value();
-      if (r.on_complete) r.on_complete();
-    }
-  } else {
-    for (Request& r : batch) {
-      r.stats->requests_failed.fetch_add(1, std::memory_order_relaxed);
-      r.promise.set_exception(err);
-      if (r.on_complete) r.on_complete();
-    }
+  }
+  for (Request& r : batch) {
+    finish(r.complete,
+           error == nullptr ? &r.stats->requests_completed
+                            : &r.stats->requests_failed,
+           error);
   }
 }
 

@@ -5,7 +5,7 @@
 //   submit(x, y) ──┐                                   ┌─► multiply_batch
 //   submit(x, y) ──┼──► MpmcQueue ──► dispatcher ──────┤   (one batch at
 //        ...     ──┘        │          (linger, batch  │    a time)
-//                           │           by matrix)     └─► resolve futures
+//                           │           by matrix)     └─► finish requests
 //                           └── EventCount::notify_one() — one atomic load
 //                               while the dispatcher is awake
 //
@@ -37,26 +37,32 @@
 //
 // Lifecycle safety comes from the registry's refcounting: submit() pins
 // the entry, so a request races freely with put()/erase() on its name —
-// it executes on the version it resolved, and every future resolves with
-// a value or a defined ServeError.  Results are bit-identical to a direct
-// Executor::multiply on the same plan (the engine's batch path guarantees
-// per-rhs equality, and coalescing never reorders a single request's
-// accumulation).
+// it executes on the version it resolved.  Results are bit-identical to a
+// direct Executor::multiply on the same plan (the engine's batch path
+// guarantees per-rhs equality, and coalescing never reorders a single
+// request's accumulation).
+//
+// One completion: every request ends in one private step, finish(), which
+// counts it and then calls its completion exactly once — null on success,
+// else a defined ServeError (a batch whose multiply throws finishes each
+// member kInternal with the exception's what()).  A future exists only
+// when the caller passes no SubmitOptions::on_complete: submit() then
+// installs a completion that resolves it.
 //
 // Request lifecycle: a request may carry a *deadline* and a *priority*
-// (SubmitOptions) and hand back a CancelToken alongside its future.
-// Expired or cancelled requests are swept out of the queue and out of
-// forming batches before dispatch — they never reach
-// Executor::multiply_batch — and resolve kDeadlineExceeded / kCancelled.
-// A third overflow policy, kShed, rejects load the queue cannot serve in
-// time: an OverloadDetector (serve/health.h) watches queue depth with
-// hysteresis and an EWMA of queue latency, and while it reports
-// kShedding, new priority<=0 submits shed immediately (kQueueFull) and
-// deadline-carrying submits whose deadline the EWMA already overruns
-// shed with kDeadlineExceeded.  Every path is observable
-// (shed/expired/cancelled counters in DataPlaneStats) and testable under
-// the seeded fault points (util/fault_point.h): scheduler.queue_full,
-// scheduler.slow_dispatch, and the eventcount's eventcount.spurious_wake.
+// (SubmitOptions) and hand back a CancelToken.  Expired or cancelled
+// requests are swept out of the queue and out of forming batches before
+// dispatch — they never reach Executor::multiply_batch — and finish
+// kDeadlineExceeded / kCancelled.  A third overflow policy, kShed, rejects
+// load the queue cannot serve in time: an OverloadDetector
+// (serve/health.h) watches queue depth with hysteresis and an EWMA of
+// queue latency, and while it reports kShedding, new priority<=0 submits
+// shed immediately (kQueueFull) and deadline-carrying submits whose
+// deadline the EWMA already overruns shed with kDeadlineExceeded.  Every
+// path is observable (shed/expired/cancelled counters in DataPlaneStats)
+// and testable under the seeded fault points (util/fault_point.h):
+// scheduler.queue_full, scheduler.slow_dispatch, scheduler.dispatch_fail,
+// and the eventcount's eventcount.spurious_wake.
 #pragma once
 
 #include <atomic>
@@ -88,11 +94,13 @@ enum class ServeErrorCode {
   kShutdown,        ///< scheduler stopped before the request could run
   kDeadlineExceeded,  ///< deadline passed (or predicted to) pre-dispatch
   kCancelled,       ///< CancelToken::cancel() won the race to dispatch
+  kInternal,        ///< the batch's multiply threw; the message is its what()
 };
 
 const char* to_string(ServeErrorCode code);
 
-/// The defined failure type for submit() futures.
+/// The defined failure a request finishes with: passed to its completion,
+/// and thrown by get() on the future of a submit without one.
 class ServeError : public std::runtime_error {
  public:
   ServeError(ServeErrorCode code, const std::string& what)
@@ -146,7 +154,7 @@ struct SchedulerConfig {
 /// submit(): no deadline, priority 0.
 struct SubmitOptions {
   /// Absolute deadline.  A request that has not *started dispatching* by
-  /// this instant resolves kDeadlineExceeded instead of executing; an
+  /// this instant finishes kDeadlineExceeded instead of executing; an
   /// already-expired submit fails at the door.  time_point::max() (the
   /// default) means no deadline.
   std::chrono::steady_clock::time_point deadline =
@@ -156,17 +164,16 @@ struct SubmitOptions {
   /// Higher priority also wins batch keying when requests for several
   /// matrices are pending.  No effect under kBlock/kReject.
   int priority = 0;
-  /// Completion hook for event-driven callers (the network front-end's
-  /// I/O threads cannot block on a future).  Invoked exactly once, after
-  /// the request's future is resolved — with a value or a ServeError —
-  /// from whatever thread resolved it: the submitting thread for door
-  /// rejects, the dispatcher for executed/swept requests, the shutdown
-  /// thread for the final sweep.  The hook must be cheap and must not
-  /// block or call back into the scheduler (the dispatcher thread runs
-  /// it).
-  /// Submits that throw (pool-worker / self-dispatcher fail-fast) created
-  /// no request and never invoke it.
-  std::function<void()> on_complete;
+  /// The request's completion, for callers that cannot block (the network
+  /// front-end's I/O threads).  Called exactly once, after the request is
+  /// counted in stats(), with null on success or the ServeError it
+  /// finished with, on whichever thread finished it: the submitter for
+  /// door rejects, the dispatcher for executed/swept requests, the
+  /// shutdown thread for the final sweep.  It must be cheap and must not
+  /// block or call back into the scheduler.  When set, no future is made
+  /// (SubmitHandle::future is not valid).  Submits that throw (pool-worker
+  /// / self-dispatcher fail-fast) create no request and never call it.
+  std::function<void(const ServeError* error)> on_complete;
 };
 
 /// Handle to cancel one submitted request before it dispatches.  Cheap to
@@ -177,11 +184,11 @@ class CancelToken {
   CancelToken() = default;
 
   /// Request cancellation.  True: the request had not been claimed for
-  /// dispatch — it will never execute and its future resolves
-  /// kCancelled.  False: too late (dispatch claimed it, admission
-  /// already rejected it, or an expiry sweep already resolved it
-  /// kDeadlineExceeded — the future resolves with that outcome) or the
-  /// token is empty.  Idempotent; at most one call returns true.
+  /// dispatch — it will never execute and it finishes kCancelled.  False:
+  /// too late (dispatch claimed it, admission already rejected it, or an
+  /// expiry sweep already finished it kDeadlineExceeded — it finishes
+  /// with that outcome) or the token is empty.  Idempotent; at most one
+  /// call returns true.
   bool cancel();
 
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
@@ -193,8 +200,9 @@ class CancelToken {
   std::shared_ptr<std::atomic<std::uint8_t>> state_;
 };
 
-/// What an options-carrying submit() hands back: the result future plus
-/// the cancellation handle for that request.
+/// What an options-carrying submit() hands back: the result future (not
+/// valid when SubmitOptions::on_complete was given) plus the cancellation
+/// handle for that request.
 struct SubmitHandle {
   std::future<void> future;
   CancelToken token;
@@ -211,14 +219,15 @@ class Scheduler {
   ~Scheduler();  ///< shutdown(Drain::kDrain)
 
   /// Enqueue y ← y + A·x against the named matrix and return a future that
-  /// becomes ready when y holds the result (or holds a ServeError).  The
-  /// x/y memory must stay valid and untouched until the future is ready;
-  /// x and y must not alias, and y must be distinct per in-flight request.
-  /// Thread-safe; may block when the queue is full under kBlock.  Must not
-  /// be called from an engine pool worker: a kBlock wait there can
-  /// deadlock the pool (the dispatcher needs the pool to drain the
-  /// queue), so this is enforced — such a call throws std::logic_error
-  /// immediately instead of deadlocking under load.
+  /// becomes ready when y holds the result (or holds a ServeError; a
+  /// failed multiply reads kInternal).  The x/y memory must stay valid and
+  /// untouched until the request finishes; x and y must not alias, and y
+  /// must be distinct per in-flight request.  Thread-safe; may block when
+  /// the queue is full under kBlock.  Must not be called from an engine
+  /// pool worker: a kBlock wait there can deadlock the pool (the
+  /// dispatcher needs the pool to drain the queue), so this is enforced —
+  /// such a call throws std::logic_error immediately instead of
+  /// deadlocking under load.
   std::future<void> submit(const std::string& name, std::span<const double> x,
                            std::span<double> y);
 
@@ -228,10 +237,11 @@ class Scheduler {
   std::future<void> submit(MatrixRegistry::EntryPtr entry,
                            std::span<const double> x, std::span<double> y);
 
-  /// submit() with a deadline/priority and a CancelToken for the request.
-  /// All the plain-submit guarantees hold, plus: the request never
-  /// executes after its deadline or a successful cancel — it resolves
-  /// kDeadlineExceeded / kCancelled instead, exactly once.
+  /// submit() with a deadline/priority, an optional completion and a
+  /// CancelToken for the request.  All the plain-submit guarantees hold,
+  /// plus: the request never executes after its deadline or a successful
+  /// cancel — it finishes kDeadlineExceeded / kCancelled instead, exactly
+  /// once.
   SubmitHandle submit(const std::string& name, std::span<const double> x,
                       std::span<double> y, const SubmitOptions& options);
   SubmitHandle submit(MatrixRegistry::EntryPtr entry,
@@ -264,7 +274,6 @@ class Scheduler {
     MatrixRegistry::EntryPtr entry;
     const double* x = nullptr;
     double* y = nullptr;
-    std::promise<void> promise;
     std::shared_ptr<MatrixServeStats> stats;
     std::chrono::steady_clock::time_point enqueued;
     /// Absolute deadline; time_point::max() = none.
@@ -275,29 +284,37 @@ class Scheduler {
     /// kCancelQueued -> kCancelRequested (CancelToken::cancel) or
     /// -> kCancelClaimed (dispatcher, at batch finalization).
     std::shared_ptr<std::atomic<std::uint8_t>> cancel;
-    /// SubmitOptions::on_complete, fired once after the promise resolves.
-    std::function<void()> on_complete;
+    /// The request's one completion: SubmitOptions::on_complete, or the
+    /// future adapter submit() installs.  Only finish() calls it.
+    std::function<void(const ServeError*)> complete;
     /// Submitted while a batch of its matrix was executing: it has
     /// company, so it re-arms the matrix's linger (see build_batch).
     bool queued_behind = false;
   };
 
-  /// Shared body of all four submit() overloads.  `token_out` non-null
+  /// Shared body of all four submit() overloads.  A null `entry` fails
+  /// kUnknownMatrix, naming `name` if given.  `token_out` non-null
   /// allocates and returns a cancellation token for the request.
   std::future<void> do_submit(MatrixRegistry::EntryPtr entry,
+                              const std::string* name,
                               std::span<const double> x, std::span<double> y,
                               const SubmitOptions& options,
                               CancelToken* token_out);
-  /// Resolve `req` if it is past its deadline or cancel-requested at
+  /// The one way a request ends: bump `counter` (its outcome's stats
+  /// counter; null counts nothing), then call `complete` with `error`.
+  static void finish(const std::function<void(const ServeError*)>& complete,
+                     std::atomic<std::uint64_t>* counter,
+                     const ServeError* error);
+  /// Finish `req` if it is past its deadline or cancel-requested at
   /// `now` (kDeadlineExceeded / kCancelled) and report that it was.
   /// Every pre-dispatch sweep — batch building, linger, batch
   /// finalization, shutdown — funnels through this, so a dead request
-  /// never reaches Executor::multiply_batch and resolves exactly once.  With
-  /// `claim_token` the check is final: the cancel token is CAS-claimed,
-  /// so when this returns false the request is committed to resolve with
-  /// its execution (or teardown) outcome and cancel() returns false from
-  /// here on.  Peeking sweeps pass false, keeping parked requests
-  /// cancellable.
+  /// never reaches Executor::multiply_batch and finishes exactly once.
+  /// With `claim_token` the check is final: the cancel token is
+  /// CAS-claimed, so when this returns false the request is committed to
+  /// finish with its execution (or teardown) outcome and cancel() returns
+  /// false from here on.  Peeking sweeps pass false, keeping parked
+  /// requests cancellable.
   bool resolve_if_dead(Request& req, std::chrono::steady_clock::time_point now,
                        bool claim_token);
   void dispatcher_loop();
@@ -327,7 +344,7 @@ class Scheduler {
   /// This intra-batch check is the only operand-conflict check, and it
   /// suffices because one batch executes at a time: only the dispatcher
   /// thread calls execute_batch while it runs, each call returns only
-  /// after every member has resolved, and shutdown()'s final sweep runs
+  /// after every member has finished, and shutdown()'s final sweep runs
   /// after the join.  So a request whose y is in an executing batch
   /// cannot start until that batch is done.  A path that executes
   /// requests anywhere else (a second dispatcher, or running a request

@@ -139,8 +139,8 @@ struct MatrixServeStats {
   /// Consecutive linger windows that ended no wider than they began: the
   /// scheduler's per-matrix linger gate (see Scheduler::build_batch).
   std::atomic<std::uint32_t> linger_misses{0};
-  /// Batches of this matrix between dispatch start and the first promise
-  /// they resolve; a request submitted while it is nonzero re-arms the
+  /// Batches of this matrix between dispatch start and the first member
+  /// they finish; a request submitted while it is nonzero re-arms the
   /// linger gate.
   std::atomic<std::uint32_t> batches_executing{0};
 
@@ -194,13 +194,13 @@ class ServeStats {
   /// The cell for `name`, creating it if needed.  The returned pointer is
   /// stable and safe to hold across registry mutations.  Only call with
   /// names that exist in the registry (cells live forever) — unknown-name
-  /// rejections go through record_unknown_matrix() instead.
+  /// rejections count in unknown_matrix_rejected() instead.
   std::shared_ptr<MatrixServeStats> cell(const std::string& name)
       SPMV_EXCLUDES(mutex_);
 
-  /// Count a submit() against a never-registered name.
-  void record_unknown_matrix() {
-    unknown_matrix_rejected_.fetch_add(1, std::memory_order_relaxed);
+  /// The counter of submit() calls against a never-registered name.
+  std::atomic<std::uint64_t>& unknown_matrix_rejected() {
+    return unknown_matrix_rejected_;
   }
 
   [[nodiscard]] ServeStatsSnapshot snapshot() const SPMV_EXCLUDES(mutex_);

@@ -315,24 +315,80 @@ TEST(FaultRegistry, InjectedTuneFailureLeavesNoPlaceholder) {
   auto& fi = FaultInjector::instance();
   fi.set_rate("registry.tune_fail", 1.0);
 
-  std::shared_future<MatrixRegistry::EntryPtr> fut =
-      reg.put_async("F", m, serve_options(&ctx, 1));
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  EXPECT_THROW(reg.put("F", m, serve_options(&ctx, 1)), std::runtime_error);
   EXPECT_EQ(reg.find("F"), nullptr);  // no placeholder, no half-entry
   EXPECT_EQ(reg.size(), 0u);
-  EXPECT_THROW(reg.put("F", m, serve_options(&ctx, 1)), std::runtime_error);
-  EXPECT_EQ(reg.find("F"), nullptr);
 
   // With the fault off (and a slow tune injected instead), publishing
   // works again and the delay only defers visibility.
   fi.set_rate("registry.tune_fail", 0.0);
   fi.set_rate("registry.tune_slow", 1.0);
   fi.set_delay("registry.tune_slow", 2ms);
-  std::shared_future<MatrixRegistry::EntryPtr> ok =
-      reg.put_async("F", m, serve_options(&ctx, 1));
-  const MatrixRegistry::EntryPtr entry = ok.get();
+  const MatrixRegistry::EntryPtr entry =
+      reg.put("F", m, serve_options(&ctx, 1));
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(reg.find("F"), entry);
+  EXPECT_EQ(fi.fired("registry.tune_slow"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A failed batch.
+// ---------------------------------------------------------------------------
+
+// A batch whose multiply throws finishes every member kInternal with the
+// exception's message, leaves every y untouched and counts each member
+// failed.  With the point off, the next request executes bit-identically.
+TEST(FaultServe, FailedBatchResolvesEveryMemberAsInternal) {
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(120, 3, 0.7, 95);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const auto x = random_vector(120, 96);
+  constexpr double kFill = 0.25;
+  const std::vector<double> expect = direct_result(*reg.find("A"), x, kFill);
+
+  FaultArm arm(41);
+  auto& fi = FaultInjector::instance();
+  fi.set_rate("scheduler.dispatch_fail", 1.0);
+
+  // Paused, so the three requests queue up and dispatch as one batch.
+  Scheduler sched(reg, {.max_batch = 8,
+                        .max_linger = std::chrono::microseconds(0),
+                        .start_paused = true});
+  constexpr int kRequests = 3;
+  std::vector<std::vector<double>> ys(kRequests,
+                                      std::vector<double>(120, kFill));
+  std::vector<std::future<void>> futs;
+  for (auto& y : ys) futs.push_back(sched.submit("A", x, y));
+  sched.resume();
+  for (auto& f : futs) {
+    try {
+      f.get();
+      ADD_FAILURE() << "expected kInternal";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ServeErrorCode::kInternal);
+      EXPECT_STREQ(e.what(), "serve: injected dispatch failure");
+    }
+  }
+  EXPECT_EQ(fi.fired("scheduler.dispatch_fail"), 1u);
+  for (const auto& y : ys) EXPECT_TRUE(all_equal(y, kFill));
+  {
+    const auto stats = sched.stats();
+    const auto* cell = stats.find("A");
+    ASSERT_NE(cell, nullptr);
+    EXPECT_EQ(cell->requests_failed, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(cell->requests_completed, 0u);
+  }
+
+  fi.set_rate("scheduler.dispatch_fail", 0.0);
+  std::vector<double> y(120, kFill);
+  sched.submit("A", x, y).get();
+  EXPECT_EQ(y, expect);
+  const auto stats = sched.stats();
+  const auto* cell = stats.find("A");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->requests_completed, 1u);
+  EXPECT_EQ(cell->requests_failed, static_cast<std::uint64_t>(kRequests));
 }
 
 // ---------------------------------------------------------------------------

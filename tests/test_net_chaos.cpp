@@ -8,7 +8,7 @@
 // that returns kOk was executed by the scheduler EXACTLY once —
 // `scheduler().stats().total_completed()` equals the number of kOk
 // multiplies, no matter how many times the proxy cut, stalled, trickled,
-// or half-closed the connection mid-exchange.  Lost futures would
+// or half-closed the connection mid-exchange.  Lost completions would
 // undercount; blind re-execution of a retransmitted id would overcount.
 //
 // Runs in the spmv_net_chaos CTest entry (and, matching Net*, in the

@@ -1,7 +1,7 @@
 // Seeded fault-injection tests for the network front-end: accept
-// failures, pathological partial writes, and slow clients.  Only built
-// under -DSPMV_FAULT_INJECTION=ON; suites are named FaultNet* so the
-// spmv_fault CTest filter (Serve*:Fault*) picks them up.
+// failures, failed batches, pathological partial writes, and slow
+// clients.  Only built under -DSPMV_FAULT_INJECTION=ON; suites are named
+// FaultNet* so the spmv_fault CTest filter (Serve*:Fault*) picks them up.
 //
 // The invariants under fire: every admitted request gets exactly one
 // reply (never lost, never doubled), sessions always reap, and the
@@ -109,6 +109,44 @@ TEST(FaultNet, AcceptFailuresLeaveSurvivorsServing) {
   EXPECT_GT(refused, 0) << "a 0.5 rate must refuse some";
   server.stop();
   EXPECT_EQ(server.sessions().active(), 0u);
+}
+
+// A batch whose multiply throws answers STATUS kInternal with the
+// exception's message, counts in the session's failed total, and leaves
+// the connection serving: the next multiply succeeds, bit-identically.
+TEST(FaultNet, FailedBatchAnswersInternal) {
+  FaultArm arm(0xFA17);
+  SpmvServer server;
+  server.start();
+  const TestMatrix m = tridiag(41);
+  ClientOptions copts;
+  copts.port = server.port();
+  SpmvNetClient client(copts);
+  client.connect();
+  ASSERT_EQ(
+      client.upload("A", m.n, m.n, m.row_ptr, m.col_idx, m.values).status,
+      StatusCode::kOk);
+  const auto x = random_x(m.n, 61);
+  const auto first = client.multiply("A", x);
+  ASSERT_EQ(first.status, StatusCode::kOk) << first.message;
+
+  FaultInjector::instance().set_rate("scheduler.dispatch_fail", 1.0);
+  const auto failed = client.multiply("A", x);
+  EXPECT_EQ(failed.status, StatusCode::kInternal);
+  EXPECT_EQ(failed.message, "serve: injected dispatch failure");
+  StatsResult stats;
+  ASSERT_TRUE(client.stats(stats));
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+
+  FaultInjector::instance().set_rate("scheduler.dispatch_fail", 0.0);
+  const auto again = client.multiply("A", x);
+  ASSERT_EQ(again.status, StatusCode::kOk) << again.message;
+  ASSERT_EQ(again.y.size(), first.y.size());
+  EXPECT_EQ(std::memcmp(again.y.data(), first.y.data(),
+                        first.y.size() * sizeof(double)),
+            0);
+  server.stop();
 }
 
 // Every write capped to one byte: frames trickle out through the

@@ -449,18 +449,10 @@ TEST(ServeRegistryRobust, TuneFailurePropagatesAndLeavesNoEntry) {
   TuningOptions bad = serve_options(&ctx, 1);
   bad.threads = 0;  // TunedMatrix::plan rejects zero threads
 
-  std::shared_future<MatrixRegistry::EntryPtr> fut =
-      reg.put_async("bad", m, bad);
-  EXPECT_THROW(fut.get(), std::invalid_argument);
+  EXPECT_THROW(reg.put("bad", m, bad), std::invalid_argument);
   // The failure left no placeholder or half-registered entry behind.
   EXPECT_EQ(reg.find("bad"), nullptr);
   EXPECT_EQ(reg.size(), 0u);
-  // Every waiter on the shared future sees the same error.
-  EXPECT_THROW(fut.get(), std::invalid_argument);
-
-  // The synchronous path gives the same guarantee.
-  EXPECT_THROW(reg.put("bad", m, bad), std::invalid_argument);
-  EXPECT_EQ(reg.find("bad"), nullptr);
 
   // The name is not poisoned: a valid tune still publishes under it.
   const MatrixRegistry::EntryPtr good =

@@ -1,5 +1,5 @@
 // Tests for the serving subsystem: registry lifecycle (refcounted
-// retirement, background tuning), scheduler correctness (results through
+// retirement), scheduler correctness (results through
 // submit() bit-identical to direct Executor::multiply, raced from many
 // client threads over several matrices — the TSan gate runs these),
 // coalescing behavior, backpressure, defined errors, and shutdown
@@ -79,22 +79,6 @@ TEST(ServeRegistry, PutFindReplaceEraseWithPinnedEntries) {
   EXPECT_EQ(reg.find("A"), nullptr);
   // Pins outlive erase.
   EXPECT_EQ(direct_result(*v2, x, 0.0).size(), 120u);
-}
-
-TEST(ServeRegistry, PutAsyncPublishesInBackground) {
-  engine::ExecutionContext ctx({.pin_threads = false});
-  MatrixRegistry reg;
-  const CsrMatrix m = gen::fem_like(150, 2, 8.0, 30, 4);
-  std::shared_future<MatrixRegistry::EntryPtr> fut =
-      reg.put_async("bg", m, serve_options(&ctx, 2));
-  const MatrixRegistry::EntryPtr entry = fut.get();
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(reg.find("bg"), entry);
-  EXPECT_EQ(entry->plan.rows(), m.rows());
-  // Discarding a second async future must not block or leak the publish.
-  reg.put_async("bg2", m, serve_options(&ctx, 2));
-  // Destructor joins the in-flight tune; find may or may not see "bg2"
-  // yet, but after the registry dies nothing dangles (ASan/TSan checked).
 }
 
 // Acceptance: results returned through submit() are bit-identical to a
@@ -600,17 +584,23 @@ TEST(ServeLinger, WideBatchRearmsDisarmedMatrix) {
   // Hold the dispatcher inside a request's completion hook while two
   // requests queue behind it.  Once released it pulls both in one sweep:
   // a batch 2 wide that formed without lingering.
+  std::promise<void> entered;
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
   SubmitOptions hold;
-  hold.on_complete = [released] { released.wait(); };
+  hold.on_complete = [&entered, released](const ServeError* error) {
+    EXPECT_EQ(error, nullptr);
+    entered.set_value();
+    released.wait();
+  };
   std::vector<double> y_hold(m.rows(), 0.0);
   std::vector<double> y1(m.rows(), 0.0);
   std::vector<double> y2(m.rows(), 0.0);
   SubmitHandle held = sched.submit("A", x, y_hold, hold);
-  // Resolved means the dispatcher is in (or about to run) the hook; it
-  // cannot pull new work until the hook returns.
-  held.future.get();
+  EXPECT_FALSE(held.future.valid());
+  // The hook has begun on the dispatcher: it cannot pull new work until
+  // the hook returns.
+  entered.get_future().wait();
   std::future<void> f1 = sched.submit("A", x, y1);
   std::future<void> f2 = sched.submit("A", x, y2);
   release.set_value();

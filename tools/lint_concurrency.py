@@ -9,10 +9,14 @@ cannot fully enforce by itself:
     spmv::MutexLock), so Clang's -Wthread-safety sees every lock.  Raw
     std::mutex / std::lock_guard / std::unique_lock / std::condition_variable
     are invisible to the analysis and therefore banned outside the wrapper
-    header.  Raw std::thread is banned outside the files that already own
-    audited thread lifecycles (the worker pool, the scheduler's
+    header.  Raw std::thread (and std::async, which starts a thread that
+    no audited lifecycle joins) is banned outside the files that already
+    own audited thread lifecycles (the worker pool, the scheduler's
     dispatcher, the pinning utility) — new parallelism goes through
-    ExecutionContext or Scheduler, not ad-hoc threads.
+    ExecutionContext or Scheduler, not ad-hoc threads.  Under src/net/,
+    std::future / std::shared_future / std::promise are banned outright:
+    an I/O thread must never block on one, and the scheduler's completion
+    callback already hands the server every outcome.
 
  2. Every atomic operation states its memory order, and every
     memory_order_seq_cst (or unavoidable default-order) operation carries
@@ -81,7 +85,10 @@ RAW_PRIMITIVES = re.compile(
     r"shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock|condition_variable|condition_variable_any)\b"
 )
-RAW_THREAD = re.compile(r"std::(thread|jthread)\b")
+RAW_THREAD = re.compile(r"std::(thread|jthread|async)\b")
+# Blocking one-shot channels: banned on the network path (see module doc).
+NET_DIR = "src/net/"
+FUTURE_TYPES = re.compile(r"std::(future|shared_future|promise)\b")
 
 ATOMIC_OP = re.compile(
     r"\.\s*(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|"
@@ -168,6 +175,14 @@ def lint_file(path: Path, rel: str):
                  " add this file to the audited allowlist in"
                  " tools/lint_concurrency.py with a joined, bounded thread"
                  " lifecycle"))
+
+        if rel.startswith(NET_DIR) and (m := FUTURE_TYPES.search(line)):
+            violations.append(
+                (i + 1,
+                 f"std::{m.group(1)} on the network path: an I/O thread must"
+                 " never block on a future — take the outcome from the"
+                 " scheduler's completion callback (SubmitOptions::"
+                 "on_complete) instead"))
 
         for m in ATOMIC_OP.finditer(line):
             args = call_args(lines, i, m.end() - 1)
