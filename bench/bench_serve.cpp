@@ -3,14 +3,14 @@
 // Drives synthetic traffic from N client threads over two registered suite
 // matrices and measures delivered multiplies/s in four configurations:
 //
-//   direct        closed loop, each client owns an Executor and calls
+//   direct        closed loop, each client calls the registered plan's
 //                 multiply() itself (no scheduler at all);
 //   serve-1       closed loop through the Scheduler with max_batch=1 and
 //                 no linger — the scheduling machinery with coalescing
 //                 switched off (the "unbatched" baseline);
 //   serve-batch   closed loop through the Scheduler with coalescing on —
 //                 concurrent requests on one matrix merge into a single
-//                 Executor::multiply_batch dispatch;
+//                 plan.multiply_batch dispatch;
 //   serve-open-1  open(ish) loop, coalescing off: each client keeps
 //                 `window` requests outstanding (offered load above one
 //                 request per client) but every dispatch still runs one
@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "engine/executor.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/serve_stats.h"
@@ -85,8 +84,8 @@ struct ClientPlan {
   serve::MatrixRegistry::EntryPtr entry;
 };
 
-/// Closed loop without the scheduler: every client hammers its own
-/// Executor until the deadline.
+/// Closed loop without the scheduler: every client hammers the plan's
+/// multiply() until the deadline.
 TrafficPoint run_direct(const std::vector<ClientPlan>& clients,
                         std::vector<std::vector<std::vector<double>>>& ys,
                         double seconds) {
@@ -101,11 +100,10 @@ TrafficPoint run_direct(const std::vector<ClientPlan>& clients,
   for (std::size_t c = 0; c < clients.size(); ++c) {
     threads.emplace_back([&, c] {
       const ClientPlan& plan = clients[c];
-      engine::Executor exec(plan.entry->plan);
       std::vector<double>& y = ys[c][0];
       std::uint64_t n = 0;
       while (std::chrono::steady_clock::now() < deadline) {
-        exec.multiply(*plan.x, y);
+        plan.entry->plan.multiply(*plan.x, y);
         ++n;
       }
       ops.fetch_add(n);

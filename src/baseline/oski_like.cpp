@@ -130,14 +130,6 @@ OskiLikeMatrix::OskiLikeMatrix(OskiLikeMatrix&&) noexcept = default;
 OskiLikeMatrix& OskiLikeMatrix::operator=(OskiLikeMatrix&&) noexcept = default;
 OskiLikeMatrix::~OskiLikeMatrix() = default;
 
-void OskiLikeMatrix::multiply(std::span<const double> x,
-                              std::span<double> y) const {
-  if (x.size() < cols_ || y.size() < rows_) {
-    throw std::invalid_argument("OskiLikeMatrix::multiply: vector too short");
-  }
-  execute(x.data(), y.data(), nullptr);
-}
-
 void OskiLikeMatrix::execute(const double* x, double* y,
                              engine::Scratch* /*scratch*/) const {
   run_block(block_, x, y, 0);
@@ -146,7 +138,7 @@ void OskiLikeMatrix::execute(const double* x, double* y,
 void OskiLikeMatrix::execute_batch(std::span<const double* const> xs,
                                    std::span<double* const> ys,
                                    engine::Scratch* scratch) const {
-  if (scratch == nullptr || xs.size() < 2) {
+  if (xs.size() < 2) {
     engine::SpmvPlan::execute_batch(xs, ys, scratch);
     return;
   }

@@ -49,9 +49,9 @@ OskiDecision oski_choose_blocking(const CsrMatrix& a,
                                   std::uint64_t seed = 1234);
 
 /// A serially tuned matrix: uniform r×c BCSR with 32-bit indices.
-/// Implements the engine plan interface (serial, scratch-free), so the
-/// baseline runs through the same Executor/batch front-end as the tuned
-/// code it is compared against.
+/// Implements the engine plan interface (serial; its scratch only carries
+/// the batch panels), so the baseline runs through the same multiply and
+/// multiply_batch front doors as the tuned code it is compared against.
 class OskiLikeMatrix final : public engine::SpmvPlan {
  public:
   static OskiLikeMatrix tune(const CsrMatrix& a,
@@ -65,9 +65,6 @@ class OskiLikeMatrix final : public engine::SpmvPlan {
   OskiLikeMatrix(OskiLikeMatrix&&) noexcept;
   OskiLikeMatrix& operator=(OskiLikeMatrix&&) noexcept;
   ~OskiLikeMatrix() override;
-
-  /// y ← y + A·x, single threaded.  Safe for concurrent calls.
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
   [[nodiscard]] const OskiDecision& decision() const { return decision_; }
   [[nodiscard]] std::uint32_t rows() const override { return rows_; }

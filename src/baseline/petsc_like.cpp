@@ -131,15 +131,6 @@ std::unique_ptr<engine::Scratch> PetscLikeSpmv::make_scratch() const {
   return scratch;
 }
 
-void PetscLikeSpmv::multiply(std::span<const double> x,
-                             std::span<double> y) const {
-  if (x.size() < cols_ || y.size() < rows_) {
-    throw std::invalid_argument("PetscLikeSpmv::multiply: vector too short");
-  }
-  const engine::ScratchCache::Lease lease = scratch_cache_.borrow(*this);
-  execute(x.data(), y.data(), lease.get());
-}
-
 void PetscLikeSpmv::execute(const double* x, double* y,
                             engine::Scratch* scratch) const {
   auto& s = *static_cast<PetscScratch*>(scratch);

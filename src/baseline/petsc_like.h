@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "baseline/oski_like.h"
@@ -54,13 +53,6 @@ class PetscLikeSpmv final : public engine::SpmvPlan {
   PetscLikeSpmv& operator=(PetscLikeSpmv&&) noexcept;
   ~PetscLikeSpmv() override;
 
-  /// y ← y + A·x.  Ghost exchange then local multiplies; phases are timed
-  /// separately into stats().  Ranks run on the shared engine pool (with
-  /// ch_shmem on one die a "message" is a memcpy, so running ranks as pool
-  /// workers matches the emulated machine); the per-rank pack buffers live
-  /// in per-call scratch, so concurrent multiply() calls are safe.
-  void multiply(std::span<const double> x, std::span<double> y) const;
-
   /// Snapshot of the cumulative phase timers across all calls so far.
   [[nodiscard]] PetscLikeStats stats() const;
   [[nodiscard]] unsigned ranks() const {
@@ -79,6 +71,10 @@ class PetscLikeSpmv final : public engine::SpmvPlan {
     return *ctx_;
   }
   [[nodiscard]] std::unique_ptr<engine::Scratch> make_scratch() const override;
+  /// Ghost exchange then local multiplies, each phase timed into stats().
+  /// Ranks run on the shared engine pool (with ch_shmem on one die a
+  /// "message" is a memcpy, so running ranks as pool workers matches the
+  /// emulated machine); the per-rank pack buffers live in the scratch.
   void execute(const double* x, double* y,
                engine::Scratch* scratch) const override;
 
@@ -102,7 +98,6 @@ class PetscLikeSpmv final : public engine::SpmvPlan {
   std::vector<Rank> local_;
   engine::ExecutionContext* ctx_ = nullptr;
   std::unique_ptr<StatsState> stats_;
-  mutable engine::ScratchCache scratch_cache_;
 };
 
 }  // namespace spmv::baseline

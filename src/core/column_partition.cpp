@@ -65,20 +65,8 @@ ColumnPartitionedSpmv& ColumnPartitionedSpmv::operator=(
 ColumnPartitionedSpmv::~ColumnPartitionedSpmv() = default;
 
 std::unique_ptr<engine::Scratch> ColumnPartitionedSpmv::make_scratch() const {
-  if (threads() <= 1) return nullptr;
+  if (threads() <= 1) return engine::SpmvPlan::make_scratch();
   return std::make_unique<engine::PrivateYScratch>(threads(), rows_);
-}
-
-void ColumnPartitionedSpmv::multiply(std::span<const double> x,
-                                     std::span<double> y) const {
-  if (x.size() < cols_ || y.size() < rows_) {
-    throw std::invalid_argument("ColumnPartitionedSpmv::multiply: short");
-  }
-  if (x.data() == y.data()) {
-    throw std::invalid_argument("ColumnPartitionedSpmv::multiply: aliasing");
-  }
-  const engine::ScratchCache::Lease lease = scratch_cache_.borrow(*this);
-  execute(x.data(), y.data(), lease.get());
 }
 
 void ColumnPartitionedSpmv::execute(const double* x, double* y,

@@ -15,7 +15,6 @@
 // scratch, so concurrent multiply() calls are safe.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/blocked.h"
@@ -36,9 +35,6 @@ class ColumnPartitionedSpmv final : public engine::SpmvPlan {
   ColumnPartitionedSpmv(ColumnPartitionedSpmv&&) noexcept;
   ColumnPartitionedSpmv& operator=(ColumnPartitionedSpmv&&) noexcept;
   ~ColumnPartitionedSpmv() override;
-
-  /// y ← y + A·x.  Safe for concurrent calls.
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
   [[nodiscard]] std::uint32_t rows() const override { return rows_; }
   [[nodiscard]] std::uint32_t cols() const override { return cols_; }
@@ -74,7 +70,6 @@ class ColumnPartitionedSpmv final : public engine::SpmvPlan {
   std::vector<Stripe> stripes_;
   std::vector<std::uint32_t> boundaries_;
   engine::ExecutionContext* ctx_ = nullptr;
-  mutable engine::ScratchCache scratch_cache_;
 };
 
 }  // namespace spmv

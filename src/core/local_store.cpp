@@ -151,18 +151,6 @@ std::unique_ptr<engine::Scratch> LocalStoreSpmv::make_scratch() const {
   return scratch;
 }
 
-void LocalStoreSpmv::multiply(std::span<const double> x,
-                              std::span<double> y) const {
-  if (x.size() < cols_ || y.size() < rows_) {
-    throw std::invalid_argument("LocalStoreSpmv::multiply: short vector");
-  }
-  if (x.data() == y.data()) {
-    throw std::invalid_argument("LocalStoreSpmv::multiply: aliasing");
-  }
-  const engine::ScratchCache::Lease lease = scratch_cache_.borrow(*this);
-  execute(x.data(), y.data(), lease.get());
-}
-
 void LocalStoreSpmv::execute(const double* x, double* y,
                              engine::Scratch* scratch) const {
   auto& stage = *static_cast<LocalStoreScratch*>(scratch);

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "engine/spmv_plan.h"
@@ -62,10 +61,6 @@ class LocalStoreSpmv final : public engine::SpmvPlan {
   LocalStoreSpmv(LocalStoreSpmv&&) noexcept;
   LocalStoreSpmv& operator=(LocalStoreSpmv&&) noexcept;
   ~LocalStoreSpmv() override;
-
-  /// y ← y + A·x through the staged DMA pipeline.  Safe for concurrent
-  /// calls; each accumulates its own DMA traffic into stats().
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
   [[nodiscard]] std::uint32_t rows() const override { return rows_; }
   [[nodiscard]] std::uint32_t cols() const override { return cols_; }
@@ -116,7 +111,6 @@ class LocalStoreSpmv final : public engine::SpmvPlan {
   std::vector<std::vector<Block>> spe_blocks_;
   engine::ExecutionContext* ctx_ = nullptr;
   std::unique_ptr<StatsState> stats_;
-  mutable engine::ScratchCache scratch_cache_;
 };
 
 }  // namespace spmv

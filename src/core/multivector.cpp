@@ -50,17 +50,6 @@ double MultiVectorSpmv::flop_byte_amplification() const {
   return multi / single;
 }
 
-void MultiVectorSpmv::multiply(std::span<const double> x,
-                               std::span<double> y) const {
-  if (x.size() < x_elements() || y.size() < y_elements()) {
-    throw std::invalid_argument("MultiVectorSpmv::multiply: short operand");
-  }
-  if (x.data() == y.data()) {
-    throw std::invalid_argument("MultiVectorSpmv::multiply: aliasing");
-  }
-  execute(x.data(), y.data(), nullptr);
-}
-
 void MultiVectorSpmv::execute(const double* x, double* y,
                               engine::Scratch* /*scratch*/) const {
   // The operands are already row-major k-wide panels, so this is the fused

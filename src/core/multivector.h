@@ -18,7 +18,6 @@
 // block (SIMD-specialized for k in {2, 4, 8}, runtime-width otherwise).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/blocked.h"
@@ -42,11 +41,6 @@ class MultiVectorSpmv final : public engine::SpmvPlan {
   MultiVectorSpmv& operator=(MultiVectorSpmv&&) noexcept;
   ~MultiVectorSpmv() override;
 
-  /// Y ← Y + A·X with X of shape cols×k and Y of shape rows×k, both
-  /// row-major: X[c*k + j] is element c of vector j.  Safe for concurrent
-  /// calls (workers write disjoint row ranges).
-  void multiply(std::span<const double> x, std::span<double> y) const;
-
   [[nodiscard]] std::uint32_t rows() const override { return rows_; }
   [[nodiscard]] std::uint32_t cols() const override { return cols_; }
   [[nodiscard]] unsigned vectors() const { return k_; }
@@ -55,7 +49,8 @@ class MultiVectorSpmv final : public engine::SpmvPlan {
   /// (the bandwidth-amortization factor the ablation bench reports).
   [[nodiscard]] double flop_byte_amplification() const;
 
-  // engine::SpmvPlan — operands carry k interleaved vectors.
+  // engine::SpmvPlan — operands carry k interleaved vectors, row-major:
+  // X[c*k + j] is element c of vector j, Y[r*k + j] element r of vector j.
   [[nodiscard]] std::uint64_t x_elements() const override {
     return static_cast<std::uint64_t>(cols_) * k_;
   }

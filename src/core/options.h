@@ -1,10 +1,11 @@
 // Tuning knobs for the multicore SpMV implementation.
 //
 // These correspond one-to-one to the optimization categories of the paper's
-// Table 2: code optimizations (kernel flavor, prefetch distance), data
+// Table 2: code optimizations (kernel backend, prefetch distance), data
 // structure optimizations (register blocking, BCOO, index compression,
 // cache/TLB blocking), and parallelization optimizations (threads, affinity,
-// NUMA-aware first touch).
+// NUMA-aware first touch).  The plain-CSR inner-loop flavor (KernelFlavor)
+// is a parameter of spmv_csr itself, not a planner knob.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +78,6 @@ struct TuningOptions {
   std::size_t tlb_entries = 0;
 
   // --- code optimizations (§4.1) ---
-  KernelFlavor flavor = KernelFlavor::kSingleIndex;
   /// Register-tile kernel backend.  kAuto resolves at plan time to the
   /// widest backend the host supports (AVX2 today).  Tile shapes a SIMD
   /// backend has no specialization for fall back to scalar per block; the
@@ -120,7 +120,6 @@ struct TuningOptions {
     o.index_compression = false;
     o.cache_blocking = false;
     o.tlb_blocking = false;
-    o.flavor = KernelFlavor::kNaive;
     o.prefetch_distance = 0;
     o.threads = 1;
     o.pin_threads = false;
@@ -132,7 +131,6 @@ struct TuningOptions {
   static TuningOptions full(unsigned threads_) {
     TuningOptions o;
     o.threads = threads_;
-    o.flavor = KernelFlavor::kPipelined;
     o.prefetch_distance = 64;
     o.tune_prefetch = true;
     return o;

@@ -65,18 +65,6 @@ std::unique_ptr<engine::Scratch> SegmentedScanSpmv::make_scratch() const {
   return std::make_unique<SegScanScratch>(chunks_.size());
 }
 
-void SegmentedScanSpmv::multiply(std::span<const double> x,
-                                 std::span<double> y) const {
-  if (x.size() < matrix_.cols() || y.size() < matrix_.rows()) {
-    throw std::invalid_argument("SegmentedScanSpmv::multiply: short vector");
-  }
-  if (x.data() == y.data()) {
-    throw std::invalid_argument("SegmentedScanSpmv::multiply: aliasing");
-  }
-  const engine::ScratchCache::Lease lease = scratch_cache_.borrow(*this);
-  execute(x.data(), y.data(), lease.get());
-}
-
 void SegmentedScanSpmv::execute(const double* x, double* y,
                                 engine::Scratch* scratch) const {
   auto& s = *static_cast<SegScanScratch*>(scratch);

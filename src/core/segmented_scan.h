@@ -15,7 +15,6 @@
 // scratch, so concurrent multiply() calls are safe.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/partition.h"
@@ -35,9 +34,6 @@ class SegmentedScanSpmv final : public engine::SpmvPlan {
   SegmentedScanSpmv(SegmentedScanSpmv&&) noexcept;
   SegmentedScanSpmv& operator=(SegmentedScanSpmv&&) noexcept;
   ~SegmentedScanSpmv() override;
-
-  /// y ← y + A·x.  Safe for concurrent calls.
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
   [[nodiscard]] std::uint32_t rows() const override { return matrix_.rows(); }
   [[nodiscard]] std::uint32_t cols() const override { return matrix_.cols(); }
@@ -69,7 +65,6 @@ class SegmentedScanSpmv final : public engine::SpmvPlan {
   CsrMatrix matrix_;
   std::vector<Chunk> chunks_;
   engine::ExecutionContext* ctx_ = nullptr;
-  mutable engine::ScratchCache scratch_cache_;
 };
 
 }  // namespace spmv

@@ -84,21 +84,9 @@ void sweep(const CsrMatrix& upper, std::uint32_t r0, std::uint32_t r1,
 }  // namespace
 
 std::unique_ptr<engine::Scratch> SymmetricSpmv::make_scratch() const {
-  if (plan_threads() <= 1) return nullptr;
+  if (plan_threads() <= 1) return engine::SpmvPlan::make_scratch();
   return std::make_unique<engine::PrivateYScratch>(plan_threads(),
                                                    upper_.rows());
-}
-
-void SymmetricSpmv::multiply(std::span<const double> x,
-                             std::span<double> y) const {
-  if (x.size() < upper_.cols() || y.size() < upper_.rows()) {
-    throw std::invalid_argument("SymmetricSpmv::multiply: vector too short");
-  }
-  if (x.data() == y.data()) {
-    throw std::invalid_argument("SymmetricSpmv::multiply: aliasing");
-  }
-  const engine::ScratchCache::Lease lease = scratch_cache_.borrow(*this);
-  execute(x.data(), y.data(), lease.get());
 }
 
 void SymmetricSpmv::execute(const double* x, double* y,

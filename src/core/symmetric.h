@@ -15,7 +15,6 @@
 // scratch, so concurrent multiply() calls are safe.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/partition.h"
@@ -38,9 +37,6 @@ class SymmetricSpmv final : public engine::SpmvPlan {
   SymmetricSpmv(SymmetricSpmv&&) noexcept;
   SymmetricSpmv& operator=(SymmetricSpmv&&) noexcept;
   ~SymmetricSpmv() override;
-
-  /// y ← y + A·x.  Safe for concurrent calls.
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
   [[nodiscard]] std::uint32_t rows() const override { return upper_.rows(); }
   [[nodiscard]] std::uint32_t cols() const override { return upper_.cols(); }
@@ -67,7 +63,6 @@ class SymmetricSpmv final : public engine::SpmvPlan {
   double storage_ratio_ = 1.0;
   std::vector<RowRange> thread_rows_;
   engine::ExecutionContext* ctx_ = nullptr;
-  mutable engine::ScratchCache scratch_cache_;
 };
 
 }  // namespace spmv

@@ -9,7 +9,6 @@
 #include "core/kernels_block.h"
 #include "core/kernels_simd.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "util/cpu.h"
 #include "util/timer.h"
 
@@ -207,17 +206,6 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
   return m;
 }
 
-void TunedMatrix::multiply(std::span<const double> x,
-                           std::span<double> y) const {
-  if (x.size() < report_.cols || y.size() < report_.rows) {
-    throw std::invalid_argument("multiply: vector too short");
-  }
-  if (x.data() == y.data()) {
-    throw std::invalid_argument("multiply: x and y must not alias");
-  }
-  execute(x.data(), y.data(), nullptr);
-}
-
 void TunedMatrix::execute(const double* x, double* y,
                           engine::Scratch* /*scratch*/) const {
   const unsigned pf = opt_.prefetch_distance;
@@ -237,13 +225,6 @@ void TunedMatrix::execute(const double* x, double* y,
         }
       },
       opt_.pin_threads);
-}
-
-void TunedMatrix::multiply_batch_looped(
-    std::span<const double* const> xs,
-    std::span<double* const> ys) const {
-  engine::validate_batch_operands(*this, xs, ys);
-  execute_batch_looped(xs, ys, nullptr);
 }
 
 void TunedMatrix::execute_batch_looped(std::span<const double* const> xs,
@@ -289,7 +270,7 @@ void TunedMatrix::execute_batch(std::span<const double* const> xs,
                                 std::span<double* const> ys,
                                 engine::Scratch* scratch) const {
   const unsigned min_width = report_.fused_batch_min_width;
-  if (scratch == nullptr || min_width == 0 || xs.size() < min_width) {
+  if (min_width == 0 || xs.size() < min_width) {
     execute_batch_looped(xs, ys, scratch);
     return;
   }

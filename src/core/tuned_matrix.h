@@ -88,19 +88,6 @@ class TunedMatrix final : public engine::SpmvPlan {
   TunedMatrix& operator=(const TunedMatrix&) = delete;
   ~TunedMatrix() override;
 
-  /// y ← y + A·x.  Throws if spans are too short or alias each other.
-  /// Safe for concurrent calls at any thread count: workers write disjoint
-  /// row ranges and dispatches serialize on the shared ExecutionContext.
-  void multiply(std::span<const double> x, std::span<double> y) const;
-
-  /// The batched-looped path regardless of the fused crossover: one
-  /// dispatch, each worker re-streaming its blocks once per right-hand
-  /// side (what execute_batch did before fusion existed).  Same operand
-  /// contract as Executor::multiply_batch.  Benches use it to measure
-  /// what fusion adds without planning a second copy of the matrix.
-  void multiply_batch_looped(std::span<const double* const> xs,
-                             std::span<double* const> ys) const;
-
   [[nodiscard]] std::uint32_t rows() const override { return report_.rows; }
   [[nodiscard]] std::uint32_t cols() const override { return report_.cols; }
   [[nodiscard]] std::uint64_t nnz() const { return report_.nnz; }
@@ -125,7 +112,7 @@ class TunedMatrix final : public engine::SpmvPlan {
   /// sweeps each right-hand side per worker, amortizing only the barrier.
   /// Both paths are bit-identical to looped multiply() calls.  There is no
   /// ordering between right-hand sides — no xs[j] may alias any ys[i]
-  /// (the Executor front-end enforces this).
+  /// (multiply_batch() enforces this).
   void execute_batch(std::span<const double* const> xs,
                      std::span<double* const> ys,
                      engine::Scratch* scratch) const override;

@@ -42,6 +42,69 @@ void SpmvPlan::execute_batch(std::span<const double* const> xs,
   }
 }
 
+namespace {
+
+void validate_batch_operands(std::span<const double* const> xs,
+                             std::span<double* const> ys) {
+  if (xs.size() != ys.size()) {
+    throw std::invalid_argument("multiply_batch: batch size mismatch");
+  }
+  // Bare pointers carry no length, so only null/aliasing are checkable
+  // here; the caller guarantees x_elements()/y_elements() valid elements
+  // per pointer (see the header contract).  Aliasing is checked across the
+  // whole batch, not just pairwise: the single-dispatch batch path runs
+  // all right-hand sides with no barrier between them, so a chained batch
+  // (xs[j] == ys[i], "use this y as the next x") would race.
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (xs[i] == nullptr || ys[i] == nullptr) {
+      throw std::invalid_argument("multiply_batch: null operand in batch");
+    }
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      if (xs[i] == ys[j]) {
+        throw std::invalid_argument(
+            "multiply_batch: batch operands alias (xs/ys must be disjoint; "
+            "chain dependent multiplies through multiply() instead)");
+      }
+      if (j < i && ys[i] == ys[j]) {
+        throw std::invalid_argument(
+            "multiply_batch: duplicate y in batch (two right-hand sides "
+            "would accumulate into the same destination concurrently)");
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void validate_multiply_operands(const SpmvPlan& plan,
+                                std::span<const double> x,
+                                std::span<double> y) {
+  if (x.size() < plan.x_elements() || y.size() < plan.y_elements()) {
+    throw std::invalid_argument("multiply: operand too short");
+  }
+  if (x.data() == y.data()) {
+    throw std::invalid_argument("multiply: x and y must not alias");
+  }
+}
+
+// A call that throws frees its scratch instead of returning it: the cache
+// only re-warms.
+void SpmvPlan::multiply(std::span<const double> x,
+                        std::span<double> y) const {
+  validate_multiply_operands(*this, x, y);
+  std::unique_ptr<Scratch> scratch = scratches_.take(*this);
+  execute(x.data(), y.data(), scratch.get());
+  scratches_.give_back(std::move(scratch));
+}
+
+void SpmvPlan::multiply_batch(std::span<const double* const> xs,
+                              std::span<double* const> ys) const {
+  validate_batch_operands(xs, ys);
+  std::unique_ptr<Scratch> scratch = scratches_.take(*this);
+  execute_batch(xs, ys, scratch.get());
+  scratches_.give_back(std::move(scratch));
+}
+
 void run_fused_batch(
     std::span<const double* const> xs, std::span<double* const> ys,
     std::uint32_t rows, std::uint32_t cols, unsigned min_width,
@@ -96,98 +159,21 @@ void run_fused_batch(
   }
 }
 
-ScratchCache::ScratchCache() : state_(std::make_unique<State>()) {}
-
-// Moving a cache drops its cached scratches: a cache usually rides inside
-// a moved plan object, and every cached scratch is stamped with the OLD
-// plan's address — handing one out at the new location would trip take()'s
-// ownership check on the first multiply after the move.  A cache is only a
-// cache; it re-warms with correctly-stamped scratches.
-ScratchCache::ScratchCache(ScratchCache&& other) noexcept
-    : state_(std::move(other.state_)) {
-  if (state_ != nullptr) {
-    MutexLock lock(state_->mutex);
-    state_->free_list.clear();
-  }
-}
-
-ScratchCache& ScratchCache::operator=(ScratchCache&& other) noexcept {
-  if (this != &other) {
-    state_ = std::move(other.state_);
-    if (state_ != nullptr) {
-      MutexLock lock(state_->mutex);
-      state_->free_list.clear();
-    }
-  }
-  return *this;
-}
-
-ScratchCache::~ScratchCache() = default;
-
-ScratchCache::Lease::Lease(ScratchCache* cache,
-                           std::unique_ptr<Scratch> scratch)
-    : cache_(cache), scratch_(std::move(scratch)) {}
-
-ScratchCache::Lease::Lease(Lease&& other) noexcept
-    : cache_(other.cache_), scratch_(std::move(other.scratch_)) {
-  other.cache_ = nullptr;
-}
-
-ScratchCache::Lease::~Lease() {
-  if (cache_ != nullptr) cache_->give_back(std::move(scratch_));
-}
-
-ScratchCache::Lease ScratchCache::borrow(const SpmvPlan& plan) {
-  return Lease(this, take(plan));
-}
-
-std::unique_ptr<Scratch> ScratchCache::take(const SpmvPlan& plan) {
+std::unique_ptr<Scratch> SpmvPlan::ScratchCache::take(const SpmvPlan& plan) {
   {
     MutexLock lock(state_->mutex);
     if (!state_->free_list.empty()) {
       std::unique_ptr<Scratch> s = std::move(state_->free_list.back());
       state_->free_list.pop_back();
-      if (s->built_for_ != &plan) {
-        // Scratch layouts are plan-specific: executing with another plan's
-        // scratch would read/write past its buffers.  A cache is owned by
-        // one plan (e.g. one registry entry) — sharing it is a bug that
-        // must not turn into silent memory corruption.
-        throw std::logic_error(
-            "ScratchCache::take: cached scratch was built for a different "
-            "plan (a ScratchCache must serve exactly one plan)");
-      }
-      ++state_->outstanding;
-      state_->high_water = std::max(state_->high_water, state_->outstanding);
       return s;
     }
-    // Counted before the (unlocked) allocation so two dispatchers missing
-    // the cache simultaneously both register: the high-water mark is about
-    // demanded concurrency, not cache hits.
-    ++state_->outstanding;
-    state_->high_water = std::max(state_->high_water, state_->outstanding);
   }
-  std::unique_ptr<Scratch> s = plan.make_scratch();
-  if (s != nullptr) {
-    s->built_for_ = &plan;
-  } else {
-    // Stateless plan: nothing was handed out, undo the count.
-    MutexLock lock(state_->mutex);
-    --state_->outstanding;
-  }
-  return s;
+  return plan.make_scratch();
 }
 
-void ScratchCache::give_back(std::unique_ptr<Scratch> scratch) {
-  if (scratch == nullptr) return;
+void SpmvPlan::ScratchCache::give_back(std::unique_ptr<Scratch> scratch) {
   MutexLock lock(state_->mutex);
-  if (state_->outstanding > 0) --state_->outstanding;
-  // Adaptive cap: keep as many scratches as have ever been in flight at
-  // once (the concurrency this cache actually serves), bounded to
-  // [kMinCached, kMaxCached] so a serial caller stays tiny and a burst
-  // cannot pin unbounded peak memory for the plan's lifetime.
-  const std::size_t cap = std::min(
-      std::max(kMinCached, state_->high_water), kMaxCached);
-  if (state_->free_list.size() < cap) {
+  if (state_->free_list.size() < kMaxCached) {
     state_->free_list.push_back(std::move(scratch));
   }
   // else: drop it.

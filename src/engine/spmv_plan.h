@@ -1,4 +1,4 @@
-// Plan/executor split: immutable planned state vs per-call scratch.
+// Plan/scratch split: immutable planned state vs per-call scratch.
 //
 // Planning (partitioning, blocking, encoding) is expensive and happens
 // once; execution happens millions of times, possibly from many server
@@ -7,14 +7,16 @@
 //   * SpmvPlan is the immutable product of planning.  execute() is const
 //     and touches no plan state besides reading it — every mutable byte a
 //     call needs (private destination vectors, carry slots, DMA staging
-//     buffers) lives in a Scratch object the caller owns.
+//     buffers) lives in a Scratch object.
 //   * Scratch is the per-call state.  Two concurrent execute() calls with
 //     distinct Scratch objects are data-race free and produce bit-identical
 //     results to back-to-back serial calls.
 //
-// All six parallel variants and both baselines implement this interface,
-// so servers, benches, and the Executor batch front-end treat them
-// uniformly.
+// multiply() and multiply_batch() are every plan's one front door: they
+// validate the operands, borrow a scratch from the plan's own free list
+// and run execute()/execute_batch().  All six parallel variants and both
+// baselines implement this interface, so servers, benches and the
+// scheduler's batch path treat them uniformly.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,7 @@ class SpmvPlan;
 /// Base class for a plan's per-call mutable state.  Plans with no state of
 /// their own (disjoint-row-write variants like the tuned matrix) use the
 /// base class directly — it still carries the fused-batch panel buffers,
-/// which is why make_scratch() never returns nullptr anymore.
+/// which is why make_scratch() never returns nullptr.
 class Scratch {
  public:
   virtual ~Scratch();
@@ -48,18 +50,33 @@ class Scratch {
   [[nodiscard]] double* y_panel(std::size_t elements);
 
  private:
-  friend class ScratchCache;
   AlignedBuffer<double> x_panel_;
   AlignedBuffer<double> y_panel_;
-  /// Stamped by ScratchCache::take — the plan whose make_scratch() built
-  /// this scratch.  A cache handing the scratch to a different plan is a
-  /// corruption bug and fails loudly instead (see ScratchCache::take).
-  const SpmvPlan* built_for_ = nullptr;
 };
 
 class SpmvPlan {
  public:
   virtual ~SpmvPlan();
+
+  /// y ← y + A·x.  Throws std::invalid_argument when x or y is shorter
+  /// than x_elements()/y_elements() or when they alias.  Any number of
+  /// threads may call it on one plan at once.  Must not be called from
+  /// inside a pool worker of the plan's own context.
+  void multiply(std::span<const double> x, std::span<double> y) const;
+
+  /// ys[i] ← ys[i] + A·xs[i] for all i, through execute_batch() (one
+  /// dispatch per batch, and a fused matrix stream where the plan has
+  /// one).  xs and ys must be the same length; each pointer must be
+  /// non-null and reference at least x_elements()/y_elements() valid
+  /// elements — lengths cannot be checked from bare pointers, unlike
+  /// multiply()'s spans.  No xs pointer may equal any ys pointer, and no
+  /// two ys pointers may be equal (both checked): the batch executes with
+  /// no ordering between right-hand sides, so chained batches and shared
+  /// destinations are rejected — express dependent multiplies as
+  /// successive multiply() calls.  Throws std::invalid_argument on a
+  /// violation; thread-safe like multiply().
+  void multiply_batch(std::span<const double* const> xs,
+                      std::span<double* const> ys) const;
 
   /// Logical operator shape.
   [[nodiscard]] virtual std::uint32_t rows() const = 0;
@@ -82,23 +99,60 @@ class SpmvPlan {
   /// which still carries the fused-batch panel buffers.
   [[nodiscard]] virtual std::unique_ptr<Scratch> make_scratch() const;
 
-  /// y ← y + A·x.  `x`/`y` must have x_elements()/y_elements() valid
-  /// elements and not alias.  `scratch` must come from this plan's
-  /// make_scratch() (plans that keep no per-call state tolerate nullptr —
-  /// their own multiply() front doors pass it) and must not be shared
-  /// between concurrent calls.  Must not be invoked from inside a pool
-  /// worker of the plan's own context.
+  /// y ← y + A·x with no operand checks: the hook each plan implements
+  /// and multiply() calls.  `x`/`y` must have x_elements()/y_elements()
+  /// valid elements and not alias.  `scratch` comes from this plan's
+  /// make_scratch() and is not shared between concurrent calls; plans
+  /// that keep no per-call state ignore it.  Must not be invoked from
+  /// inside a pool worker of the plan's own context.
   virtual void execute(const double* x, double* y, Scratch* scratch) const = 0;
 
-  /// ys[i] ← ys[i] + A·xs[i] for every i.  The default loops over
-  /// execute(); the blocked plans override it with a fused SpMM path that
-  /// packs the batch into k-wide panels and streams the matrix once per
-  /// chunk (see run_fused_batch), falling back to a single looped dispatch
-  /// where fusion is off.  Overrides must stay bit-identical to the loop.
+  /// ys[i] ← ys[i] + A·xs[i] for every i: the hook multiply_batch() calls,
+  /// with operands already checked and a non-null `scratch`.  The default
+  /// loops over execute(); the blocked plans override it with a fused SpMM
+  /// path that packs the batch into k-wide panels and streams the matrix
+  /// once per chunk (see run_fused_batch), falling back to a single looped
+  /// dispatch where fusion is off.  Overrides must stay bit-identical to
+  /// the loop.
   virtual void execute_batch(std::span<const double* const> xs,
                              std::span<double* const> ys,
                              Scratch* scratch) const;
+
+ protected:
+  SpmvPlan() = default;
+  SpmvPlan(SpmvPlan&&) noexcept = default;
+  SpmvPlan& operator=(SpmvPlan&&) noexcept = default;
+
+ private:
+  /// The front doors' free list of scratches: a call borrows one (making a
+  /// fresh one only when every cached one is out) and returns it, so
+  /// steady-state calls allocate nothing and concurrent callers never
+  /// share one.  Scratches returned beyond kMaxCached are freed, so a
+  /// burst of concurrent calls does not pin its peak memory for the plan's
+  /// lifetime (a scratch can be plan_threads × rows doubles).  The state
+  /// sits behind a pointer so the plan stays movable.
+  class ScratchCache {
+   public:
+    [[nodiscard]] std::unique_ptr<Scratch> take(const SpmvPlan& plan);
+    void give_back(std::unique_ptr<Scratch> scratch);
+
+   private:
+    static constexpr std::size_t kMaxCached = 16;
+    struct State {
+      Mutex mutex;
+      std::vector<std::unique_ptr<Scratch>> free_list SPMV_GUARDED_BY(mutex);
+    };
+    std::unique_ptr<State> state_ = std::make_unique<State>();
+  };
+  mutable ScratchCache scratches_;
 };
+
+/// The operand checks multiply() performs, exposed so the serving
+/// scheduler rejects a request at submit time with identical semantics.
+/// Throws std::invalid_argument on violation.
+void validate_multiply_operands(const SpmvPlan& plan,
+                                std::span<const double> x,
+                                std::span<double> y);
 
 /// Shared panel machinery for fused execute_batch overrides.  Chunks the
 /// batch into panels of at most `max_width` right-hand sides, packs each
@@ -126,75 +180,5 @@ void run_fused_batch(
     const std::function<void(const double* xp, double* yp, unsigned w)>&
         sweep,
     const std::function<void(const double* x, double* y)>& single);
-
-/// A small free-list of Scratch objects so a plan's own multiply() stays
-/// allocation-free in steady state while remaining safe for concurrent
-/// callers: each call borrows a scratch (allocating only when all are in
-/// flight) and returns it when done.  The free list is capped — scratches
-/// returned beyond the cap are freed, so a transient burst of concurrent
-/// calls does not pin peak-concurrency memory for the plan's lifetime.
-/// Movable so the value-type plan classes that embed it stay movable;
-/// moving drops the cached scratches (they are stamped with the embedding
-/// plan's old address — see take()) and the cache simply re-warms.
-class ScratchCache {
- public:
-  ScratchCache();
-  ScratchCache(ScratchCache&&) noexcept;
-  ScratchCache& operator=(ScratchCache&&) noexcept;
-  ~ScratchCache();
-
-  class Lease {
-   public:
-    Lease(ScratchCache* cache, std::unique_ptr<Scratch> scratch);
-    Lease(Lease&&) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    ~Lease();  ///< returns the scratch to the cache
-
-    [[nodiscard]] Scratch* get() const { return scratch_.get(); }
-
-   private:
-    ScratchCache* cache_;
-    std::unique_ptr<Scratch> scratch_;
-  };
-
-  /// Borrow a cached scratch, or make a fresh one via `plan.make_scratch()`.
-  [[nodiscard]] Lease borrow(const SpmvPlan& plan);
-
-  /// Lease-free borrowing for holders that manage the return themselves
-  /// (the pooled Executor): take() hands out a cached or fresh scratch,
-  /// give_back() returns it for reuse (or frees it beyond the cap).  Both
-  /// are thread-safe; give_back(nullptr) is a no-op.  A cache belongs to
-  /// exactly one plan: every scratch is stamped with the plan that built
-  /// it, and take() throws std::logic_error when a cached scratch was
-  /// built by a different plan — a cache accidentally shared across plans
-  /// fails loudly instead of corrupting memory (scratch layouts are
-  /// plan-specific).
-  [[nodiscard]] std::unique_ptr<Scratch> take(const SpmvPlan& plan);
-  void give_back(std::unique_ptr<Scratch> scratch);
-
- private:
-  /// The free-list cap adapts to observed concurrency: it is the
-  /// high-water mark of simultaneously outstanding scratches, clamped to
-  /// [kMinCached, kMaxCached].  A serial caller keeps the old tiny
-  /// footprint (one scratch can be plan_threads × rows doubles for the
-  /// reduction-based variants), while a sharded scheduler running N
-  /// dispatchers against one entry settles at N cached scratches instead
-  /// of freeing and re-allocating N - kMinCached of them on every batch.
-  /// The mark only ever rises — a past burst pins at most kMaxCached.
-  static constexpr std::size_t kMinCached = 2;
-  static constexpr std::size_t kMaxCached = 16;
-
-  struct State {
-    Mutex mutex;
-    std::vector<std::unique_ptr<Scratch>> free_list SPMV_GUARDED_BY(mutex);
-    /// Scratches currently handed out (take minus give_back).
-    std::size_t outstanding SPMV_GUARDED_BY(mutex) = 0;
-    /// Peak of `outstanding`: the observed concurrency this cache serves.
-    std::size_t high_water SPMV_GUARDED_BY(mutex) = 0;
-  };
-  std::unique_ptr<State> state_;
-};
 
 }  // namespace spmv::engine

@@ -912,7 +912,7 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
     post_completion(io_index, std::move(c));
   };
   op->token = scheduler_.submit(entry, std::span<const double>(*op->x),
-                                std::span<double>(op->y), opts)
+                                std::span<double>(op->y), std::move(opts))
                   .token;
 }
 

@@ -5,8 +5,8 @@
 // immutable plan across every client and dispatcher thread.  Entries are published as shared_ptr<const Entry>:
 // lookup pins the plan, so replace()/erase() never destroy a plan under an
 // in-flight request — the old version is retired when its last pin drops.
-// Each entry also carries a ScratchCache, so batched dispatches on plans
-// that need scratch stay allocation-free in steady state.
+// The plan recycles its own scratch, so batched dispatches stay
+// allocation-free in steady state.
 #pragma once
 
 #include <cstdint>
@@ -16,16 +16,13 @@
 #include <vector>
 
 #include "core/tuned_matrix.h"
-#include "engine/spmv_plan.h"
 #include "util/thread_annotations.h"
 
 namespace spmv::serve {
 
 class MatrixRegistry {
  public:
-  /// One published version of one named matrix.  Immutable after publish
-  /// (the ScratchCache is internally synchronized; `mutable` only because
-  /// borrowing scratch is logically const).
+  /// One published version of one named matrix.  Immutable after publish.
   struct Entry {
     Entry(std::string name_, std::uint64_t version_, TunedMatrix plan_)
         : name(std::move(name_)),
@@ -35,7 +32,6 @@ class MatrixRegistry {
     std::string name;
     std::uint64_t version;  ///< unique across the registry, monotonic
     TunedMatrix plan;
-    mutable engine::ScratchCache scratch;
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 

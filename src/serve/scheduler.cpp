@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/thread_pool.h"
-#include "engine/executor.h"
 #include "util/fault_point.h"
 
 namespace spmv::serve {
@@ -106,19 +105,19 @@ std::future<void> Scheduler::submit(MatrixRegistry::EntryPtr entry,
 
 SubmitHandle Scheduler::submit(const std::string& name,
                                std::span<const double> x, std::span<double> y,
-                               const SubmitOptions& options) {
+                               SubmitOptions options) {
   SubmitHandle handle;
-  handle.future =
-      do_submit(registry_.find(name), &name, x, y, options, &handle.token);
+  handle.future = do_submit(registry_.find(name), &name, x, y,
+                            std::move(options), &handle.token);
   return handle;
 }
 
 SubmitHandle Scheduler::submit(MatrixRegistry::EntryPtr entry,
                                std::span<const double> x, std::span<double> y,
-                               const SubmitOptions& options) {
+                               SubmitOptions options) {
   SubmitHandle handle;
-  handle.future =
-      do_submit(std::move(entry), nullptr, x, y, options, &handle.token);
+  handle.future = do_submit(std::move(entry), nullptr, x, y,
+                            std::move(options), &handle.token);
   return handle;
 }
 
@@ -126,7 +125,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
                                        const std::string* name,
                                        std::span<const double> x,
                                        std::span<double> y,
-                                       const SubmitOptions& options,
+                                       SubmitOptions options,
                                        CancelToken* token_out) {
   // Fail fast instead of deadlocking: a kBlock wait on an engine pool
   // worker parks the very thread the dispatcher needs to drain the queue.
@@ -148,7 +147,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   }
   std::future<void> fut;
   std::function<void(const ServeError*)> complete =
-      options.on_complete ? options.on_complete : future_completion(fut);
+      options.on_complete ? std::move(options.on_complete)
+                          : future_completion(fut);
   if (entry == nullptr) {
     // An unknown name counts in one aggregate counter, never in a
     // per-name cell (see ServeStats); a null entry counts nowhere.
@@ -568,8 +568,7 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
   try {
     SPMV_FAULT_THROW("scheduler.dispatch_fail", std::runtime_error,
                      "serve: injected dispatch failure");
-    engine::Executor exec(entry.plan, entry.scratch);
-    exec.multiply_batch(xs, ys);
+    entry.plan.multiply_batch(xs, ys);
   } catch (const std::exception& e) {
     failure.emplace(ServeErrorCode::kInternal, e.what());
   } catch (...) {

@@ -12,7 +12,7 @@
 //   * Submitters push onto a Vyukov ring (util/mpmc_queue.h) and wake the
 //     dispatcher through an eventcount (util/eventcount.h) only when it
 //     sleeps — the steady-state submit path takes no lock.
-//   * Same-entry requests coalesce into one Executor::multiply_batch.
+//   * Same-entry requests coalesce into one plan.multiply_batch call.
 //     The dispatcher runs one batch at a time, so two requests can race
 //     over shared memory only inside one batch, and batch building splits
 //     those apart (see conflicts_with).
@@ -38,7 +38,7 @@
 // Lifecycle safety comes from the registry's refcounting: submit() pins
 // the entry, so a request races freely with put()/erase() on its name —
 // it executes on the version it resolved.  Results are bit-identical to a
-// direct Executor::multiply on the same plan (the engine's batch path
+// direct plan.multiply on the same plan (the engine's batch path
 // guarantees per-rhs equality, and coalescing never reorders a single
 // request's accumulation).
 //
@@ -52,7 +52,7 @@
 // Request lifecycle: a request may carry a *deadline* and a *priority*
 // (SubmitOptions) and hand back a CancelToken.  Expired or cancelled
 // requests are swept out of the queue and out of forming batches before
-// dispatch — they never reach Executor::multiply_batch — and finish
+// dispatch — they never reach plan.multiply_batch — and finish
 // kDeadlineExceeded / kCancelled.  A third overflow policy, kShed, rejects
 // load the queue cannot serve in time: an OverloadDetector
 // (serve/health.h) watches queue depth with hysteresis and an EWMA of
@@ -89,7 +89,7 @@ namespace spmv::serve {
 
 enum class ServeErrorCode {
   kUnknownMatrix,   ///< submit() name not in the registry
-  kInvalidOperand,  ///< short/aliasing x|y (same checks as Executor)
+  kInvalidOperand,  ///< short/aliasing x|y (same checks as plan.multiply)
   kQueueFull,       ///< queue full under kReject, or shed under kShed
   kShutdown,        ///< scheduler stopped before the request could run
   kDeadlineExceeded,  ///< deadline passed (or predicted to) pre-dispatch
@@ -241,12 +241,13 @@ class Scheduler {
   /// CancelToken for the request.  All the plain-submit guarantees hold,
   /// plus: the request never executes after its deadline or a successful
   /// cancel — it finishes kDeadlineExceeded / kCancelled instead, exactly
-  /// once.
+  /// once.  `options` is taken by value: a caller passing
+  /// std::move(options) hands its on_complete to the request uncopied.
   SubmitHandle submit(const std::string& name, std::span<const double> x,
-                      std::span<double> y, const SubmitOptions& options);
+                      std::span<double> y, SubmitOptions options);
   SubmitHandle submit(MatrixRegistry::EntryPtr entry,
                       std::span<const double> x, std::span<double> y,
-                      const SubmitOptions& options);
+                      SubmitOptions options);
 
   /// Begin dispatching when constructed with start_paused.  Idempotent.
   void resume();
@@ -298,7 +299,7 @@ class Scheduler {
   std::future<void> do_submit(MatrixRegistry::EntryPtr entry,
                               const std::string* name,
                               std::span<const double> x, std::span<double> y,
-                              const SubmitOptions& options,
+                              SubmitOptions options,
                               CancelToken* token_out);
   /// The one way a request ends: bump `counter` (its outcome's stats
   /// counter; null counts nothing), then call `complete` with `error`.
@@ -309,7 +310,7 @@ class Scheduler {
   /// `now` (kDeadlineExceeded / kCancelled) and report that it was.
   /// Every pre-dispatch sweep — batch building, linger, batch
   /// finalization, shutdown — funnels through this, so a dead request
-  /// never reaches Executor::multiply_batch and finishes exactly once.
+  /// never reaches plan.multiply_batch and finishes exactly once.
   /// With `claim_token` the check is final: the cancel token is
   /// CAS-claimed, so when this returns false the request is committed to
   /// finish with its execution (or teardown) outcome and cancel() returns

@@ -8,9 +8,9 @@
 // Execution engine:   spmv::engine::ExecutionContext (the process-wide
 //                     shared worker pool every variant borrows),
 //                     spmv::engine::SpmvPlan (immutable plan + per-call
-//                     Scratch: concurrent-safe execution), and
-//                     spmv::engine::Executor (per-caller handle with
-//                     multiply() and batched multiply_batch()).
+//                     Scratch; every plan's one front door is its
+//                     multiply() and batched multiply_batch(), safe from
+//                     any number of threads).
 // Parallel variants:  spmv::SegmentedScanSpmv, spmv::ColumnPartitionedSpmv,
 //                     spmv::SymmetricSpmv, spmv::MultiVectorSpmv,
 //                     spmv::LocalStoreSpmv — all engine::SpmvPlan
@@ -28,7 +28,6 @@
 #include "baseline/oski_like.h"
 #include "baseline/petsc_like.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "engine/spmv_plan.h"
 #include "core/column_partition.h"
 #include "core/kernels_csr.h"

@@ -1,6 +1,6 @@
 // Bounded lock-free MPMC ring (Vyukov's sequence-number design, the shape
-// moodycamel::ConcurrentQueue builds on): the serving data plane's
-// per-shard request queue.
+// moodycamel::ConcurrentQueue builds on): the serving scheduler's request
+// queue.
 //
 // Every slot carries a sequence number that encodes, relative to the ring
 // positions, whose turn the slot is: a producer may fill slot s when
@@ -14,7 +14,8 @@
 // Contracts:
 //  * try_push/try_pop are safe from any number of threads concurrently.
 //  * try_push(std::move(v)) leaves v untouched when it returns false
-//    (full), so callers can re-route the element to a sibling shard.
+//    (full), so a caller can wait for space and push it again, or fail it
+//    (the scheduler's kBlock and kReject policies).
 //  * FIFO per producer: two pushes by one thread are popped in push order
 //    (position claims are program-ordered per thread).  Cross-producer
 //    order is claim order.

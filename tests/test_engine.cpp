@@ -1,12 +1,14 @@
 // Tests for the shared execution engine: concurrent multiply() safety on
 // one planned matrix (results bit-identical to serial), pool sharing
-// across plans on one ExecutionContext, Executor batch equivalence, and
-// DMA-stats accounting under concurrency.
+// across plans on one ExecutionContext, the plan front door's operand
+// checks and batch equivalence on every plan family, and DMA-stats
+// accounting under concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/oski_like.h"
@@ -19,7 +21,6 @@
 #include "core/tuned_matrix.h"
 #include "core/kernels_csr.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "gen/generators.h"
 #include "util/prng.h"
 
@@ -207,7 +208,7 @@ TEST(EnginePoolSharing, PoolGrowsForWiderPlan) {
   EXPECT_EQ(ctx.capacity(), 6u);
 }
 
-TEST(EngineExecutor, BatchMatchesLoopedMultiply) {
+TEST(EnginePlan, BatchMatchesLoopedMultiply) {
   const CsrMatrix m = gen::fem_like(280, 3, 9.0, 45, 14);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
@@ -231,15 +232,14 @@ TEST(EngineExecutor, BatchMatchesLoopedMultiply) {
     xs.push_back(xs_store[i].data());
     ys.push_back(batch_ys[i].data());
   }
-  engine::Executor exec(tuned);
-  exec.multiply_batch(xs, ys);
+  tuned.multiply_batch(xs, ys);
 
   for (std::size_t i = 0; i < kBatch; ++i) {
     EXPECT_EQ(batch_ys[i], loop_ys[i]) << "rhs " << i;
   }
 }
 
-TEST(EngineExecutor, BatchOnSerialBaselineMatchesLoop) {
+TEST(EnginePlan, BatchOnSerialBaselineMatchesLoop) {
   const CsrMatrix m = gen::uniform_random(400, 380, 6.0, 15);
   const baseline::OskiLikeMatrix oski =
       baseline::OskiLikeMatrix::tune(m, baseline::RegisterProfile::typical());
@@ -260,83 +260,135 @@ TEST(EngineExecutor, BatchOnSerialBaselineMatchesLoop) {
     xs.push_back(xs_store[i].data());
     ys.push_back(batch_ys[i].data());
   }
-  engine::Executor exec(oski);
-  exec.multiply_batch(xs, ys);
+  oski.multiply_batch(xs, ys);
   for (std::size_t i = 0; i < kBatch; ++i) {
     EXPECT_EQ(batch_ys[i], loop_ys[i]) << "rhs " << i;
   }
 }
 
-TEST(EngineExecutor, ExecutorRunsEveryPlanFamily) {
+TEST(EnginePlan, FrontDoorValidatesEveryFamily) {
+  // Every plan family goes through SpmvPlan's one pair of front doors, so
+  // each must reject the same malformed operands (an aliased x == y would
+  // make OSKI's sweep read the y it writes and race PETSc's ranks), agree
+  // with the reference on exact-length operands, and give bit-identical
+  // results while its scratch is recycled.
   const CsrMatrix m = gen::fem_like(150, 2, 8.0, 30, 16);
   const auto x = random_vector(m.cols(), 80);
-  std::vector<double> expected(m.rows(), 0.0);
+  const auto x2 = random_vector(m.cols(), 81);
+  std::vector<double> expected(m.rows(), 0.5), expected2(m.rows(), 0.5);
   spmv_reference(m, x, expected);
+  spmv_reference(m, x2, expected2);
 
   TuningOptions opt = TuningOptions::full(3);
   opt.tune_prefetch = false;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
   const SegmentedScanSpmv ss(m, 3);
   const ColumnPartitionedSpmv cp = ColumnPartitionedSpmv::plan(m, opt);
+  const SymmetricSpmv sym = SymmetricSpmv::from_full(m, 3);
   const MultiVectorSpmv mv(m, 1, 3);
   LocalStoreParams lsp;
   lsp.spes = 3;
   lsp.local_store_bytes = 32 * 1024;
   const LocalStoreSpmv ls = LocalStoreSpmv::plan(m, lsp);
+  const baseline::OskiLikeMatrix oski =
+      baseline::OskiLikeMatrix::tune(m, baseline::RegisterProfile::typical());
   const baseline::PetscLikeSpmv dist = baseline::PetscLikeSpmv::distribute(
       m, 3, baseline::RegisterProfile::typical());
 
-  const engine::SpmvPlan* plans[] = {&tuned, &ss, &cp, &mv, &ls, &dist};
-  for (const engine::SpmvPlan* plan : plans) {
-    engine::Executor exec(*plan);
+  const std::pair<const char*, const engine::SpmvPlan*> plans[] = {
+      {"tuned", &tuned},     {"segmented-scan", &ss}, {"column", &cp},
+      {"symmetric", &sym},   {"multi-vector", &mv},   {"local-store", &ls},
+      {"oski", &oski},       {"petsc", &dist}};
+  for (const auto& [name, plan] : plans) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(plan->x_elements(), m.cols());
+    ASSERT_EQ(plan->y_elements(), m.rows());
+
+    std::vector<double> short_x(m.cols() - 1, 1.0), short_y(m.rows() - 1);
     std::vector<double> y(m.rows(), 0.0);
-    exec.multiply(x, y);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_NEAR(expected[i], y[i], 1e-11) << "row " << i;
+    EXPECT_THROW(plan->multiply(short_x, y), std::invalid_argument);
+    EXPECT_THROW(plan->multiply(x, short_y), std::invalid_argument);
+    std::vector<double> shared(m.rows(), 1.0);
+    EXPECT_THROW(plan->multiply(std::span<const double>(shared),
+                                std::span<double>(shared)),
+                 std::invalid_argument);
+
+    std::vector<double> a(m.rows(), 0.0), b(m.rows(), 0.0);
+    using Xs = std::vector<const double*>;
+    using Ys = std::vector<double*>;
+    const std::pair<Xs, Ys> bad_batches[] = {
+        {{x.data()}, {}},                               // size mismatch
+        {{x.data(), nullptr}, {a.data(), b.data()}},    // null x
+        {{x.data(), x2.data()}, {a.data(), nullptr}},   // null y
+        {{x.data(), a.data()}, {a.data(), b.data()}},   // xs[1] == ys[0]
+        {{x.data(), x2.data()}, {a.data(), a.data()}},  // duplicate y
+    };
+    for (const auto& [xs, ys] : bad_batches) {
+      EXPECT_THROW(plan->multiply_batch(xs, ys), std::invalid_argument)
+          << "batch of " << xs.size() << " x / " << ys.size() << " y";
+    }
+
+    // Exact lengths pass.  Three rounds recycle the plan's scratch; every
+    // round, and the batch against the single multiply, must agree bitwise.
+    std::vector<double> first;
+    for (int round = 0; round < 3; ++round) {
+      std::vector<double> single(m.rows(), 0.5);
+      plan->multiply(x, single);
+      std::vector<double> y1(m.rows(), 0.5), y2(m.rows(), 0.5);
+      const Xs xs = {x.data(), x2.data()};
+      const Ys ys = {y1.data(), y2.data()};
+      plan->multiply_batch(xs, ys);
+      EXPECT_EQ(y1, single) << "round " << round;
+      if (round == 0) {
+        first = single;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_NEAR(expected[i], single[i], 1e-11) << "row " << i;
+          ASSERT_NEAR(expected2[i], y2[i], 1e-11) << "row " << i;
+        }
+      } else {
+        EXPECT_EQ(single, first) << "round " << round;
+      }
     }
   }
 }
 
-TEST(EngineExecutor, ValidatesOperands) {
+TEST(EnginePlan, ValidatesOperands) {
   const CsrMatrix m = gen::dense(8);
   TuningOptions opt = TuningOptions::naive();
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  engine::Executor exec(tuned);
   std::vector<double> x(7), y(8);
-  EXPECT_THROW(exec.multiply(x, y), std::invalid_argument);
+  EXPECT_THROW(tuned.multiply(x, y), std::invalid_argument);
   std::vector<double> ok(8, 1.0);
-  EXPECT_THROW(exec.multiply(ok, std::span<double>(ok)),
+  EXPECT_THROW(tuned.multiply(ok, std::span<double>(ok)),
                std::invalid_argument);
   std::vector<const double*> xs = {ok.data()};
   std::vector<double*> ys;
-  EXPECT_THROW(exec.multiply_batch(xs, ys), std::invalid_argument);
+  EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
 }
 
-TEST(EngineExecutor, ValidatesEveryOperandShape) {
+TEST(EnginePlan, ValidatesEveryOperandShape) {
   // Each documented rejection, separately: short x, short y, x/y aliasing,
-  // and exact-length acceptance — the contract other front-ends (the
-  // serving scheduler) replicate through validate_multiply_operands.
+  // and exact-length acceptance — the contract the serving scheduler
+  // replicates through validate_multiply_operands.
   const CsrMatrix m = gen::dense(8);
   TuningOptions opt = TuningOptions::naive();
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  engine::Executor exec(tuned);
 
   std::vector<double> good_x(8, 1.0), good_y(8, 0.0);
   std::vector<double> short_x(7, 1.0), short_y(7, 0.0);
-  EXPECT_THROW(exec.multiply(short_x, good_y), std::invalid_argument);
-  EXPECT_THROW(exec.multiply(good_x, short_y), std::invalid_argument);
+  EXPECT_THROW(tuned.multiply(short_x, good_y), std::invalid_argument);
+  EXPECT_THROW(tuned.multiply(good_x, short_y), std::invalid_argument);
   std::vector<double> shared(8, 1.0);
   EXPECT_THROW(
-      exec.multiply(std::span<const double>(shared), std::span<double>(shared)),
+      tuned.multiply(std::span<const double>(shared), std::span<double>(shared)),
       std::invalid_argument);
-  EXPECT_NO_THROW(exec.multiply(good_x, good_y));  // exact lengths are legal
+  EXPECT_NO_THROW(tuned.multiply(good_x, good_y));  // exact lengths are legal
 }
 
-TEST(EngineExecutor, ValidatesBatchAliasingAndNulls) {
+TEST(EnginePlan, ValidatesBatchAliasingAndNulls) {
   const CsrMatrix m = gen::dense(8);
   TuningOptions opt = TuningOptions::naive();
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  engine::Executor exec(tuned);
   std::vector<double> a(8, 1.0), b(8, 1.0), c(8, 0.0), d(8, 0.0);
 
   {
@@ -344,48 +396,29 @@ TEST(EngineExecutor, ValidatesBatchAliasingAndNulls) {
     // rejected like multiply()'s aliasing check, not raced.
     std::vector<const double*> xs = {a.data(), b.data()};
     std::vector<double*> ys = {c.data(), b.data()};
-    EXPECT_THROW(exec.multiply_batch(xs, ys), std::invalid_argument);
+    EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
   }
   {
     // Two right-hand sides sharing one destination would accumulate into
     // the same y concurrently on the single-dispatch path.
     std::vector<const double*> xs = {a.data(), b.data()};
     std::vector<double*> ys = {c.data(), c.data()};
-    EXPECT_THROW(exec.multiply_batch(xs, ys), std::invalid_argument);
+    EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
   }
   {
     std::vector<const double*> xs = {a.data(), nullptr};
     std::vector<double*> ys = {c.data(), d.data()};
-    EXPECT_THROW(exec.multiply_batch(xs, ys), std::invalid_argument);
+    EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
   }
   {
     // Disjoint operands pass; repeated xs are legal (x is read-only).
     std::vector<const double*> xs = {a.data(), a.data()};
     std::vector<double*> ys = {c.data(), d.data()};
-    EXPECT_NO_THROW(exec.multiply_batch(xs, ys));
+    EXPECT_NO_THROW(tuned.multiply_batch(xs, ys));
   }
 }
 
-TEST(EngineExecutor, PooledScratchExecutorMatchesPlainExecutor) {
-  // Executor(plan, cache) must behave identically to Executor(plan) while
-  // recycling scratch through the ScratchCache (the serving dispatcher's
-  // per-batch construction path).
-  const CsrMatrix m = gen::uniform_random(500, 480, 6.0, 31);
-  const SegmentedScanSpmv ss(m, 3);  // a plan family that uses scratch
-  engine::ScratchCache cache;
-  const auto x = random_vector(m.cols(), 32);
-  std::vector<double> expected(m.rows(), 0.0);
-  ss.multiply(x, expected);
-
-  for (int round = 0; round < 3; ++round) {
-    engine::Executor exec(ss, cache);
-    std::vector<double> y(m.rows(), 0.0);
-    exec.multiply(x, y);
-    EXPECT_EQ(y, expected) << "round " << round;
-  }
-}
-
-TEST(EngineExecutor, RejectsChainedBatch) {
+TEST(EnginePlan, RejectsChainedBatch) {
   // The batch path has no ordering between right-hand sides, so a chained
   // batch (one pair's y feeding another pair's x) must be rejected rather
   // than raced.
@@ -393,11 +426,10 @@ TEST(EngineExecutor, RejectsChainedBatch) {
   TuningOptions opt = TuningOptions::full(2);
   opt.tune_prefetch = false;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  engine::Executor exec(tuned);
   std::vector<double> x(16, 1.0), mid(16, 0.0), z(16, 0.0);
   std::vector<const double*> xs = {x.data(), mid.data()};
   std::vector<double*> ys = {mid.data(), z.data()};  // ys[0] == xs[1]
-  EXPECT_THROW(exec.multiply_batch(xs, ys), std::invalid_argument);
+  EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "core/segmented_scan.h"
 #include "core/tuned_matrix.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "gen/generators.h"
 #include "util/prng.h"
 
@@ -102,8 +101,7 @@ TEST(EngineSpinDispatch, BatchedMultiplyUnderSpin) {
     xs.push_back(xs_store[i].data());
     ys.push_back(batch_ys[i].data());
   }
-  engine::Executor exec(tuned);
-  exec.multiply_batch(xs, ys);
+  tuned.multiply_batch(xs, ys);
   for (std::size_t i = 0; i < kBatch; ++i) {
     EXPECT_EQ(batch_ys[i], loop_ys[i]) << "rhs " << i;
   }

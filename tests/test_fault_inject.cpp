@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "gen/generators.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
@@ -58,8 +57,7 @@ TuningOptions serve_options(engine::ExecutionContext* ctx, unsigned threads) {
 std::vector<double> direct_result(const MatrixRegistry::Entry& entry,
                                   std::span<const double> x, double fill) {
   std::vector<double> y(entry.plan.rows(), fill);
-  engine::Executor exec(entry.plan);
-  exec.multiply(x, y);
+  entry.plan.multiply(x, y);
   return y;
 }
 

@@ -4,8 +4,8 @@
 // are the same, so equality is exact memcmp, not approximate); the engine
 // batch path must be bit-identical to looped multiply() under every batch
 // width and batch_mode; the crossover decision must land in the
-// TuningReport; the plan-keyed ScratchCache must reject cross-plan
-// sharing; and concurrent fused batches must stay race-free (this file's
+// TuningReport; a moved plan must keep multiplying with its recycled
+// scratch; and concurrent fused batches must stay race-free (this file's
 // Engine* suites join the spmv_concurrency TSan gate).
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "core/symmetric.h"
 #include "core/tuned_matrix.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "gen/generators.h"
 #include "util/prng.h"
 
@@ -191,8 +190,7 @@ void expect_batch_matches_loop(const Plan& plan, std::uint32_t rows,
       xs.push_back(xs_store[i].data());
       ys.push_back(batch_ys[i].data());
     }
-    engine::Executor exec(plan);
-    exec.multiply_batch(xs, ys);
+    plan.multiply_batch(xs, ys);
     for (unsigned i = 0; i < width; ++i) {
       ASSERT_EQ(0, std::memcmp(batch_ys[i].data(), loop_ys[i].data(),
                                rows * sizeof(double)))
@@ -292,35 +290,15 @@ TEST(EngineFusedBatch, MultiVectorMatchesPerVectorReference) {
   }
 }
 
-TEST(EngineScratchCache, RejectsScratchFromAnotherPlan) {
-  // A ScratchCache serves exactly one plan; handing plan B a scratch that
-  // plan A built must fail loudly, not corrupt memory.
-  const CsrMatrix m = gen::fem_like(100, 2, 8.0, 20, 270);
-  TuningOptions opt = TuningOptions::full(2);
-  opt.tune_prefetch = false;
-  const TunedMatrix plan_a = TunedMatrix::plan(m, opt);
-  const TunedMatrix plan_b = TunedMatrix::plan(m, opt);
-
-  engine::ScratchCache cache;
-  cache.give_back(cache.take(plan_a));  // seed the free list with A's
-  EXPECT_THROW((void)cache.take(plan_b), std::logic_error);
-  // The same cache still serves its own plan.
-  engine::ScratchCache cache2;
-  cache2.give_back(cache2.take(plan_a));
-  EXPECT_NO_THROW((void)cache2.take(plan_a));
-}
-
 TEST(EngineScratchCache, MovedPlanStillMultiplies) {
-  // Plans that embed a ScratchCache (SymmetricSpmv & friends) stamp their
-  // cached scratches with their own address; moving the plan must not
-  // leave stale stamps behind — the cache drops its contents on move and
-  // re-warms, so multiply() after a move works (regression: the first
-  // plan-keying implementation threw std::logic_error here).
+  // A plan's scratch cache moves with the plan: the moved plan reuses the
+  // scratches the original warmed (their layout depends only on the plan's
+  // shape, which moved too) and must still multiply correctly.
   const CsrMatrix m = gen::fem_like(80, 2, 8.0, 15, 290);
   SymmetricSpmv sym = SymmetricSpmv::from_full(m, 2);
   const auto x = random_vector(m.cols(), 291);
   std::vector<double> expected(m.rows(), 0.0);
-  sym.multiply(x, expected);  // warms the embedded cache
+  sym.multiply(x, expected);  // warms the plan's scratch cache
 
   SymmetricSpmv moved = std::move(sym);
   std::vector<double> y(m.rows(), 0.0);
@@ -329,10 +307,10 @@ TEST(EngineScratchCache, MovedPlanStillMultiplies) {
 }
 
 TEST(EngineFusedBatchConcurrency, ConcurrentFusedBatchesBitIdentical) {
-  // Several host threads run fused batches over one shared plan, each with
-  // its own Executor (own scratch/panels).  Every result must equal the
-  // serial looped reference bitwise — and under TSan (spmv_concurrency
-  // filter) the panel packing/sweeping must be race-free.
+  // Several host threads run fused batches over one shared plan; each call
+  // borrows its own scratch (own panels) from the plan.  Every result must
+  // equal the serial looped reference bitwise — and under TSan
+  // (spmv_concurrency filter) the panel packing/sweeping must be race-free.
   const CsrMatrix m = gen::fem_like(220, 3, 9.0, 40, 280);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
@@ -355,7 +333,6 @@ TEST(EngineFusedBatchConcurrency, ConcurrentFusedBatchesBitIdentical) {
   std::vector<std::thread> callers;
   for (int h = 0; h < kHostThreads; ++h) {
     callers.emplace_back([&] {
-      engine::Executor exec(tuned);
       std::vector<std::vector<double>> ys_store(
           kBatch, std::vector<double>(m.rows()));
       for (int rep = 0; rep < kReps; ++rep) {
@@ -366,7 +343,7 @@ TEST(EngineFusedBatchConcurrency, ConcurrentFusedBatchesBitIdentical) {
           xs.push_back(xs_store[i].data());
           ys.push_back(ys_store[i].data());
         }
-        exec.multiply_batch(xs, ys);
+        tuned.multiply_batch(xs, ys);
         for (unsigned i = 0; i < kBatch; ++i) {
           if (ys_store[i] != serial_ys[i]) mismatches.fetch_add(1);
         }

@@ -1,6 +1,6 @@
 // Tests for the serving subsystem: registry lifecycle (refcounted
 // retirement), scheduler correctness (results through
-// submit() bit-identical to direct Executor::multiply, raced from many
+// submit() bit-identical to direct plan.multiply, raced from many
 // client threads over several matrices — the TSan gate runs these),
 // coalescing behavior, backpressure, defined errors, and shutdown
 // semantics.  All suites are named Serve* so the spmv_concurrency CTest
@@ -18,7 +18,6 @@
 
 #include "core/thread_pool.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "gen/generators.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
@@ -47,8 +46,7 @@ TuningOptions serve_options(engine::ExecutionContext* ctx, unsigned threads) {
 std::vector<double> direct_result(const MatrixRegistry::Entry& entry,
                                   std::span<const double> x, double fill) {
   std::vector<double> y(entry.plan.rows(), fill);
-  engine::Executor exec(entry.plan);
-  exec.multiply(x, y);
+  entry.plan.multiply(x, y);
   return y;
 }
 
@@ -82,7 +80,7 @@ TEST(ServeRegistry, PutFindReplaceEraseWithPinnedEntries) {
 }
 
 // Acceptance: results returned through submit() are bit-identical to a
-// direct Executor::multiply on the same plan, raced from >= 8 client
+// direct plan.multiply on the same plan, raced from >= 8 client
 // threads over >= 2 registered matrices.
 TEST(ServeConcurrency, RacingClientsBitIdenticalAcrossTwoMatrices) {
   engine::ExecutionContext ctx({.pin_threads = false});
@@ -160,10 +158,7 @@ TEST(ServeConcurrency, ReplaceAndEraseUnderLoadLosesNoFutures) {
   // race between publish and the clients' first v2-served reply.
   const TunedMatrix preview2 = TunedMatrix::plan(m2, serve_options(&ctx, 2));
   std::vector<double> expect2(n, kFill);
-  {
-    engine::Executor exec(preview2);
-    exec.multiply(x, expect2);
-  }
+  preview2.multiply(x, expect2);
 
   Scheduler sched(reg, {.max_batch = 4,
                         .max_linger = std::chrono::microseconds(50)});
@@ -268,9 +263,9 @@ TEST(ServeScheduler, ConflictingOperandsSplitAcrossBatches) {
   f2.get();
 
   std::vector<double> expect(m.rows(), 0.0);
-  engine::Executor exec(reg.find("A")->plan);
-  exec.multiply(x1, expect);
-  exec.multiply(x2, expect);
+  const MatrixRegistry::EntryPtr entry = reg.find("A");
+  entry->plan.multiply(x1, expect);
+  entry->plan.multiply(x2, expect);
   EXPECT_EQ(y, expect);
 
   const ServeStatsSnapshot snap = sched.stats();
@@ -294,10 +289,7 @@ TEST(ServeConcurrency, SharedDestinationsSumEveryDeposit) {
   const std::vector<double> x = random_vector(m.cols(), 31);
 
   std::vector<double> expect_once(m.rows(), 0.0);
-  {
-    engine::Executor exec(entry->plan);
-    exec.multiply(x, expect_once);
-  }
+  entry->plan.multiply(x, expect_once);
 
   serve::SchedulerConfig sc;
   sc.max_batch = 4;
@@ -421,8 +413,7 @@ TEST(ServeScheduler, BlockPolicyAppliesBackpressure) {
   blocked.join();
 
   std::vector<double> expect(12, 0.0);
-  engine::Executor exec(reg.find("A")->plan);
-  exec.multiply(x, expect);
+  reg.find("A")->plan.multiply(x, expect);
   EXPECT_EQ(y0, expect);
   EXPECT_EQ(y1, expect);
 }
@@ -475,8 +466,7 @@ TEST(ServeScheduler, DestructorDrainsPendingRequests) {
   }  // ~Scheduler drains: every queued request ran
   for (auto& f : futs) EXPECT_NO_THROW(f.get());
   std::vector<double> expect(10, 0.0);
-  engine::Executor exec(reg.find("A")->plan);
-  exec.multiply(x, expect);
+  reg.find("A")->plan.multiply(x, expect);
   for (const auto& y : ys) EXPECT_EQ(y, expect);
 }
 
@@ -708,11 +698,8 @@ TEST(ServeConcurrency, SameDestinationWaitsForTheExecutingBatch) {
   const std::vector<double> x1 = random_vector(m.cols(), 50);
   const std::vector<double> x2 = random_vector(m.cols(), 51);
   std::vector<double> expect(m.rows(), 0.0);
-  {
-    engine::Executor exec(entry->plan);
-    exec.multiply(x1, expect);
-    exec.multiply(x2, expect);
-  }
+  entry->plan.multiply(x1, expect);
+  entry->plan.multiply(x2, expect);
 
   Scheduler sched(reg, {.max_linger = std::chrono::microseconds(0)});
   const auto started = [&] {

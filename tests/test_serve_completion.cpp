@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "gen/generators.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
@@ -81,8 +80,7 @@ class ServeCompletion : public ::testing::Test {
     opt.context = &ctx_;
     reg_.put("A", gen::banded(kN, 3, 0.8, 71), opt);
     expect_.assign(kN, kFill);
-    engine::Executor exec(reg_.find("A")->plan);
-    exec.multiply(x_, expect_);
+    reg_.find("A")->plan.multiply(x_, expect_);
   }
 
   /// The stats cell of "A" (every test below submits against it).
@@ -264,6 +262,44 @@ TEST_F(ServeCompletion, SubmitAfterShutdown) {
   EXPECT_EQ(cell(sched).requests_rejected, 1u);
   EXPECT_EQ(probe.calls(), 1);
   EXPECT_EQ(y_, std::vector<double>(kN, kFill));
+}
+
+TEST_F(ServeCompletion, OptionsCompletionIsMovedNotCopied) {
+  // The network server's completion is too large for std::function's
+  // inline buffer, so every copy between submit(std::move(options)) and
+  // the request would be one more heap allocation per call.
+  struct CountsCopies {
+    std::atomic<int>* copies;
+    std::promise<void>* finished;
+
+    CountsCopies(std::atomic<int>* c, std::promise<void>* f)
+        : copies(c), finished(f) {}
+    CountsCopies(const CountsCopies& other)
+        : copies(other.copies), finished(other.finished) {
+      // seq_cst: a test-side counter.
+      copies->fetch_add(1, std::memory_order_seq_cst);
+    }
+    CountsCopies(CountsCopies&&) noexcept = default;
+
+    void operator()(const ServeError* error) const {
+      EXPECT_EQ(error, nullptr);
+      finished->set_value();
+    }
+  };
+  std::atomic<int> copies{0};
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+
+  Scheduler sched(reg_, {.max_linger = 0us});
+  SubmitOptions opts;
+  opts.on_complete = CountsCopies(&copies, &finished);
+  SubmitHandle h = sched.submit("A", x_, y_, std::move(opts));
+  EXPECT_FALSE(h.future.valid());
+  ASSERT_EQ(done.wait_for(10s), std::future_status::ready);
+  sched.shutdown();
+  EXPECT_EQ(y_, expect_);
+  // seq_cst: test-side read of the counter above.
+  EXPECT_EQ(copies.load(std::memory_order_seq_cst), 0);
 }
 
 }  // namespace
