@@ -346,19 +346,19 @@ int main(int argc, char** argv) {
       r.expired = snap.data_plane.requests_expired;
       r.mean_width = snap.mean_batch_width();
       for (const auto& m : snap.matrices) {
-        r.max_width = std::max(r.max_width, m.max_batch_width);
+        r.max_width = std::max<std::uint64_t>(r.max_width, m.max_batch_width);
       }
       // Aggregate latency across the two matrices' histograms.
-      serve::LatencyHistogram::Snapshot queue{}, disp{};
+      serve::LatencyHistogram queue, disp;
       for (const auto& m : snap.matrices) {
         for (std::size_t b = 0; b < serve::LatencyHistogram::kBuckets; ++b) {
-          queue.buckets[b] += m.queue_latency.buckets[b];
-          disp.buckets[b] += m.dispatch_latency.buckets[b];
+          queue.buckets[b].add(m.queue_latency.buckets[b]);
+          disp.buckets[b].add(m.dispatch_latency.buckets[b]);
         }
-        queue.count += m.queue_latency.count;
-        queue.total_ns += m.queue_latency.total_ns;
-        disp.count += m.dispatch_latency.count;
-        disp.total_ns += m.dispatch_latency.total_ns;
+        queue.count.add(m.queue_latency.count);
+        queue.total_ns.add(m.queue_latency.total_ns);
+        disp.count.add(m.dispatch_latency.count);
+        disp.total_ns.add(m.dispatch_latency.total_ns);
       }
       r.q50 = queue.quantile_us(0.5);
       r.q95 = queue.quantile_us(0.95);
@@ -407,14 +407,14 @@ int main(int argc, char** argv) {
       r.shed = snap.data_plane.requests_shed;
       r.expired = snap.data_plane.requests_expired;
       r.mean_width = snap.mean_batch_width();
-      serve::LatencyHistogram::Snapshot queue{};
+      serve::LatencyHistogram queue;
       for (const auto& m : snap.matrices) {
-        r.max_width = std::max(r.max_width, m.max_batch_width);
+        r.max_width = std::max<std::uint64_t>(r.max_width, m.max_batch_width);
         for (std::size_t b = 0; b < serve::LatencyHistogram::kBuckets; ++b) {
-          queue.buckets[b] += m.queue_latency.buckets[b];
+          queue.buckets[b].add(m.queue_latency.buckets[b]);
         }
-        queue.count += m.queue_latency.count;
-        queue.total_ns += m.queue_latency.total_ns;
+        queue.count.add(m.queue_latency.count);
+        queue.total_ns.add(m.queue_latency.total_ns);
       }
       r.q50 = queue.quantile_us(0.5);
       r.q95 = queue.quantile_us(0.95);

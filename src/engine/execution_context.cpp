@@ -37,7 +37,7 @@ void ExecutionContext::parallel_for(unsigned threads,
     const bool pin_now = may_pin || pinned_;  // regrow keeps the upgrade
     pool_ = std::make_unique<ThreadPool>(threads, pin_now);
     pinned_ = pin_now;
-    pools_spawned_.fetch_add(1, std::memory_order_relaxed);
+    pools_spawned_.add();
   } else if (may_pin && !pinned_) {
     // Affinity is an upgrade-only, order-independent policy: the pool ends
     // up pinned iff any pinning plan ever dispatches, no matter which plan
@@ -46,7 +46,7 @@ void ExecutionContext::parallel_for(unsigned threads,
     pinned_ = true;
   }
   pool_->run(threads, task);
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
+  dispatches_.add();
 }
 
 }  // namespace spmv::engine

@@ -16,12 +16,12 @@
 // TuningOptions::context (or the variant constructors).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "core/thread_pool.h"
+#include "util/counter.h"
 #include "util/thread_annotations.h"
 
 namespace spmv::engine {
@@ -71,15 +71,11 @@ class ExecutionContext {
   [[nodiscard]] unsigned capacity() const SPMV_EXCLUDES(dispatch_mutex_);
 
   /// Completed pool dispatches (inline serial runs are not counted).
-  [[nodiscard]] std::uint64_t dispatches() const {
-    return dispatches_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
 
   /// Times a worker pool was created or regrown — the pool-sharing tests
   /// assert this stays at 1 while many plans execute.
-  [[nodiscard]] std::uint64_t pools_spawned() const {
-    return pools_spawned_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t pools_spawned() const { return pools_spawned_; }
 
   [[nodiscard]] const ExecutionConfig& config() const { return config_; }
 
@@ -92,8 +88,8 @@ class ExecutionContext {
   mutable Mutex dispatch_mutex_;
   std::unique_ptr<ThreadPool> pool_ SPMV_GUARDED_BY(dispatch_mutex_);
   bool pinned_ SPMV_GUARDED_BY(dispatch_mutex_) = false;  ///< upgrade-only
-  std::atomic<std::uint64_t> dispatches_{0};
-  std::atomic<std::uint64_t> pools_spawned_{0};
+  Counter dispatches_;
+  Counter pools_spawned_;
 };
 
 /// The context to use: `preferred` when non-null, else the global one.

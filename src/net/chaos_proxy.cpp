@@ -107,18 +107,10 @@ void ChaosProxy::kill_on_next_downstream() {
   kill_next_downstream_.store(true, std::memory_order_release);
 }
 
-std::uint64_t ChaosProxy::accepted() const {
-  return accepted_.load(std::memory_order_relaxed);
-}
-std::uint64_t ChaosProxy::killed() const {
-  return killed_.load(std::memory_order_relaxed);
-}
-std::uint64_t ChaosProxy::faults() const {
-  return faults_.load(std::memory_order_relaxed);
-}
-std::uint64_t ChaosProxy::bytes_relayed() const {
-  return bytes_relayed_.load(std::memory_order_relaxed);
-}
+std::uint64_t ChaosProxy::accepted() const { return accepted_; }
+std::uint64_t ChaosProxy::killed() const { return killed_; }
+std::uint64_t ChaosProxy::faults() const { return faults_; }
+std::uint64_t ChaosProxy::bytes_relayed() const { return bytes_relayed_; }
 
 void ChaosProxy::open_relay(int client_fd, std::uint64_t index) {
   set_nodelay(client_fd);
@@ -189,7 +181,7 @@ void ChaosProxy::run() {
     ::close(r.client_fd);
     ::close(r.up_fd);
     r.dead = true;
-    killed_.fetch_add(1, std::memory_order_relaxed);
+    killed_.add();
   };
   // Clean teardown after both sides drained: not counted as a kill.
   const auto retire = [](Relay& r) {
@@ -203,7 +195,7 @@ void ChaosProxy::run() {
     const Fault fault = r.fault;
     // Terminal by default; a recoverable fault (stall) redraws below.
     r.fault = Fault::kNone;
-    faults_.fetch_add(1, std::memory_order_relaxed);
+    faults_.add();
     switch (fault) {
       case Fault::kKill:
         kill(r);
@@ -277,7 +269,7 @@ void ChaosProxy::run() {
         const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) break;
-        accepted_.fetch_add(1, std::memory_order_relaxed);
+        accepted_.add();
         open_relay(fd, next_index++);
       }
     }
@@ -346,8 +338,7 @@ void ChaosProxy::run() {
           if (w > 0) {
             out.erase(out.begin(), out.begin() + w);
             r.relayed += static_cast<std::uint64_t>(w);
-            bytes_relayed_.fetch_add(static_cast<std::uint64_t>(w),
-                                     std::memory_order_relaxed);
+            bytes_relayed_.add(static_cast<std::uint64_t>(w));
             if (r.fault != Fault::kNone && r.relayed >= r.fault_after) {
               fire_fault(r, tick);
               continue;

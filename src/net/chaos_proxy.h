@@ -43,6 +43,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/counter.h"
+
 namespace spmv::net {
 
 struct ChaosProxyConfig {
@@ -115,10 +117,10 @@ class ChaosProxy {
   std::atomic<bool> stop_{false};
   std::atomic<bool> kill_all_{false};
   std::atomic<bool> kill_next_downstream_{false};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> killed_{0};
-  std::atomic<std::uint64_t> faults_{0};
-  std::atomic<std::uint64_t> bytes_relayed_{0};
+  Counter accepted_;
+  Counter killed_;
+  Counter faults_;
+  Counter bytes_relayed_;
 };
 
 }  // namespace spmv::net

@@ -246,32 +246,9 @@ void SpmvServer::stop() {
   stop_pipe_[0] = stop_pipe_[1] = -1;
 }
 
-NetStatsSnapshot SpmvServer::net_stats() const {
-  NetStatsSnapshot s;
-  // relaxed: statistics counters, individually monotonic.
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.active_connections = active_conns_.load(std::memory_order_relaxed);
+NetStats SpmvServer::net_stats() const {
+  NetStats s = stats_;
   s.sessions_opened = sessions_.totals().opened;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.responses = responses_.load(std::memory_order_relaxed);
-  s.shed_replies = shed_replies_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
-  s.completions_dropped =
-      completions_dropped_.load(std::memory_order_relaxed);
-  s.completions_parked =
-      completions_parked_.load(std::memory_order_relaxed);
-  s.replay_hits = replay_hits_.load(std::memory_order_relaxed);
-  s.retry_pending = retry_pending_.load(std::memory_order_relaxed);
-  s.retry_unknown = retry_unknown_.load(std::memory_order_relaxed);
-  s.resumes = resumes_.load(std::memory_order_relaxed);
-  s.resume_rejected = resume_rejected_.load(std::memory_order_relaxed);
-  s.parked_reaped = parked_reaped_.load(std::memory_order_relaxed);
-  s.progress_killed = progress_killed_.load(std::memory_order_relaxed);
-  s.write_stall_killed =
-      write_stall_killed_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -484,9 +461,10 @@ void SpmvServer::accept_ready(IoThread& io0) {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    // relaxed: the counter only distributes connections round-robin.
-    const std::uint64_t seq = accepted_.fetch_add(1, std::memory_order_relaxed);
-    IoThread& target = *io_threads_[seq % io_threads_.size()];
+    // Round-robin on the accept count: only this thread (I/O thread 0)
+    // adds to it, so the count read is this connection's sequence number.
+    IoThread& target = *io_threads_[stats_.accepted % io_threads_.size()];
+    stats_.accepted.add();
     {
       MutexLock lock(target.mutex);
       target.new_fds.push_back(fd);
@@ -510,8 +488,7 @@ void SpmvServer::drain_inbox(IoThread& io) {
     conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     conn->last_activity = Clock::now();
     conn->last_write_progress = conn->last_activity;
-    // relaxed: statistics gauge.
-    active_conns_.fetch_add(1, std::memory_order_relaxed);
+    stats_.active_connections.add();
     io.conns.emplace(conn->id, std::move(conn));
   }
   for (Completion& c : comps) process_completion(io, std::move(c));
@@ -536,11 +513,9 @@ SpmvServer::ReadEnd SpmvServer::read_socket(Conn& conn) {
     const ssize_t n = ::read(conn.fd, buf, sizeof buf);
     if (n > 0) {
       conn.rdbuf.insert(conn.rdbuf.end(), buf, buf + n);
-      // relaxed: statistics counter.
-      bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
-                          std::memory_order_relaxed);
+      stats_.bytes_in.add(static_cast<std::uint64_t>(n));
       if (conn.slot) {
-        conn.slot->count_bytes_in(static_cast<std::uint64_t>(n));
+        conn.slot->stats.bytes_in.add(static_cast<std::uint64_t>(n));
       }
       conn.last_activity = Clock::now();
       // A short read took everything the receive queue held.
@@ -574,8 +549,7 @@ void SpmvServer::handle_frames(IoThread& io, Conn& conn) {
     // Wire-level violation: the stream is unrecoverable.  When the
     // header survived its CRC we can still address an error reply;
     // otherwise the bytes are noise and the socket just closes.
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.protocol_errors.add();
     if (st == ParseStatus::kBadPayloadCrc || st == ParseStatus::kOversized ||
         st == ParseStatus::kUnknownType) {
       send_status(conn, header.request_id, StatusCode::kProtocolError,
@@ -602,8 +576,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
                               const FrameHeader& header,
                               std::span<const std::uint8_t> payload) {
   if (header.flags != 0) {  // reserved through wire version 2
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.protocol_errors.add();
     send_status(conn, header.request_id, StatusCode::kProtocolError,
                 "nonzero flags");
     conn.closing = true;
@@ -613,8 +586,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
   if (header.type == FrameType::kHello) {
     HelloRequest req;
     if (conn.slot != nullptr || !decode_hello(payload, req)) {
-      // relaxed: statistics counter.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.protocol_errors.add();
       send_status(conn, header.request_id, StatusCode::kProtocolError,
                   conn.slot ? "duplicate HELLO" : "malformed HELLO");
       conn.closing = true;
@@ -633,11 +605,9 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
       resumed = conn.slot != nullptr;
     }
     if (resumed) {
-      // relaxed: statistics counter.
-      resumes_.fetch_add(1, std::memory_order_relaxed);
+      stats_.resumes.add();
     } else if (req.resume_session_id != 0) {
-      // relaxed: statistics counter.
-      resume_rejected_.fetch_add(1, std::memory_order_relaxed);
+      stats_.resume_rejected.add();
     }
     if (conn.slot == nullptr) {
       conn.slot = sessions_.open(quota, conn.id);
@@ -655,8 +625,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
   }
 
   if (conn.slot == nullptr) {
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.protocol_errors.add();
     send_status(conn, header.request_id, StatusCode::kProtocolError,
                 "HELLO required first");
     conn.closing = true;
@@ -732,8 +701,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
     }
     default:
       // Server-to-client frame types arriving at the server.
-      // relaxed: statistics counter.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.protocol_errors.add();
       send_status(conn, header.request_id, StatusCode::kProtocolError,
                   "unexpected frame type");
       conn.closing = true;
@@ -761,16 +729,14 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
       case RetryClass::kReplay:
         // Exactly-once effect: the multiply already executed (or was
         // terminally rejected); re-send the recorded reply verbatim.
-        // relaxed: statistics counter.
-        replay_hits_.fetch_add(1, std::memory_order_relaxed);
+        stats_.replay_hits.add();
         queue_frame(conn, std::move(replay_frame));
         return;
       case RetryClass::kPending:
         // Still executing (in flight from this or a prior connection of
         // the session): not a decision, so it is NOT recorded — the
         // client backs off and retries until the replay window answers.
-        // relaxed: statistics counter.
-        retry_pending_.fetch_add(1, std::memory_order_relaxed);
+        stats_.retry_pending.add();
         send_status(conn, header.request_id, StatusCode::kRetryPending,
                     "request still executing; retry");
         return;
@@ -778,8 +744,7 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
         // Decided so long ago the replay entry was evicted.  The server
         // refuses to guess (re-executing could double-apply the effect);
         // the caller decides whether re-issuing under a new id is safe.
-        // relaxed: statistics counter.
-        retry_unknown_.fetch_add(1, std::memory_order_relaxed);
+        stats_.retry_unknown.add();
         send_status(conn, header.request_id, StatusCode::kRetryUnknown,
                     "outcome evicted from replay window");
         return;
@@ -869,21 +834,21 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
     return;
   }
   if (spec.mode == OperandMode::kFull) {
-    slot.count_full_operand();
+    slot.stats.full_operands.add();
   } else {
     const std::uint64_t dense_bytes =
         static_cast<std::uint64_t>(cols) * sizeof(double);
     const std::uint64_t saved =
         dense_bytes > shipped ? dense_bytes - shipped : 0;
     if (spec.mode == OperandMode::kDelta) {
-      slot.count_delta_operand(saved);
+      slot.stats.delta_operands.add();
     } else {
-      slot.count_cached_operand(saved);
+      slot.stats.cached_operands.add();
     }
+    slot.stats.delta_bytes_saved.add(saved);
   }
-  slot.count_request();
-  // relaxed: statistics counter.
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  slot.stats.requests.add();
+  stats_.requests.add();
 
   const auto now = Clock::now();
   auto op = std::make_shared<PendingOp>();
@@ -935,7 +900,7 @@ void SpmvServer::handle_cancel(Conn& conn, std::uint64_t request_id,
 
 void SpmvServer::handle_stats(Conn& conn, std::uint64_t request_id) {
   StatsResult s;
-  const SessionStatsSnapshot ss = conn.slot->snapshot();
+  const SessionStats ss = conn.slot->snapshot();
   s.requests = ss.requests;
   s.completed = ss.completed;
   s.failed = ss.failed;
@@ -1008,8 +973,7 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
 
   if (c.op == nullptr) {  // upload result: answered once, never replayed
     if (conn == nullptr) {
-      // relaxed: statistics counter.
-      completions_dropped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.completions_dropped.add();
       return;
     }
     send_status(*conn, c.request_id, c.status, c.message);
@@ -1025,8 +989,7 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
                                                            op.started)
           .count());
   if (c.status == StatusCode::kShed) {
-    // relaxed: statistics counter.
-    shed_replies_.fetch_add(1, std::memory_order_relaxed);
+    stats_.shed_replies.add();
   }
   std::vector<std::uint8_t> frame;
   try {
@@ -1042,8 +1005,7 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
       frame = encode_frame(FrameType::kStatus, request_id, encode_status(m));
     }
   } catch (const std::length_error&) {
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.protocol_errors.add();
     if (conn != nullptr) conn->kill = true;
     return;
   }
@@ -1054,16 +1016,14 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     // same reply; if the session closed with it, drop exactly once.
     if (slot.record_orphan(request_id, ok, ns, std::move(frame),
                            config_.replay_window)) {
-      // relaxed: statistics counter.
-      completions_parked_.fetch_add(1, std::memory_order_relaxed);
+      stats_.completions_parked.add();
     } else {
-      // relaxed: statistics counter.
-      completions_dropped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.completions_dropped.add();
     }
     return;
   }
   conn->ops.erase(request_id);
-  slot.count_outcome(ok, ns);
+  slot.stats.record_outcome(ok, ns);
   decide_and_send(*conn, slot, request_id, std::move(frame));
 }
 
@@ -1079,8 +1039,7 @@ void SpmvServer::send_frame(Conn& conn, FrameType type,
   } catch (const std::length_error&) {
     // A reply too large for the wire format cannot be represented; drop
     // the connection rather than let the exception escape the I/O loop.
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.protocol_errors.add();
     conn.kill = true;
     return;
   }
@@ -1101,8 +1060,7 @@ void SpmvServer::queue_frame(Conn& conn, std::vector<std::uint8_t> frame) {
   if (conn.wq.empty()) conn.last_write_progress = Clock::now();
   conn.wq_bytes += frame.size();
   conn.wq.push_back(std::move(frame));
-  // relaxed: statistics counter.
-  responses_.fetch_add(1, std::memory_order_relaxed);
+  stats_.responses.add();
   flush_writes(conn);
 }
 
@@ -1130,8 +1088,7 @@ void SpmvServer::decide_status(Conn& conn, ClientSlot& slot,
     frame = encode_frame(FrameType::kStatus, request_id,
                          encode_status(msg));
   } catch (const std::length_error&) {
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.protocol_errors.add();
     conn.kill = true;
     return;
   }
@@ -1156,11 +1113,9 @@ void SpmvServer::flush_writes(Conn& conn) {
       conn.wq_off += static_cast<std::size_t>(n);
       conn.wq_bytes -= std::min(conn.wq_bytes, static_cast<std::size_t>(n));
       conn.last_write_progress = Clock::now();
-      // relaxed: statistics counter.
-      bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                           std::memory_order_relaxed);
+      stats_.bytes_out.add(static_cast<std::uint64_t>(n));
       if (conn.slot) {
-        conn.slot->count_bytes_out(static_cast<std::uint64_t>(n));
+        conn.slot->stats.bytes_out.add(static_cast<std::uint64_t>(n));
       }
       if (conn.wq_off == front.size()) {
         conn.wq.pop_front();
@@ -1216,8 +1171,7 @@ void SpmvServer::close_conn(IoThread& io, std::uint64_t conn_id) {
     if (conn.slot != nullptr) sessions_.close(conn.slot->id, conn.id);
   }
   ::close(conn.fd);
-  // relaxed: statistics gauge.
-  active_conns_.fetch_sub(1, std::memory_order_relaxed);
+  stats_.active_connections.sub();
   io.conns.erase(it);
 }
 
@@ -1230,8 +1184,7 @@ void SpmvServer::reap_idle(IoThread& io) {
   if (io.index == 0 && config_.resume_timeout.count() > 0) {
     const std::size_t reaped = sessions_.reap_parked(now);
     if (reaped > 0) {
-      // relaxed: statistics counter.
-      parked_reaped_.fetch_add(reaped, std::memory_order_relaxed);
+      stats_.parked_reaped.add(reaped);
     }
   }
 
@@ -1249,8 +1202,7 @@ void SpmvServer::reap_idle(IoThread& io) {
     if (conn->partial_since != Clock::time_point{}) {
       if (frame_limit.count() > 0 &&
           now - conn->partial_since >= frame_limit) {
-        // relaxed: statistics counter.
-        progress_killed_.fetch_add(1, std::memory_order_relaxed);
+        stats_.progress_killed.add();
         conn->kill = true;  // no farewell: the stream is mid-frame anyway
         doomed.push_back(id);
         continue;
@@ -1259,8 +1211,7 @@ void SpmvServer::reap_idle(IoThread& io) {
     if (config_.write_stall_bytes > 0 &&
         conn->wq_bytes > config_.write_stall_bytes &&
         now - conn->last_write_progress >= config_.write_stall_timeout) {
-      // relaxed: statistics counter.
-      write_stall_killed_.fetch_add(1, std::memory_order_relaxed);
+      stats_.write_stall_killed.add();
       conn->kill = true;  // flushing is exactly what the peer refuses
       doomed.push_back(id);
       continue;
@@ -1277,8 +1228,7 @@ void SpmvServer::reap_idle(IoThread& io) {
     if (!it->second->kill) {
       // Plain idle reap: still a polite goodbye, and a server-initiated
       // farewell is a permanent close — never a park.
-      // relaxed: statistics counter.
-      idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.idle_reaped.add();
       send_frame(*it->second, FrameType::kGoodbye, 0, {});
       it->second->goodbye = true;
     }

@@ -57,6 +57,7 @@
 #include "net/wire.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
+#include "util/counter.h"
 #include "util/thread_annotations.h"
 
 namespace spmv::net {
@@ -109,33 +110,35 @@ struct ServerConfig {
   TuningOptions tuning;
 };
 
-/// Wire/connection-level counters (scheduler stats cover the data plane).
-struct NetStatsSnapshot {
-  std::uint64_t accepted = 0;
-  std::uint64_t active_connections = 0;
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t requests = 0;        ///< multiplies admitted
-  std::uint64_t responses = 0;       ///< frames written back
-  std::uint64_t shed_replies = 0;    ///< SHED status frames sent
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t idle_reaped = 0;
+/// Wire/connection-level counters (scheduler stats cover the data plane);
+/// a copy is their snapshot.
+struct NetStats {
+  Counter accepted;
+  Counter active_connections;  ///< gauge: add on accept, sub on close
+  Counter requests;            ///< multiplies admitted
+  Counter responses;           ///< frames written back
+  Counter shed_replies;        ///< SHED status frames sent
+  Counter protocol_errors;
+  Counter idle_reaped;
   /// Completions whose connection was already gone (disconnect raced the
   /// multiply) and whose session was closed too: the result is dropped,
   /// never double-delivered.
-  std::uint64_t completions_dropped = 0;
+  Counter completions_dropped;
   /// Completions whose connection was gone but whose session was parked
   /// (or re-attached): recorded into the replay window for the retry.
-  std::uint64_t completions_parked = 0;
-  std::uint64_t replay_hits = 0;      ///< retries answered from the window
-  std::uint64_t retry_pending = 0;    ///< retries answered kRetryPending
-  std::uint64_t retry_unknown = 0;    ///< retries answered kRetryUnknown
-  std::uint64_t resumes = 0;          ///< sessions re-attached via HELLO
-  std::uint64_t resume_rejected = 0;  ///< resume attempts refused
-  std::uint64_t parked_reaped = 0;    ///< parked sessions past the deadline
-  std::uint64_t progress_killed = 0;  ///< frame progress deadline hit
-  std::uint64_t write_stall_killed = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
+  Counter completions_parked;
+  Counter replay_hits;      ///< retries answered from the window
+  Counter retry_pending;    ///< retries answered kRetryPending
+  Counter retry_unknown;    ///< retries answered kRetryUnknown
+  Counter resumes;          ///< sessions re-attached via HELLO
+  Counter resume_rejected;  ///< resume attempts refused
+  Counter parked_reaped;    ///< parked sessions past the deadline
+  Counter progress_killed;  ///< frame progress deadline hit
+  Counter write_stall_killed;
+  Counter bytes_in;
+  Counter bytes_out;
+  /// Read from the SessionManager by net_stats(); zero in the live struct.
+  std::uint64_t sessions_opened = 0;
 };
 
 class SpmvServer {
@@ -176,7 +179,7 @@ class SpmvServer {
   [[nodiscard]] SessionManager& sessions() { return sessions_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
 
-  [[nodiscard]] NetStatsSnapshot net_stats() const;
+  [[nodiscard]] NetStats net_stats() const;
 
  private:
   struct PendingOp;
@@ -279,26 +282,7 @@ class SpmvServer {
   bool upload_stop_ SPMV_GUARDED_BY(upload_mutex_) = false;
   std::thread upload_thread_;
 
-  // Wire-level counters (relaxed; exported by net_stats()).
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> active_conns_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> responses_{0};
-  std::atomic<std::uint64_t> shed_replies_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> idle_reaped_{0};
-  std::atomic<std::uint64_t> completions_dropped_{0};
-  std::atomic<std::uint64_t> completions_parked_{0};
-  std::atomic<std::uint64_t> replay_hits_{0};
-  std::atomic<std::uint64_t> retry_pending_{0};
-  std::atomic<std::uint64_t> retry_unknown_{0};
-  std::atomic<std::uint64_t> resumes_{0};
-  std::atomic<std::uint64_t> resume_rejected_{0};
-  std::atomic<std::uint64_t> parked_reaped_{0};
-  std::atomic<std::uint64_t> progress_killed_{0};
-  std::atomic<std::uint64_t> write_stall_killed_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> bytes_out_{0};
+  NetStats stats_;  ///< wire-level counters, copied by net_stats()
 };
 
 }  // namespace spmv::net

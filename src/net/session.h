@@ -12,8 +12,8 @@
 // no slot state may rely on single-thread ownership.  The *retry* state
 // (reply-replay windows, in-flight id map) shares the same mutex — it is
 // additionally reached by the thread delivering a completion for a
-// connection that already died.  *Statistics* are relaxed atomics as
-// before.
+// connection that already died.  *Statistics* are one SessionStats of
+// util/counter.h Counters: any thread adds, and a copy is the snapshot.
 //
 // Exactly-once effect semantics hang off the retry state: every decided
 // multiply (result or terminal error) is recorded in a bounded replay
@@ -47,26 +47,32 @@
 #include <vector>
 
 #include "serve/serve_stats.h"
+#include "util/counter.h"
 #include "util/prng.h"
 #include "util/thread_annotations.h"
 
 namespace spmv::net {
 
-/// Plain-data export of one session's counters.
-struct SessionStatsSnapshot {
-  std::uint64_t id = 0;
-  std::uint64_t requests = 0;   ///< multiplies accepted
-  std::uint64_t completed = 0;  ///< multiplies resolved kOk
-  std::uint64_t failed = 0;     ///< multiplies resolved with any error
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t full_operands = 0;
-  std::uint64_t delta_operands = 0;
-  std::uint64_t cached_operands = 0;
+/// One session's counters; a copy is its snapshot.
+struct SessionStats {
+  Counter requests;   ///< multiplies accepted
+  Counter completed;  ///< multiplies resolved kOk
+  Counter failed;     ///< multiplies resolved with any error
+  Counter bytes_in;
+  Counter bytes_out;
+  Counter full_operands;
+  Counter delta_operands;
+  Counter cached_operands;
   /// Σ (dense operand bytes − bytes actually shipped) over delta/cached
   /// operands: what the delta encoding saved this session.
-  std::uint64_t delta_bytes_saved = 0;
-  serve::LatencyHistogram::Snapshot rpc_latency;  ///< receive → reply
+  Counter delta_bytes_saved;
+  serve::LatencyHistogram rpc_latency;  ///< receive → reply
+
+  /// A multiply's outcome: its count and its receive → reply latency.
+  void record_outcome(bool ok, std::uint64_t rpc_ns) {
+    (ok ? completed : failed).add();
+    rpc_latency.record_ns(rpc_ns);
+  }
 };
 
 /// Where a session is in its attach lifecycle.
@@ -88,8 +94,8 @@ enum class RetryClass : std::uint8_t {
 /// the retry state all live under `retry_mutex_` (a resume takeover can
 /// put two I/O threads behind one slot for a moment — see the file
 /// comment); `client_name` is written once before HELLO_OK ships, while
-/// no other thread can possibly hold the resume token; counters may be
-/// read from any thread.
+/// no other thread can possibly hold the resume token; `stats` may be
+/// added to and read from any thread.
 class ClientSlot {
  public:
   ClientSlot(std::uint64_t id, std::uint32_t quota, std::uint64_t token)
@@ -109,6 +115,10 @@ class ClientSlot {
   /// HELLO_OK carrying the resume token ships — no other thread can
   /// reach the slot yet, so this needs no guard.
   std::string client_name;
+
+  /// The session's counters.  Exact retirement goes through
+  /// mark_closed_and_snapshot(), never a bare copy.
+  SessionStats stats;
 
   // --- operand cache (guarded: resume takeover can race the stale
   // connection's last buffered frames) ---
@@ -203,7 +213,7 @@ class ClientSlot {
       return false;
     }
     decide_locked(request_id, std::move(frame), window, /*executed=*/true);
-    count_outcome(ok, rpc_ns);
+    stats.record_outcome(ok, rpc_ns);
     return true;
   }
 
@@ -260,69 +270,18 @@ class ClientSlot {
   /// before the snapshot (mutex release/acquire), and any after it sees
   /// kClosed and counts as dropped — nothing is ever counted twice or
   /// lost between a slot and the manager's retired totals.
-  [[nodiscard]] SessionStatsSnapshot mark_closed_and_snapshot()
+  [[nodiscard]] SessionStats mark_closed_and_snapshot()
       SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
     // relaxed: guarded by retry_mutex_ (see record_orphan).
     state_.store(AttachState::kClosed, std::memory_order_relaxed);
-    return snapshot();
+    return stats;
   }
 
-  // --- cross-thread counters ---
-  void count_request() {
-    // relaxed: independent statistics counter, no data published through it.
-    requests_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_outcome(bool ok, std::uint64_t rpc_ns) {
-    // relaxed: counters are aggregated by snapshot(), which tolerates the
-    // instantaneous skew of unordered increments.
-    (ok ? completed_ : failed_).fetch_add(1, std::memory_order_relaxed);
-    rpc_latency_.record_ns(rpc_ns);
-  }
-  void count_bytes_in(std::uint64_t n) {
-    // relaxed: statistics counter.
-    bytes_in_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_bytes_out(std::uint64_t n) {
-    // relaxed: statistics counter.
-    bytes_out_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_full_operand() {
-    // relaxed: statistics counter.
-    full_operands_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_delta_operand(std::uint64_t saved) {
-    // relaxed: statistics counters; totals read after the fact.
-    delta_operands_.fetch_add(1, std::memory_order_relaxed);
-    delta_bytes_saved_.fetch_add(saved, std::memory_order_relaxed);
-  }
-  void count_cached_operand(std::uint64_t saved) {
-    // relaxed: statistics counters.
-    cached_operands_.fetch_add(1, std::memory_order_relaxed);
-    delta_bytes_saved_.fetch_add(saved, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] SessionStatsSnapshot snapshot() const {
-    SessionStatsSnapshot s;
-    s.id = id;
-    // relaxed loads: a snapshot is advisory; counters are monotonic and
-    // each is internally consistent on its own.  (The one snapshot that
-    // must be exact — retirement — runs inside mark_closed_and_snapshot's
-    // critical section, where the mutex supplies the ordering.)
-    s.requests = requests_.load(std::memory_order_relaxed);
-    s.completed = completed_.load(std::memory_order_relaxed);
-    s.failed = failed_.load(std::memory_order_relaxed);
-    // relaxed: same advisory-snapshot argument as above.
-    s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-    s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-    s.full_operands = full_operands_.load(std::memory_order_relaxed);
-    s.delta_operands = delta_operands_.load(std::memory_order_relaxed);
-    // relaxed: same advisory-snapshot argument as above.
-    s.cached_operands = cached_operands_.load(std::memory_order_relaxed);
-    s.delta_bytes_saved = delta_bytes_saved_.load(std::memory_order_relaxed);
-    s.rpc_latency = rpc_latency_.snapshot();
-    return s;
-  }
+  /// A copy of the counters.  Advisory: each counter is exact on its own,
+  /// and the one snapshot that must be exact across counters —
+  /// retirement — is mark_closed_and_snapshot().
+  [[nodiscard]] SessionStats snapshot() const { return stats; }
 
  private:
   void decide_locked(std::uint64_t request_id, std::vector<std::uint8_t> frame,
@@ -376,17 +335,6 @@ class ClientSlot {
   /// Owning connection id; mutated under the SessionManager mutex (that
   /// mutex orders takeover-vs-close races), atomic for advisory reads.
   std::atomic<std::uint64_t> owner_conn_{0};
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> bytes_out_{0};
-  std::atomic<std::uint64_t> full_operands_{0};
-  std::atomic<std::uint64_t> delta_operands_{0};
-  std::atomic<std::uint64_t> cached_operands_{0};
-  std::atomic<std::uint64_t> delta_bytes_saved_{0};
-  serve::LatencyHistogram rpc_latency_;
 };
 
 /// Registry of live and parked sessions: assigns ids and resume tokens,
@@ -544,10 +492,9 @@ class SessionManager {
     t.failed = retired_failed_;
     t.active = slots_.size();
     const auto add = [&t](const ClientSlot& slot) {
-      const SessionStatsSnapshot s = slot.snapshot();
-      t.requests += s.requests;
-      t.completed += s.completed;
-      t.failed += s.failed;
+      t.requests += slot.stats.requests;
+      t.completed += slot.stats.completed;
+      t.failed += slot.stats.failed;
     };
     for (const auto& [id, slot] : slots_) add(*slot);
     for (const auto& [id, p] : parked_) add(*p.slot);
@@ -561,7 +508,7 @@ class SessionManager {
   };
 
   void retire_locked(ClientSlot& slot) SPMV_REQUIRES(mutex_) {
-    const SessionStatsSnapshot s = slot.mark_closed_and_snapshot();
+    const SessionStats s = slot.mark_closed_and_snapshot();
     retired_completed_ += s.completed;
     retired_failed_ += s.failed;
     retired_requests_ += s.requests;

@@ -3,6 +3,23 @@
 #include <algorithm>
 
 namespace spmv::serve {
+namespace {
+
+// The detector's thresholds, as fractions of queue capacity (see
+// health.h).  Every server, bench and example ran these same values, so
+// they are constants rather than options.
+/// At or above this, kOk escalates to kOverloaded.
+constexpr double kOverloadFrac = 0.50;
+/// At or above this, any state enters kShedding at once.
+constexpr double kShedFrac = 0.75;
+/// Strictly below this, a sample counts toward recovery.
+constexpr double kRecoverFrac = 0.25;
+/// Consecutive below-recover samples that return the state to kOk.
+constexpr std::uint64_t kRecoverSamples = 4;
+/// EWMA smoothing for queue latency: new = alpha*x + (1-alpha)*old.
+constexpr double kEwmaAlpha = 0.2;
+
+}  // namespace
 
 const char* to_string(HealthState s) noexcept {
   switch (s) {
@@ -22,34 +39,34 @@ HealthState OverloadDetector::sample(std::size_t depth,
       capacity == 0 ? 0.0
                     : static_cast<double>(depth) / static_cast<double>(capacity);
   // relaxed CAS loop: the packed word is self-contained (state + streak
-  // travel together); no other data is published through it, and
-  // transitions_ is statistics-only, so no acquire/release pairing is
-  // needed — only the atomicity of the state+streak update.
+  // travel together); no other data is published through it, so no
+  // acquire/release pairing is needed — only the atomicity of the
+  // state+streak update.
   std::uint64_t old_word = packed_.load(std::memory_order_relaxed);
   for (;;) {
     const HealthState old_state = unpack_state(old_word);
     std::uint64_t streak = old_word >> kStreakShift;
     HealthState next = old_state;
 
-    if (frac >= cfg_.shed_frac) {
+    if (frac >= kShedFrac) {
       next = HealthState::kShedding;
       streak = 0;
-    } else if (frac < cfg_.recover_frac) {
+    } else if (frac < kRecoverFrac) {
       if (old_state == HealthState::kOk) {
         streak = 0;
       } else {
         ++streak;
-        if (streak >= cfg_.recover_samples) {
+        if (streak >= kRecoverSamples) {
           next = HealthState::kOk;
           streak = 0;
         }
       }
     } else {
-      // Between recover_frac and shed_frac: kOk escalates to
-      // kOverloaded at overload_frac; degraded states hold (hysteresis)
+      // Between kRecoverFrac and kShedFrac: kOk escalates to
+      // kOverloaded at kOverloadFrac; degraded states hold (hysteresis)
       // and any recovery streak resets.
       streak = 0;
-      if (old_state == HealthState::kOk && frac >= cfg_.overload_frac) {
+      if (old_state == HealthState::kOk && frac >= kOverloadFrac) {
         next = HealthState::kOverloaded;
       }
     }
@@ -62,10 +79,7 @@ HealthState OverloadDetector::sample(std::size_t depth,
     if (packed_.compare_exchange_weak(old_word, new_word,
                                       std::memory_order_relaxed,
                                       std::memory_order_relaxed)) {
-      if (next != old_state) {
-        // relaxed: statistics counter (see transitions()).
-        transitions_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (next != old_state) transitions_.add();
       return next;
     }
     // old_word was reloaded by the failed CAS; re-derive and retry.
@@ -81,8 +95,8 @@ void OverloadDetector::record_latency(std::chrono::microseconds latency) {
   for (;;) {
     const double blended =
         old_us == 0 ? x
-                    : cfg_.ewma_alpha * x +
-                          (1.0 - cfg_.ewma_alpha) * static_cast<double>(old_us);
+                    : kEwmaAlpha * x +
+                          (1.0 - kEwmaAlpha) * static_cast<double>(old_us);
     // Clamp up to 1 so a tiny first sample doesn't read back as "no
     // data yet" (0 is the sentinel for that).
     const auto new_us =

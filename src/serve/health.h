@@ -8,14 +8,15 @@
 // the side for deadline-aware admission ("would this request's deadline
 // already be blown by the time it reaches the dispatcher?"):
 //
-//      depth/capacity >= shed_frac ──────────────► kShedding
-//      depth/capacity >= overload_frac ──────────► kOverloaded
-//      depth/capacity <  recover_frac for
-//        recover_samples consecutive samples ────► kOk
+//      depth/capacity >= 0.75 ───────────────────► kShedding
+//      depth/capacity >= 0.50 ───────────────────► kOverloaded
+//      depth/capacity <  0.25 for 4 consecutive
+//        samples ────────────────────────────────► kOk
 //
 // Entering kShedding is immediate (overload is an emergency); leaving
-// requires a sustained streak below recover_frac (hysteresis), so the
-// state doesn't flap at the boundary while the queue drains.
+// requires a sustained streak below 0.25 (hysteresis), so the state
+// doesn't flap at the boundary while the queue drains.  The thresholds
+// and the EWMA's smoothing (alpha 0.2) are constants in health.cpp.
 //
 // This header is on lint_concurrency.py's lock-free audit list: every
 // atomic operation states its memory_order and argues it in an adjacent
@@ -26,6 +27,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/counter.h"
 
 namespace spmv::serve {
 
@@ -40,26 +43,12 @@ enum class HealthState : std::uint8_t {
 
 [[nodiscard]] const char* to_string(HealthState s) noexcept;
 
-struct OverloadConfig {
-  /// depth/capacity at or above this enters kOverloaded.
-  double overload_frac = 0.50;
-  /// depth/capacity at or above this enters kShedding immediately.
-  double shed_frac = 0.75;
-  /// depth/capacity strictly below this counts toward recovery.
-  double recover_frac = 0.25;
-  /// Consecutive below-recover samples required to return to kOk.
-  std::uint32_t recover_samples = 4;
-  /// EWMA smoothing for queue latency: new = alpha*x + (1-alpha)*old.
-  double ewma_alpha = 0.2;
-};
-
 /// Lock-free hysteresis detector.  sample() may be called concurrently
 /// from every submitter; state/streak live in one packed word updated by
 /// CAS so transitions are exact even under contention.
 class OverloadDetector {
  public:
-  explicit OverloadDetector(OverloadConfig cfg = {}) : cfg_(cfg) {}
-
+  OverloadDetector() = default;
   OverloadDetector(const OverloadDetector&) = delete;
   OverloadDetector& operator=(const OverloadDetector&) = delete;
 
@@ -76,18 +65,13 @@ class OverloadDetector {
   }
 
   /// Cumulative number of state *changes* (for tests and ServeStats).
-  [[nodiscard]] std::uint64_t transitions() const {
-    // relaxed: statistics counter, read after quiescing.
-    return transitions_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t transitions() const { return transitions_; }
 
   /// Smoothed queue latency, microseconds (0 until first sample).
   [[nodiscard]] std::uint64_t ewma_latency_us() const {
     // relaxed: advisory estimate; staleness is inherent to an EWMA.
     return ewma_us_.load(std::memory_order_relaxed);
   }
-
-  [[nodiscard]] const OverloadConfig& config() const { return cfg_; }
 
  private:
   static constexpr std::uint64_t kStateMask = 0xff;
@@ -100,11 +84,10 @@ class OverloadDetector {
     return static_cast<std::uint64_t>(s) | (streak << kStreakShift);
   }
 
-  const OverloadConfig cfg_;
   /// Low 8 bits: HealthState; high bits: consecutive below-recover
   /// sample streak.  One word so state+streak transition atomically.
   std::atomic<std::uint64_t> packed_{0};
-  std::atomic<std::uint64_t> transitions_{0};
+  Counter transitions_;
   std::atomic<std::uint64_t> ewma_us_{0};
 };
 

@@ -77,7 +77,6 @@ bool CancelToken::cancel() {
 Scheduler::Scheduler(MatrixRegistry& registry, SchedulerConfig config)
     : registry_(registry),
       config_(config),
-      detector_(config.overload),
       queue_(std::max<std::size_t>(1, config.queue_capacity)) {
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
@@ -161,8 +160,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
            &error);
     return fut;
   }
-  std::shared_ptr<MatrixServeStats> cell = stats_.cell(entry->name);
-  cell->requests_submitted.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<MatrixCell> cell = stats_.cell(entry->name);
+  cell->requests_submitted.add();
   try {
     engine::validate_multiply_operands(entry->plan, x, y);
   } catch (const std::invalid_argument& e) {
@@ -179,7 +178,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // stale read costs at most one window or one skipped window.
   req.queued_behind =
       cell->batches_executing.load(std::memory_order_relaxed) != 0;
-  req.stats = std::move(cell);
+  req.cell = std::move(cell);
   req.deadline = options.deadline;
   req.priority = options.priority;
   req.complete = std::move(complete);
@@ -202,7 +201,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
       req.cancel->store(kCancelClaimed, std::memory_order_relaxed);
     }
     const ServeError error(code, what);
-    finish(req.complete, &req.stats->requests_rejected, &error);
+    finish(req.complete, &req.cell->requests_rejected, &error);
   };
 
   // Admission control.  Feed the overload detector a pre-push depth
@@ -213,7 +212,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // An already-expired request never executes, under any policy: fail at
   // the door instead of making the dispatcher sweep it later.
   if (req.deadline != kNoDeadline && req.enqueued >= req.deadline) {
-    plane_.requests_expired.fetch_add(1, std::memory_order_relaxed);
+    plane_.requests_expired.add();
     reject(ServeErrorCode::kDeadlineExceeded,
            "serve: request deadline already passed at submit");
     return fut;
@@ -221,7 +220,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   if (config_.overflow == SchedulerConfig::OverflowPolicy::kShed &&
       state == HealthState::kShedding) {
     if (req.priority <= 0) {
-      plane_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+      plane_.requests_shed.add();
       reject(ServeErrorCode::kQueueFull,
              "serve: request shed (scheduler overloaded)");
       return fut;
@@ -232,7 +231,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
         req.enqueued +
         std::chrono::microseconds(detector_.ewma_latency_us());
     if (req.deadline != kNoDeadline && predicted >= req.deadline) {
-      plane_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+      plane_.requests_shed.add();
       reject(ServeErrorCode::kDeadlineExceeded,
              "serve: request shed (deadline unreachable under overload)");
       return fut;
@@ -264,7 +263,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
       forced_full = false;
       if (config_.overflow != SchedulerConfig::OverflowPolicy::kBlock) {
         if (config_.overflow == SchedulerConfig::OverflowPolicy::kShed) {
-          plane_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+          plane_.requests_shed.add();
         }
         reject(ServeErrorCode::kQueueFull, "serve: request queue full");
         break;
@@ -346,13 +345,13 @@ bool Scheduler::resolve_if_dead(Request& req,
     }
   }
   if (cancelled) {
-    plane_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
+    plane_.requests_cancelled.add();
     fail_request(req, ServeErrorCode::kCancelled,
                  "serve: request cancelled before dispatch");
     return true;
   }
   if (expired) {
-    plane_.requests_expired.fetch_add(1, std::memory_order_relaxed);
+    plane_.requests_expired.add();
     fail_request(req, ServeErrorCode::kDeadlineExceeded,
                  "serve: request deadline exceeded before dispatch");
     return true;
@@ -424,7 +423,7 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
   // lone one never does, as it resubmits only after its result.
   // relaxed (every linger_misses access): a heuristic gate touched only
   // by the dispatcher thread; no data rides on it.
-  std::atomic<std::uint32_t>& misses = batch.front().stats->linger_misses;
+  std::atomic<std::uint32_t>& misses = batch.front().cell->linger_misses;
   if (batch.size() >= 2 || batch.front().queued_behind) {
     misses.store(0, std::memory_order_relaxed);
   }
@@ -436,10 +435,10 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
       misses.load(std::memory_order_relaxed) < kLingerMissLimit &&
       !stopping_.load(std::memory_order_acquire)) {
     const std::size_t width = batch.size();
-    plane_.lingers.fetch_add(1, std::memory_order_relaxed);
+    plane_.lingers.add();
     linger_fill(key, batch, pending);
     if (batch.size() > width) {
-      plane_.lingers_widened.fetch_add(1, std::memory_order_relaxed);
+      plane_.lingers_widened.add();
       misses.store(0, std::memory_order_relaxed);
     } else {
       misses.fetch_add(1, std::memory_order_relaxed);
@@ -509,7 +508,7 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
       work_ec_.cancel_wait();
       continue;
     }
-    plane_.dispatcher_sleeps.fetch_add(1, std::memory_order_relaxed);
+    plane_.dispatcher_sleeps.add();
     if (work_ec_.commit_wait_until(ticket, deadline) ==
         std::cv_status::timeout) {
       break;
@@ -518,27 +517,26 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
 }
 
 void Scheduler::finish(const std::function<void(const ServeError*)>& complete,
-                       std::atomic<std::uint64_t>* counter,
-                       const ServeError* error) {
+                       Counter* counter, const ServeError* error) {
   // Count before completing: a caller that sees its completion and then
-  // snapshots stats must see itself counted.  relaxed: the completion's
-  // own synchronization (a future's state, an inbox lock) publishes it.
-  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+  // snapshots stats must see itself counted.  The completion's own
+  // synchronization (a future's state, an inbox lock) publishes the count.
+  if (counter != nullptr) counter->add();
   complete(error);
 }
 
 void Scheduler::fail_request(Request& req, ServeErrorCode code,
                              const char* what) {
   const ServeError error(code, what);
-  finish(req.complete, &req.stats->requests_failed, &error);
+  finish(req.complete, &req.cell->requests_failed, &error);
 }
 
 void Scheduler::execute_batch(std::vector<Request> batch) {
-  MatrixServeStats& stats = *batch.front().stats;
+  MatrixCell& cell = *batch.front().cell;
   // Executing from here until just before the first member finishes, so
   // a closed-loop client never sees its own batch here.  relaxed: the
   // linger gate's heuristic hint (see do_submit).
-  stats.batches_executing.fetch_add(1, std::memory_order_relaxed);
+  cell.batches_executing.fetch_add(1, std::memory_order_relaxed);
   // Simulated slow dispatch: injected latency (and an optional handler
   // running ON the dispatcher thread — how the self-submit fail-fast
   // guard is exercised) before the batch timer starts.
@@ -552,7 +550,7 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
     xs.push_back(r.x);
     ys.push_back(r.y);
     const auto waited = start - r.enqueued;
-    r.stats->queue_latency.record_ns(static_cast<std::uint64_t>(
+    r.cell->queue_latency.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
             .count()));
     // Feed the observed queue latency into the overload detector's EWMA
@@ -576,19 +574,19 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
                     "serve: batch multiply threw a non-standard exception");
   }
   // relaxed: as the increment above.
-  stats.batches_executing.fetch_sub(1, std::memory_order_relaxed);
+  cell.batches_executing.fetch_sub(1, std::memory_order_relaxed);
   const ServeError* error = failure ? &*failure : nullptr;
   if (error == nullptr) {
     const auto end = std::chrono::steady_clock::now();
-    stats.record_batch(batch.size());
-    stats.dispatch_latency.record_ns(static_cast<std::uint64_t>(
+    cell.record_batch(batch.size());
+    cell.dispatch_latency.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count()));
   }
   for (Request& r : batch) {
     finish(r.complete,
-           error == nullptr ? &r.stats->requests_completed
-                            : &r.stats->requests_failed,
+           error == nullptr ? &r.cell->requests_completed
+                            : &r.cell->requests_failed,
            error);
   }
 }
@@ -627,7 +625,7 @@ void Scheduler::dispatcher_loop() {
       // (the eventcount fence pairing makes this race-free).
       if (paused_.load(std::memory_order_acquire) &&
           !stopping_.load(std::memory_order_seq_cst)) {
-        plane_.dispatcher_sleeps.fetch_add(1, std::memory_order_relaxed);
+        plane_.dispatcher_sleeps.add();
         work_ec_.commit_wait(ticket);
       } else {
         work_ec_.cancel_wait();
@@ -647,7 +645,7 @@ void Scheduler::dispatcher_loop() {
         work_ec_.cancel_wait();
         continue;
       }
-      plane_.dispatcher_sleeps.fetch_add(1, std::memory_order_relaxed);
+      plane_.dispatcher_sleeps.add();
       work_ec_.commit_wait(ticket);
       continue;
     }
@@ -716,25 +714,13 @@ void Scheduler::shutdown(Drain mode) {
 
 ServeStatsSnapshot Scheduler::stats() const {
   ServeStatsSnapshot out = stats_.snapshot();
-  out.data_plane.dispatcher_sleeps =
-      plane_.dispatcher_sleeps.load(std::memory_order_relaxed);
-  out.data_plane.requests_shed =
-      plane_.requests_shed.load(std::memory_order_relaxed);
-  out.data_plane.requests_expired =
-      plane_.requests_expired.load(std::memory_order_relaxed);
-  out.data_plane.requests_cancelled =
-      plane_.requests_cancelled.load(std::memory_order_relaxed);
-  out.data_plane.lingers = plane_.lingers.load(std::memory_order_relaxed);
-  out.data_plane.lingers_widened =
-      plane_.lingers_widened.load(std::memory_order_relaxed);
+  out.data_plane = plane_;
   out.data_plane.health_state = detector_.state();
   out.data_plane.overload_transitions = detector_.transitions();
   out.data_plane.ewma_queue_latency_us = detector_.ewma_latency_us();
 #if defined(SPMV_FAULT_INJECTION)
   out.data_plane.faults_fired = FaultInjector::instance().total_fired();
 #endif
-  out.data_plane.batch_width = plane_.batch_width.snapshot();
-  out.data_plane.queue_depth = plane_.queue_depth.snapshot();
   return out;
 }
 

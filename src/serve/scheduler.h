@@ -124,7 +124,7 @@ struct SchedulerConfig {
   /// windows that ended no wider than they began, its batches dispatch
   /// at once, until a window widens a batch, a batch forms at least 2
   /// wide on its own, or a request is submitted while a batch of the
-  /// matrix executes.  DataPlaneSnapshot::lingers and lingers_widened
+  /// matrix executes.  DataPlaneStats::lingers and lingers_widened
   /// count the windows entered and those that paid.
   std::chrono::microseconds max_linger{100};
   /// Bounded queue: submits beyond this either block (backpressure) or
@@ -145,9 +145,6 @@ struct SchedulerConfig {
   /// warm-up code) enqueue a known set of requests and observe exactly how
   /// they coalesce.
   bool start_paused = false;
-  /// Hysteresis thresholds for the overload detector feeding kShed
-  /// admission and the health() state.
-  OverloadConfig overload{};
 };
 
 /// Per-request submit options.  The defaults reproduce the plain
@@ -275,7 +272,7 @@ class Scheduler {
     MatrixRegistry::EntryPtr entry;
     const double* x = nullptr;
     double* y = nullptr;
-    std::shared_ptr<MatrixServeStats> stats;
+    std::shared_ptr<MatrixCell> cell;
     std::chrono::steady_clock::time_point enqueued;
     /// Absolute deadline; time_point::max() = none.
     std::chrono::steady_clock::time_point deadline;
@@ -304,8 +301,7 @@ class Scheduler {
   /// The one way a request ends: bump `counter` (its outcome's stats
   /// counter; null counts nothing), then call `complete` with `error`.
   static void finish(const std::function<void(const ServeError*)>& complete,
-                     std::atomic<std::uint64_t>* counter,
-                     const ServeError* error);
+                     Counter* counter, const ServeError* error);
   /// Finish `req` if it is past its deadline or cancel-requested at
   /// `now` (kDeadlineExceeded / kCancelled) and report that it was.
   /// Every pre-dispatch sweep — batch building, linger, batch
@@ -326,7 +322,7 @@ class Scheduler {
   /// entry, gather up to max_batch same-entry requests without intra-batch
   /// operand conflicts, and linger for stragglers when the batch is the
   /// only local work and its matrix is armed (the per-matrix miss count in
-  /// MatrixServeStats::linger_misses, reset by concurrent traffic).  Empty
+  /// MatrixCell::linger_misses, reset by concurrent traffic).  Empty
   /// when every candidate was dead (expired or cancelled).
   std::vector<Request> build_batch(std::deque<Request>& pending);
   /// Linger: give non-empty `batch` time to fill before paying a dispatch

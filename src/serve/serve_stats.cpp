@@ -10,32 +10,24 @@ void LatencyHistogram::record_ns(std::uint64_t ns) {
   const std::size_t bucket =
       us == 0 ? 0
               : std::min<std::size_t>(std::bit_width(us) - 1, kBuckets - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
+  buckets[bucket].add();
+  count.add();
+  total_ns.add(ns);
 }
 
-LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
-  Snapshot s;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.total_ns = total_ns_.load(std::memory_order_relaxed);
-  return s;
+double LatencyHistogram::mean_us() const {
+  const std::uint64_t n = count;
+  return n == 0 ? 0.0
+                : static_cast<double>(total_ns) / 1000.0 /
+                      static_cast<double>(n);
 }
 
-double LatencyHistogram::Snapshot::mean_us() const {
-  return count == 0 ? 0.0
-                    : static_cast<double>(total_ns) / 1000.0 /
-                          static_cast<double>(count);
-}
-
-double LatencyHistogram::Snapshot::quantile_us(double q) const {
-  if (count == 0) return 0.0;
+double LatencyHistogram::quantile_us(double q) const {
+  const std::uint64_t n = count;
+  if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const auto rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count - 1));  // 0-based sample index
+      q * static_cast<double>(n - 1));  // 0-based sample index
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     seen += buckets[b];
@@ -47,32 +39,22 @@ double LatencyHistogram::Snapshot::quantile_us(double q) const {
 void CountHistogram::record(std::uint64_t n) {
   const std::size_t bucket =
       n <= 1 ? 0 : std::min<std::size_t>(std::bit_width(n) - 1, kBuckets - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_.fetch_add(n, std::memory_order_relaxed);
+  buckets[bucket].add();
+  count.add();
+  total.add(n);
 }
 
-CountHistogram::Snapshot CountHistogram::snapshot() const {
-  Snapshot s;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.total = total_.load(std::memory_order_relaxed);
-  return s;
+double CountHistogram::mean() const {
+  const std::uint64_t n = count;
+  return n == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(n);
 }
 
-double CountHistogram::Snapshot::mean() const {
-  return count == 0
-             ? 0.0
-             : static_cast<double>(total) / static_cast<double>(count);
-}
-
-std::uint64_t CountHistogram::Snapshot::quantile(double q) const {
-  if (count == 0) return 0;
+std::uint64_t CountHistogram::quantile(double q) const {
+  const std::uint64_t n = count;
+  if (n == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count - 1));  // 0-based sample index
+      q * static_cast<double>(n - 1));  // 0-based sample index
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     seen += buckets[b];
@@ -82,19 +64,16 @@ std::uint64_t CountHistogram::Snapshot::quantile(double q) const {
 }
 
 void MatrixServeStats::record_batch(std::uint64_t width) {
-  batches_dispatched.fetch_add(1, std::memory_order_relaxed);
-  rhs_dispatched.fetch_add(width, std::memory_order_relaxed);
-  std::uint64_t prev = max_batch_width.load(std::memory_order_relaxed);
-  while (prev < width && !max_batch_width.compare_exchange_weak(
-                             prev, width, std::memory_order_relaxed)) {
-  }
+  batches_dispatched.add();
+  rhs_dispatched.add(width);
+  max_batch_width.raise_to(width);
 }
 
-double MatrixStatsSnapshot::mean_batch_width() const {
-  return batches_dispatched == 0
-             ? 1.0
-             : static_cast<double>(rhs_dispatched) /
-                   static_cast<double>(batches_dispatched);
+double MatrixServeStats::mean_batch_width() const {
+  const std::uint64_t batches = batches_dispatched;
+  return batches == 0 ? 1.0
+                      : static_cast<double>(rhs_dispatched) /
+                            static_cast<double>(batches);
 }
 
 const MatrixStatsSnapshot* ServeStatsSnapshot::find(
@@ -121,38 +100,22 @@ std::uint64_t ServeStatsSnapshot::total_completed() const {
   return n;
 }
 
-std::shared_ptr<MatrixServeStats> ServeStats::cell(const std::string& name) {
+std::shared_ptr<MatrixCell> ServeStats::cell(const std::string& name) {
   MutexLock lock(mutex_);
   auto it = cells_.find(name);
   if (it == cells_.end()) {
-    it = cells_.emplace(name, std::make_shared<MatrixServeStats>()).first;
+    it = cells_.emplace(name, std::make_shared<MatrixCell>()).first;
   }
   return it->second;
 }
 
 ServeStatsSnapshot ServeStats::snapshot() const {
   ServeStatsSnapshot out;
-  out.unknown_matrix_rejected =
-      unknown_matrix_rejected_.load(std::memory_order_relaxed);
+  out.unknown_matrix_rejected = unknown_matrix_rejected_;
   MutexLock lock(mutex_);
   out.matrices.reserve(cells_.size());
   for (const auto& [name, cell] : cells_) {
-    MatrixStatsSnapshot m;
-    m.name = name;
-    m.requests_submitted =
-        cell->requests_submitted.load(std::memory_order_relaxed);
-    m.requests_completed =
-        cell->requests_completed.load(std::memory_order_relaxed);
-    m.requests_failed = cell->requests_failed.load(std::memory_order_relaxed);
-    m.requests_rejected =
-        cell->requests_rejected.load(std::memory_order_relaxed);
-    m.batches_dispatched =
-        cell->batches_dispatched.load(std::memory_order_relaxed);
-    m.rhs_dispatched = cell->rhs_dispatched.load(std::memory_order_relaxed);
-    m.max_batch_width = cell->max_batch_width.load(std::memory_order_relaxed);
-    m.queue_latency = cell->queue_latency.snapshot();
-    m.dispatch_latency = cell->dispatch_latency.snapshot();
-    out.matrices.push_back(std::move(m));
+    out.matrices.push_back({*cell, name});
   }
   return out;
 }

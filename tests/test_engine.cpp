@@ -321,11 +321,25 @@ TEST(EnginePlan, FrontDoorValidatesEveryFamily) {
         {{x.data(), nullptr}, {a.data(), b.data()}},    // null x
         {{x.data(), x2.data()}, {a.data(), nullptr}},   // null y
         {{x.data(), a.data()}, {a.data(), b.data()}},   // xs[1] == ys[0]
+        {{x.data(), b.data()}, {a.data(), b.data()}},   // xs[1] == ys[1]
         {{x.data(), x2.data()}, {a.data(), a.data()}},  // duplicate y
     };
     for (const auto& [xs, ys] : bad_batches) {
       EXPECT_THROW(plan->multiply_batch(xs, ys), std::invalid_argument)
           << "batch of " << xs.size() << " x / " << ys.size() << " y";
+    }
+
+    // A repeated x is legal (x is read-only): each of its right-hand
+    // sides matches a single multiply bitwise.
+    {
+      std::vector<double> single(m.rows(), 0.5);
+      plan->multiply(x, single);
+      std::vector<double> r1(m.rows(), 0.5), r2(m.rows(), 0.5);
+      const Xs xs = {x.data(), x.data()};
+      const Ys ys = {r1.data(), r2.data()};
+      EXPECT_NO_THROW(plan->multiply_batch(xs, ys));
+      EXPECT_EQ(r1, single);
+      EXPECT_EQ(r2, single);
     }
 
     // Exact lengths pass.  Three rounds recycle the plan's scratch; every
@@ -350,86 +364,6 @@ TEST(EnginePlan, FrontDoorValidatesEveryFamily) {
       }
     }
   }
-}
-
-TEST(EnginePlan, ValidatesOperands) {
-  const CsrMatrix m = gen::dense(8);
-  TuningOptions opt = TuningOptions::naive();
-  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  std::vector<double> x(7), y(8);
-  EXPECT_THROW(tuned.multiply(x, y), std::invalid_argument);
-  std::vector<double> ok(8, 1.0);
-  EXPECT_THROW(tuned.multiply(ok, std::span<double>(ok)),
-               std::invalid_argument);
-  std::vector<const double*> xs = {ok.data()};
-  std::vector<double*> ys;
-  EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
-}
-
-TEST(EnginePlan, ValidatesEveryOperandShape) {
-  // Each documented rejection, separately: short x, short y, x/y aliasing,
-  // and exact-length acceptance — the contract the serving scheduler
-  // replicates through validate_multiply_operands.
-  const CsrMatrix m = gen::dense(8);
-  TuningOptions opt = TuningOptions::naive();
-  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-
-  std::vector<double> good_x(8, 1.0), good_y(8, 0.0);
-  std::vector<double> short_x(7, 1.0), short_y(7, 0.0);
-  EXPECT_THROW(tuned.multiply(short_x, good_y), std::invalid_argument);
-  EXPECT_THROW(tuned.multiply(good_x, short_y), std::invalid_argument);
-  std::vector<double> shared(8, 1.0);
-  EXPECT_THROW(
-      tuned.multiply(std::span<const double>(shared), std::span<double>(shared)),
-      std::invalid_argument);
-  EXPECT_NO_THROW(tuned.multiply(good_x, good_y));  // exact lengths are legal
-}
-
-TEST(EnginePlan, ValidatesBatchAliasingAndNulls) {
-  const CsrMatrix m = gen::dense(8);
-  TuningOptions opt = TuningOptions::naive();
-  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  std::vector<double> a(8, 1.0), b(8, 1.0), c(8, 0.0), d(8, 0.0);
-
-  {
-    // xs[i] == ys[i]: in-place accumulation inside a batch must be
-    // rejected like multiply()'s aliasing check, not raced.
-    std::vector<const double*> xs = {a.data(), b.data()};
-    std::vector<double*> ys = {c.data(), b.data()};
-    EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
-  }
-  {
-    // Two right-hand sides sharing one destination would accumulate into
-    // the same y concurrently on the single-dispatch path.
-    std::vector<const double*> xs = {a.data(), b.data()};
-    std::vector<double*> ys = {c.data(), c.data()};
-    EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
-  }
-  {
-    std::vector<const double*> xs = {a.data(), nullptr};
-    std::vector<double*> ys = {c.data(), d.data()};
-    EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
-  }
-  {
-    // Disjoint operands pass; repeated xs are legal (x is read-only).
-    std::vector<const double*> xs = {a.data(), a.data()};
-    std::vector<double*> ys = {c.data(), d.data()};
-    EXPECT_NO_THROW(tuned.multiply_batch(xs, ys));
-  }
-}
-
-TEST(EnginePlan, RejectsChainedBatch) {
-  // The batch path has no ordering between right-hand sides, so a chained
-  // batch (one pair's y feeding another pair's x) must be rejected rather
-  // than raced.
-  const CsrMatrix m = gen::dense(16);
-  TuningOptions opt = TuningOptions::full(2);
-  opt.tune_prefetch = false;
-  const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  std::vector<double> x(16, 1.0), mid(16, 0.0), z(16, 0.0);
-  std::vector<const double*> xs = {x.data(), mid.data()};
-  std::vector<double*> ys = {mid.data(), z.data()};  // ys[0] == xs[1]
-  EXPECT_THROW(tuned.multiply_batch(xs, ys), std::invalid_argument);
 }
 
 }  // namespace

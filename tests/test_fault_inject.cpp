@@ -419,11 +419,6 @@ TEST(FaultServe, LifecycleUnderFaultStormResolvesEveryFutureOnce) {
   cfg.queue_capacity = 8;
   cfg.max_batch = 4;
   cfg.max_linger = std::chrono::microseconds(50);
-  cfg.overload = {.overload_frac = 0.25,
-                  .shed_frac = 0.5,
-                  .recover_frac = 0.25,
-                  .recover_samples = 2,
-                  .ewma_alpha = 0.2};
   Scheduler sched(reg, cfg);
 
   constexpr int kClients = 2;

@@ -74,29 +74,29 @@ bool all_equal(const std::vector<double>& y, double fill) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeHealth, DetectorEntersImmediatelyAndRecoversWithHysteresis) {
-  OverloadDetector det({.overload_frac = 0.5,
-                        .shed_frac = 0.75,
-                        .recover_frac = 0.25,
-                        .recover_samples = 3,
-                        .ewma_alpha = 0.5});
+  // Thresholds (health.cpp): kOverloaded at 0.50 of capacity, kShedding
+  // at 0.75, and 4 consecutive samples below 0.25 to recover.
+  OverloadDetector det;
   EXPECT_EQ(det.state(), HealthState::kOk);
   EXPECT_EQ(det.sample(10, 100), HealthState::kOk);
   EXPECT_EQ(det.sample(50, 100), HealthState::kOverloaded);
   // The middle band holds a degraded state (no flapping back to kOk).
   EXPECT_EQ(det.sample(40, 100), HealthState::kOverloaded);
   EXPECT_EQ(det.sample(80, 100), HealthState::kShedding);
-  // Recovery needs recover_samples *consecutive* below-recover samples.
+  // Recovery needs 4 *consecutive* below-recover samples.
   EXPECT_EQ(det.sample(10, 100), HealthState::kShedding);  // streak 1
   EXPECT_EQ(det.sample(10, 100), HealthState::kShedding);  // streak 2
+  EXPECT_EQ(det.sample(10, 100), HealthState::kShedding);  // streak 3
   EXPECT_EQ(det.sample(40, 100), HealthState::kShedding);  // streak resets
   EXPECT_EQ(det.sample(10, 100), HealthState::kShedding);  // streak 1
   EXPECT_EQ(det.sample(10, 100), HealthState::kShedding);  // streak 2
-  EXPECT_EQ(det.sample(10, 100), HealthState::kOk);        // streak 3
+  EXPECT_EQ(det.sample(10, 100), HealthState::kShedding);  // streak 3
+  EXPECT_EQ(det.sample(10, 100), HealthState::kOk);        // streak 4
   EXPECT_EQ(det.transitions(), 3u);  // Ok->Overloaded->Shedding->Ok
 }
 
 TEST(ServeHealth, DetectorShedsImmediatelyFromOk) {
-  OverloadDetector det;  // defaults: shed_frac 0.75
+  OverloadDetector det;  // sheds at 0.75 of capacity
   EXPECT_EQ(det.sample(75, 100), HealthState::kShedding);
   EXPECT_EQ(det.transitions(), 1u);
 }
@@ -107,12 +107,12 @@ TEST(ServeHealth, DetectorZeroCapacityReadsIdle) {
 }
 
 TEST(ServeHealth, EwmaLatencySmoothsAndClampsAboveZero) {
-  OverloadDetector det({.ewma_alpha = 0.5});
+  OverloadDetector det;  // alpha 0.2
   EXPECT_EQ(det.ewma_latency_us(), 0u);  // 0 = no data yet
   det.record_latency(100us);
   EXPECT_EQ(det.ewma_latency_us(), 100u);  // first sample taken verbatim
   det.record_latency(0us);
-  EXPECT_EQ(det.ewma_latency_us(), 50u);
+  EXPECT_EQ(det.ewma_latency_us(), 80u);
   // Decays toward zero but clamps at 1, so "has data" stays
   // distinguishable from the no-data sentinel.
   for (int i = 0; i < 64; ++i) det.record_latency(0us);
@@ -258,30 +258,27 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
   cfg.queue_capacity = 8;
   cfg.overflow = SchedulerConfig::OverflowPolicy::kShed;
   cfg.start_paused = true;
-  cfg.overload = {.overload_frac = 0.25,
-                  .shed_frac = 0.5,
-                  .recover_frac = 0.25,
-                  .recover_samples = 2,
-                  .ewma_alpha = 0.2};
   Scheduler sched(reg, cfg);
   EXPECT_EQ(sched.health(), HealthState::kOk);
 
   const MatrixRegistry::EntryPtr entry = reg.find("A");
   std::vector<std::vector<double>> ys;
-  ys.reserve(8);  // stable addresses for in-flight y spans
+  ys.reserve(12);  // stable addresses for in-flight y spans
   std::vector<std::future<void>> ok_futs;
 
-  // Submits 1-4 sample pre-push depths 0,1,2,3 of 8: the third (2/8 =
-  // overload_frac) escalates to kOverloaded, which then holds.
-  for (int i = 0; i < 4; ++i) {
+  // Submits 1-6 sample pre-push depths 0..5 of 8: the fifth (4/8, the
+  // 0.50 overload threshold) escalates to kOverloaded, which then holds.
+  for (int i = 0; i < 6; ++i) {
     ys.emplace_back(150, 0.0);
     ok_futs.push_back(sched.submit(entry, x, ys.back(), SubmitOptions{}).future);
   }
   EXPECT_EQ(sched.health(), HealthState::kOverloaded);
 
-  // Submit 5 samples 4/8 = shed_frac: kShedding, and the request itself
-  // (priority 0) is shed with kQueueFull before touching the ring.
+  // Submit 7 samples 6/8, the 0.75 shed threshold: kShedding, and the
+  // request itself (priority 0) is shed with kQueueFull before touching
+  // the ring.
   ys.emplace_back(150, 0.0);
+  const std::size_t shed_index = ys.size() - 1;
   auto shed = sched.submit(entry, x, ys.back(), SubmitOptions{});
   EXPECT_EQ(sched.health(), HealthState::kShedding);
   expect_serve_error(std::move(shed.future), ServeErrorCode::kQueueFull);
@@ -299,7 +296,7 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
   sched.resume();
   for (auto& f : ok_futs) EXPECT_NO_THROW(f.get());
   for (std::size_t i = 0; i < ys.size(); ++i) {
-    if (i == 4) continue;  // the shed request's y stays untouched
+    if (i == shed_index) continue;  // the shed request's y stays untouched
     EXPECT_EQ(ys[i], expect) << "request " << i;
   }
   EXPECT_GE(sched.stats().data_plane.ewma_queue_latency_us, 50000u);
@@ -307,9 +304,9 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
 
   // High priority cannot save a deadline the EWMA already overruns: the
   // observed ~100ms queue latency dwarfs this 20ms budget, so the request
-  // sheds kDeadlineExceeded at the door.  Its depth sample (0/8) starts
-  // the recovery streak: 1 of 2, so the state is still kShedding —
-  // hysteresis in action.
+  // sheds kDeadlineExceeded at the door.  Its depth sample (0/8, below
+  // the 0.25 recovery threshold) starts the recovery streak: 1 of 4, so
+  // the state is still kShedding — hysteresis in action.
   ys.emplace_back(150, 0.0);
   SubmitOptions hopeless;
   hopeless.priority = 1;
@@ -320,7 +317,17 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
   EXPECT_TRUE(all_equal(ys.back(), 0.0));
   EXPECT_EQ(sched.health(), HealthState::kShedding);
 
-  // The second consecutive idle sample completes the streak: kOk, and the
+  // Idle samples 2 and 3 extend the streak, still kShedding; their
+  // high-priority requests ride through and are served.
+  for (int i = 0; i < 2; ++i) {
+    ys.emplace_back(150, 0.0);
+    auto rider = sched.submit(entry, x, ys.back(), high);
+    EXPECT_EQ(sched.health(), HealthState::kShedding);
+    EXPECT_NO_THROW(rider.future.get());
+    EXPECT_EQ(ys.back(), expect);
+  }
+
+  // The fourth consecutive idle sample completes the streak: kOk, and the
   // request is admitted and served normally.
   ys.emplace_back(150, 0.0);
   auto recovered = sched.submit(entry, x, ys.back(), high);
@@ -329,14 +336,14 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
   EXPECT_EQ(ys.back(), expect);
 
   const auto stats = sched.stats();
-  EXPECT_EQ(stats.data_plane.requests_shed, 2u);  // submit 5 + the doomed one
+  EXPECT_EQ(stats.data_plane.requests_shed, 2u);  // submit 7 + the doomed one
   EXPECT_EQ(stats.data_plane.requests_expired, 0u);
   EXPECT_EQ(stats.data_plane.requests_cancelled, 0u);
   EXPECT_EQ(stats.data_plane.overload_transitions, 3u);
   EXPECT_EQ(stats.data_plane.health_state, HealthState::kOk);
   const auto* cell = stats.find("A");
   ASSERT_NE(cell, nullptr);
-  EXPECT_EQ(cell->requests_completed, 6u);  // 1-4, high, recovered
+  EXPECT_EQ(cell->requests_completed, 10u);  // 1-6, high, riders, recovered
 }
 
 // ---------------------------------------------------------------------------

@@ -948,7 +948,7 @@ TEST(ServeStats, LatencyHistogramBucketsMeanAndQuantiles) {
   h.record_ns(1500);       // 1 µs → bucket 0
   h.record_ns(3000);       // 3 µs → bucket 1
   h.record_ns(1000000);    // 1 ms → bucket 9
-  const LatencyHistogram::Snapshot s = h.snapshot();
+  const LatencyHistogram s = h;
   EXPECT_EQ(s.count, 4u);
   EXPECT_NEAR(s.mean_us(), (0.5 + 1.5 + 3.0 + 1000.0) / 4.0, 1e-9);
   EXPECT_EQ(s.buckets[0], 2u);
@@ -957,7 +957,7 @@ TEST(ServeStats, LatencyHistogramBucketsMeanAndQuantiles) {
   EXPECT_LE(s.quantile_us(0.0), s.quantile_us(0.5));
   EXPECT_LE(s.quantile_us(0.5), s.quantile_us(1.0));
   EXPECT_DOUBLE_EQ(s.quantile_us(1.0), 1024.0);  // bucket 9 upper edge
-  EXPECT_EQ(LatencyHistogram::Snapshot{}.quantile_us(0.5), 0.0);
+  EXPECT_EQ(LatencyHistogram{}.quantile_us(0.5), 0.0);
 }
 
 TEST(ServeStatsConcurrency, SnapshotsStayCoherentUnderConcurrentWriters) {
@@ -995,7 +995,7 @@ TEST(ServeStatsConcurrency, SnapshotsStayCoherentUnderConcurrentWriters) {
     const ServeStatsSnapshot snap = stats.snapshot();
     ASSERT_EQ(snap.matrices.size(), 1u);
     const MatrixStatsSnapshot& m = snap.matrices[0];
-    const LatencyHistogram::Snapshot& h = m.queue_latency;
+    const LatencyHistogram& h = m.queue_latency;
     // All samples land in bucket 1; any other nonzero bucket is a lost
     // or misfiled update.
     for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
@@ -1032,6 +1032,76 @@ TEST(ServeStatsConcurrency, SnapshotsStayCoherentUnderConcurrentWriters) {
   EXPECT_EQ(snap.unknown_matrix_rejected, 0u);
 }
 
+TEST(ServeStatsConcurrency, CounterCopiesAreValuesAndAddsSumExactly) {
+  // Stats structs are their own snapshots, so a copy of a Counter (or of
+  // a histogram of them) must be a value: copies a reader takes while
+  // writers add never decrease, a copy does not follow later adds, and
+  // no add is lost.
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kAdds = 100000;
+  constexpr std::uint64_t kTotal = kThreads * kAdds;
+  constexpr std::uint64_t kSampleNs = 2500;  // bucket 1
+  Counter counter;
+  LatencyHistogram hist;
+
+  std::atomic<bool> go{false};
+  std::atomic<unsigned> running{kThreads};
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kAdds; ++i) {
+        counter.add();
+        hist.record_ns(kSampleNs);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  std::uint64_t last = 0, last_count = 0, last_bucket = 0;
+  bool copy_outlived_adds = false;
+  while (running.load(std::memory_order_acquire) != 0) {
+    const Counter copy = counter;
+    const LatencyHistogram hcopy = hist;
+    ASSERT_GE(copy, last);
+    ASSERT_LE(copy, kTotal);
+    ASSERT_GE(hcopy.count, last_count);
+    ASSERT_GE(hcopy.buckets[1], last_bucket);
+    last = copy;
+    last_count = hcopy.count;
+    last_bucket = hcopy.buckets[1];
+    // Once the original has moved on, the copy still reads what it took.
+    if (!copy_outlived_adds && counter > copy.value() &&
+        hist.count > hcopy.count.value()) {
+      ASSERT_EQ(copy, last);
+      ASSERT_EQ(hcopy.count, last_count);
+      copy_outlived_adds = true;
+    }
+    std::this_thread::yield();
+  }
+  for (auto& t : writers) t.join();
+
+  EXPECT_EQ(counter, kTotal);
+  EXPECT_EQ(hist.count, kTotal);
+  EXPECT_EQ(hist.buckets[1], kTotal);
+  EXPECT_EQ(hist.total_ns, kTotal * kSampleNs);
+  // Copies after the fact: neither follows the original's later adds,
+  // and assignment takes the current value too.
+  const Counter before = counter;
+  const LatencyHistogram hbefore = hist;
+  counter.add(5);
+  hist.record_ns(kSampleNs);
+  EXPECT_EQ(before, kTotal);
+  EXPECT_EQ(hbefore.count, kTotal);
+  EXPECT_EQ(counter, kTotal + 5);
+  Counter assigned;
+  assigned = counter;
+  counter.sub(5);
+  EXPECT_EQ(assigned, kTotal + 5);
+  EXPECT_EQ(counter, kTotal);
+}
+
 TEST(ServeStatsConcurrency, CellCreationRacesResolveToOneCell) {
   // Racing first-touch cell() calls for the same name must converge on a
   // single cell, and concurrent snapshots over a growing map must stay
@@ -1046,8 +1116,7 @@ TEST(ServeStatsConcurrency, CellCreationRacesResolveToOneCell) {
     threads.emplace_back([&, t] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       seen[t] = stats.cell("shared");
-      stats.cell("own-" + std::to_string(t))->requests_submitted.fetch_add(
-          1, std::memory_order_relaxed);
+      stats.cell("own-" + std::to_string(t))->requests_submitted.add();
       const ServeStatsSnapshot snap = stats.snapshot();
       for (std::size_t i = 1; i < snap.matrices.size(); ++i) {
         EXPECT_LT(snap.matrices[i - 1].name, snap.matrices[i].name);

@@ -172,11 +172,10 @@ TEST_F(ServeCompletion, ShedUnderShed) {
   cfg.queue_capacity = 8;
   cfg.overflow = SchedulerConfig::OverflowPolicy::kShed;
   cfg.start_paused = true;
-  cfg.overload = {.overload_frac = 0.25, .shed_frac = 0.5};
   Scheduler sched(reg_, cfg);
-  // Four queued requests put the fifth submit's depth sample at 4/8 =
-  // shed_frac: the detector sheds it at the door.
-  std::vector<std::vector<double>> ys(4, std::vector<double>(kN, kFill));
+  // Six queued requests put the seventh submit's depth sample at 6/8, the
+  // detector's 0.75 shed threshold: it sheds that request at the door.
+  std::vector<std::vector<double>> ys(6, std::vector<double>(kN, kFill));
   std::vector<std::future<void>> queued;
   for (auto& y : ys) queued.push_back(sched.submit("A", x_, y));
   Probe probe;
