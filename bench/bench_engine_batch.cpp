@@ -1,4 +1,4 @@
-// Engine batch amortization: fused SpMM vs batched-looped vs looped.
+// Engine batch amortization: fused SpMM vs looped.
 //
 // A server answering many simultaneous SpMV requests over one planned
 // matrix pays, per multiply(), a pool dispatch + barrier AND a full sweep
@@ -6,20 +6,16 @@
 //
 //   looped    one multiply() per right-hand side — a dispatch and a
 //             matrix stream each;
-//   batched   one multiply_batch() dispatch on a second plan of the same
-//             matrix with batch_mode = kLooped: each worker sweeps its
-//             blocks once per right-hand side (dispatch amortized, stream
-//             not);
-//   fused     multiply_batch() with fusion on: operands packed into
-//             k-wide panels, each worker streams its blocks ONCE per
-//             chunk applying every nonzero to all k right-hand sides
-//             (dispatch AND matrix stream amortized; pack cost included).
+//   fused     multiply_batch(): from the planner's crossover width up
+//             (TuningReport::fused_batch_min_width, printed first) the
+//             operands are packed into k-wide panels and each worker
+//             streams its blocks ONCE per chunk applying every nonzero to
+//             all k right-hand sides (dispatch AND matrix stream
+//             amortized; pack cost included); narrower batches run as one
+//             dispatch that sweeps the blocks once per right-hand side.
 //
-// The two plans differ only in batch_mode, so they encode the same blocks.
-// A matrix that fits in the last-level cache may pay a few extra misses in
-// the batched column, which reads the other copy; one larger than the
-// cache streams from memory in every column.  The fused/looped column is
-// the end-to-end amortization ratio the paper's bandwidth model predicts
+// Both columns run the same plan.  The fused/looped column is the
+// end-to-end amortization ratio the paper's bandwidth model predicts
 // grows toward k for streaming-bound matrices.
 //
 //   --matrix=<suite name>  (default FEM/Harbor)
@@ -43,10 +39,7 @@ int main(int argc, char** argv) {
 
   TuningOptions opt = TuningOptions::full(threads);
   opt.tune_prefetch = false;
-  opt.batch_mode = BatchExecMode::kFused;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
-  opt.batch_mode = BatchExecMode::kLooped;
-  const TunedMatrix looped = TunedMatrix::plan(m, opt);
 
   constexpr std::size_t kMaxBatch = 32;
   std::vector<std::vector<double>> xs_store, ys_store;
@@ -61,8 +54,7 @@ int main(int argc, char** argv) {
     ys.push_back(ys_store[i].data());
   }
 
-  Table t({"batch", "looped GF/s", "batched GF/s", "fused GF/s",
-           "fused/batched", "fused/looped"});
+  Table t({"batch", "looped GF/s", "fused GF/s", "fused/looped"});
   for (const std::size_t batch : {1u, 2u, 4u, 8u, 16u, 32u}) {
     const auto xs_b = std::span<const double* const>(xs).first(batch);
     const auto ys_b = std::span<double* const>(ys).first(batch);
@@ -75,12 +67,8 @@ int main(int argc, char** argv) {
           }
         },
         cfg.measure_seconds, 3);
-    const TimingResult t_batched = time_kernel(
-        [&] { looped.multiply_batch(xs_b, ys_b); },
-        cfg.measure_seconds, 3);
     const TimingResult t_fused = time_kernel(
-        [&] { tuned.multiply_batch(xs_b, ys_b); },
-        cfg.measure_seconds, 3);
+        [&] { tuned.multiply_batch(xs_b, ys_b); }, cfg.measure_seconds, 3);
 
     const double nnz_swept =
         static_cast<double>(m.nnz()) * static_cast<double>(batch);
@@ -88,9 +76,12 @@ int main(int argc, char** argv) {
       return bench::gflops(static_cast<std::uint64_t>(nnz_swept), r.best_s);
     };
     t.add_row({std::to_string(batch), Table::fmt(gf(t_looped), 3),
-               Table::fmt(gf(t_batched), 3), Table::fmt(gf(t_fused), 3),
-               Table::fmt(t_batched.best_s / t_fused.best_s, 3),
+               Table::fmt(gf(t_fused), 3),
                Table::fmt(t_looped.best_s / t_fused.best_s, 3)});
+  }
+  if (!cfg.csv) {
+    std::cout << "planner crossover: fused_batch_min_width = "
+              << tuned.report().fused_batch_min_width << " (0 = never)\n";
   }
   cfg.emit(t, "Engine batch amortization (" + name + ", " +
                   std::to_string(threads) + " threads)");

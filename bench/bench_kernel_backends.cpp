@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   engine::ExecutionContext ctx({.pin_threads = false});
   TuningOptions popt = TuningOptions::full(threads);
   popt.tune_prefetch = false;
-  popt.pin_threads = false;
   popt.context = &ctx;
   const TunedMatrix parallel_plan = TunedMatrix::plan(small, popt);
   // Warm the pool so the measurement sees steady-state dispatch.

@@ -40,9 +40,9 @@
 
 #include "bench_common.h"
 #include "gen/generators.h"
-#include "net/chaos_proxy.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "support/chaos_proxy.h"
 
 namespace spmv::bench {
 namespace {

@@ -25,13 +25,10 @@
 //                 admission, plus the shed/expired counters from the
 //                 data-plane stats.
 //
-// serve-batch and serve-open each run twice: once against matrices planned
-// with batch_mode=kLooped (suffix "-loop": coalesced dispatches still
-// sweep the matrix once per right-hand side) and once with the fused SpMM
-// path (one matrix stream per coalesced chunk).  The "fused x" column on
-// the fused rows is the delivered-GFlop/s ratio against the matching -loop
-// row — the serving-level amortization that batching + fusion buys beyond
-// dispatch coalescing alone.
+// Coalesced batches run the plan's fused SpMM path wherever its planner's
+// crossover (TuningReport::fused_batch_min_width) fuses them, so the
+// batching rows measure dispatch coalescing and matrix-stream sharing
+// together.
 //
 // Per point it reports achieved mean/max batch width and queue/dispatch
 // latency percentiles from the scheduler's ServeStats snapshot, plus a
@@ -247,27 +244,17 @@ int main(int argc, char** argv) {
   TuningOptions opt = TuningOptions::full(plan_threads);
   opt.tune_prefetch = false;
 
-  // Same matrices twice: planned fused (default auto/fused path) and
-  // planned looped, so the only difference between a mode and its "-loop"
-  // twin is whether coalesced batches stream the matrix once per chunk.
   serve::MatrixRegistry registry;
-  serve::MatrixRegistry registry_loop;
   std::uint64_t nnz_by_matrix[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
     const CsrMatrix& m = suite.get(kSuiteMatrix);
     nnz_by_matrix[i] = m.nnz();
-    TuningOptions fused_opt = opt;
-    fused_opt.batch_mode = BatchExecMode::kFused;
-    registry.put(kMatrixNames[i], m, fused_opt);
-    TuningOptions loop_opt = opt;
-    loop_opt.batch_mode = BatchExecMode::kLooped;
-    registry_loop.put(kMatrixNames[i], m, loop_opt);
+    registry.put(kMatrixNames[i], m, opt);
   }
 
-  Table table({"mode", "clients", "ops", "ops/s", "GFlop/s",
-               "vs direct", "fused x", "mean width", "max width",
-               "queue p50 us", "queue p95 us", "disp p50 us", "shed",
-               "expired"});
+  Table table({"mode", "clients", "ops", "ops/s", "GFlop/s", "vs direct",
+               "mean width", "max width", "queue p50 us", "queue p95 us",
+               "disp p50 us", "shed", "expired"});
 
   std::vector<unsigned> sweep;
   for (unsigned c = 1; c <= max_clients; c *= 2) sweep.push_back(c);
@@ -281,14 +268,11 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 2; ++i) {
       xs[i] = random_vector(suite.get(kSuiteMatrix).cols(), 7 + i);
     }
-    std::vector<ClientPlan> clients_loop(n_clients);
     for (unsigned c = 0; c < n_clients; ++c) {
       const int mi = static_cast<int>(c % 2);
       clients[c].x = &xs[mi];
       clients[c].nnz = nnz_by_matrix[mi];
       clients[c].entry = registry.find(kMatrixNames[mi]);
-      clients_loop[c] = clients[c];
-      clients_loop[c].entry = registry_loop.find(kMatrixNames[mi]);
     }
     // ys[client][slot]: `window` independent destinations per client so
     // open-loop requests never share a y.
@@ -301,8 +285,7 @@ int main(int argc, char** argv) {
     struct ModeResult {
       std::string mode;
       TrafficPoint traffic;
-      double vs_direct = 0.0;    ///< ops/s over the direct row
-      double fused_ratio = 0.0;  ///< GFlop/s vs the matching -loop mode
+      double vs_direct = 0.0;  ///< ops/s over the direct row
       double mean_width = 1.0;
       std::uint64_t max_width = 1;
       double q50 = 0.0, q95 = 0.0, d50 = 0.0;
@@ -318,28 +301,21 @@ int main(int argc, char** argv) {
       std::size_t batch;
       long linger;
       std::size_t win;
-      bool fused;
-      /// Label of the -loop twin this mode's GFlop/s is compared against.
-      const char* ratio_vs;
     };
     const ServeMode modes[] = {
-        {"serve-1", 1, 0, 1, false, nullptr},
-        {"serve-batch-loop", max_batch, linger_us, 1, false, nullptr},
-        {"serve-batch", max_batch, linger_us, 1, true, "serve-batch-loop"},
-        {"serve-open-1", 1, 0, window, false, nullptr},
-        {"serve-open-loop", max_batch, linger_us, window, false, nullptr},
-        {"serve-open", max_batch, linger_us, window, true, "serve-open-loop"},
+        {"serve-1", 1, 0, 1},
+        {"serve-batch", max_batch, linger_us, 1},
+        {"serve-open-1", 1, 0, window},
+        {"serve-open", max_batch, linger_us, window},
     };
     for (const ServeMode& mode : modes) {
       serve::SchedulerConfig sc;
       sc.max_batch = mode.batch;
       sc.max_linger = std::chrono::microseconds(mode.linger);
-      serve::Scheduler sched(mode.fused ? registry : registry_loop, sc);
+      serve::Scheduler sched(registry, sc);
       ModeResult r;
       r.mode = mode.label;
-      r.traffic =
-          run_serve(sched, mode.fused ? clients : clients_loop, ys,
-                    mode.win, point_seconds);
+      r.traffic = run_serve(sched, clients, ys, mode.win, point_seconds);
       const serve::ServeStatsSnapshot snap = sched.stats();
       r.has_stats = true;
       r.shed = snap.data_plane.requests_shed;
@@ -371,26 +347,14 @@ int main(int argc, char** argv) {
                       (static_cast<double>(direct.traffic.ops) /
                        direct.traffic.seconds);
       }
-      if (mode.ratio_vs != nullptr) {
-        for (const ModeResult& prev : results) {
-          if (prev.mode == mode.ratio_vs && prev.traffic.seconds > 0.0 &&
-              r.traffic.seconds > 0.0 && prev.traffic.flops > 0) {
-            const double own = static_cast<double>(r.traffic.flops) /
-                               r.traffic.seconds;
-            const double base = static_cast<double>(prev.traffic.flops) /
-                                prev.traffic.seconds;
-            r.fused_ratio = own / base;
-          }
-        }
-      }
       results.push_back(std::move(r));
     }
 
     // serve-shed: offered load well above a deliberately small kShed
     // queue, with per-request deadlines — the admission-control path
-    // under genuine overload.  Fused registry, batching on: the question
-    // is how much goodput survives and how much is shed/expired, not
-    // which execution path ran it.
+    // under genuine overload.  Batching on: the question is how much
+    // goodput survives and how much is shed/expired, not which execution
+    // path ran it.
     {
       serve::SchedulerConfig sc;
       sc.max_batch = max_batch;
@@ -439,7 +403,6 @@ int main(int argc, char** argv) {
                           std::max(1e-9, r.traffic.seconds) / 1e9,
                       3),
            r.vs_direct > 0.0 ? Table::fmt(r.vs_direct) : "-",
-           r.fused_ratio > 0.0 ? Table::fmt(r.fused_ratio) : "-",
            Table::fmt(r.mean_width), std::to_string(r.max_width),
            Table::fmt(r.q50, 0), Table::fmt(r.q95, 0),
            Table::fmt(r.d50, 0),

@@ -119,10 +119,6 @@ OskiLikeMatrix OskiLikeMatrix::with_blocking(const CsrMatrix& a, unsigned br,
   const BlockExtent whole{0, a.rows(), 0, a.cols()};
   m.block_ =
       encode_block(a, whole, br, bc, BlockFormat::kBcsr, IndexWidth::k32);
-  // encode_block may clamp the tile dims to the extent; resolve the fused
-  // kernels for what was actually encoded.
-  m.fused_ = fused_block_kernels(m.block_.fmt, m.block_.idx, m.block_.br,
-                                 m.block_.bc, KernelBackend::kScalar);
   return m;
 }
 
@@ -133,23 +129,6 @@ OskiLikeMatrix::~OskiLikeMatrix() = default;
 void OskiLikeMatrix::execute(const double* x, double* y,
                              engine::Scratch* /*scratch*/) const {
   run_block(block_, x, y, 0);
-}
-
-void OskiLikeMatrix::execute_batch(std::span<const double* const> xs,
-                                   std::span<double* const> ys,
-                                   engine::Scratch* scratch) const {
-  if (xs.size() < 2) {
-    engine::SpmvPlan::execute_batch(xs, ys, scratch);
-    return;
-  }
-  engine::run_fused_batch(
-      xs, ys, rows_, cols_, /*min_width=*/2, kMaxFusedWidth,
-      /*decompose_ragged=*/false,  // scalar kernels: fewer streams wins
-      *scratch,
-      [this](const double* xp, double* yp, unsigned w) {
-        fused_.for_width(w)(block_, xp, yp, 0, w);
-      },
-      [this](const double* x, double* y) { run_block(block_, x, y, 0); });
 }
 
 }  // namespace spmv::baseline

@@ -11,11 +11,9 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "core/blocked.h"
-#include "core/kernels_block.h"
 #include "engine/spmv_plan.h"
 #include "matrix/csr.h"
 
@@ -49,9 +47,10 @@ OskiDecision oski_choose_blocking(const CsrMatrix& a,
                                   std::uint64_t seed = 1234);
 
 /// A serially tuned matrix: uniform r×c BCSR with 32-bit indices.
-/// Implements the engine plan interface (serial; its scratch only carries
-/// the batch panels), so the baseline runs through the same multiply and
-/// multiply_batch front doors as the tuned code it is compared against.
+/// Implements the engine plan interface (serial, no per-call state), so
+/// the baseline runs through the same multiply and multiply_batch front
+/// doors as the tuned code it is compared against; a batch is a loop of
+/// single multiplies, as OSKI-era serial code would run it.
 class OskiLikeMatrix final : public engine::SpmvPlan {
  public:
   static OskiLikeMatrix tune(const CsrMatrix& a,
@@ -74,14 +73,6 @@ class OskiLikeMatrix final : public engine::SpmvPlan {
   [[nodiscard]] unsigned plan_threads() const override { return 1; }
   void execute(const double* x, double* y,
                engine::Scratch* scratch) const override;
-  /// Fused SpMM for batches: the matrix streams once per chunk of up to
-  /// kMaxFusedWidth right-hand sides (packed into scratch panels) instead
-  /// of once per right-hand side.  Scalar kernels, like execute() — the
-  /// OSKI baseline stays deliberately unvectorized — and bit-identical to
-  /// the looped default.
-  void execute_batch(std::span<const double* const> xs,
-                     std::span<double* const> ys,
-                     engine::Scratch* scratch) const override;
 
  private:
   OskiLikeMatrix() = default;
@@ -89,7 +80,6 @@ class OskiLikeMatrix final : public engine::SpmvPlan {
   std::uint32_t rows_ = 0, cols_ = 0;
   OskiDecision decision_;
   EncodedBlock block_;  ///< whole matrix as one uniform block
-  FusedBlockKernels fused_;  ///< resolved at tune time (scalar backend)
 };
 
 }  // namespace spmv::baseline

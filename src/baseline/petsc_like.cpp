@@ -147,32 +147,29 @@ void PetscLikeSpmv::execute(const double* x, double* y,
   // its own pack phase wrote (ghosts come straight from the caller's x,
   // never from another rank's buffers), so no inter-rank barrier is needed
   // between the phases — only the per-rank timers keep them distinct.
-  ctx_->parallel_for(
-      ranks,
-      [&](unsigned p) {
-        const Rank& rank = local_[p];
-        if (!rank.matrix) return;
+  ctx_->parallel_for(ranks, [&](unsigned p) {
+    const Rank& rank = local_[p];
+    if (!rank.matrix) return;
 
-        // Phase 1: ghost exchange.  With MPICH ch_shmem a message is a
-        // memcpy through a shared-memory segment: one copy out of the
-        // owner's slice into the requester's ghost buffer (plus the local
-        // own-slice copy into the contiguous local vector, which PETSc's
-        // VecScatter also performs).
-        Timer comm_timer;
-        std::vector<double>& local_x = s.local_x[p];
-        std::copy_n(x + rank.own_col0, rank.own_cols, local_x.data());
-        double* ghost_dst = local_x.data() + rank.own_cols;
-        for (std::size_t g = 0; g < rank.ghost_cols.size(); ++g) {
-          ghost_dst[g] = x[rank.ghost_cols[g]];
-        }
-        comm_s[p] = comm_timer.seconds();
+    // Phase 1: ghost exchange.  With MPICH ch_shmem a message is a
+    // memcpy through a shared-memory segment: one copy out of the
+    // owner's slice into the requester's ghost buffer (plus the local
+    // own-slice copy into the contiguous local vector, which PETSc's
+    // VecScatter also performs).
+    Timer comm_timer;
+    std::vector<double>& local_x = s.local_x[p];
+    std::copy_n(x + rank.own_col0, rank.own_cols, local_x.data());
+    double* ghost_dst = local_x.data() + rank.own_cols;
+    for (std::size_t g = 0; g < rank.ghost_cols.size(); ++g) {
+      ghost_dst[g] = x[rank.ghost_cols[g]];
+    }
+    comm_s[p] = comm_timer.seconds();
 
-        // Phase 2: local OSKI-tuned multiply into this rank's row slice.
-        Timer compute_timer;
-        rank.matrix->execute(local_x.data(), y + rank.row0, nullptr);
-        compute_s[p] = compute_timer.seconds();
-      },
-      /*pin=*/false);
+    // Phase 2: local OSKI-tuned multiply into this rank's row slice.
+    Timer compute_timer;
+    rank.matrix->execute(local_x.data(), y + rank.row0, nullptr);
+    compute_s[p] = compute_timer.seconds();
+  });
 
   double comm_seconds = 0.0, compute_seconds = 0.0;
   for (unsigned p = 0; p < ranks; ++p) {

@@ -21,7 +21,6 @@ ColumnPartitionedSpmv ColumnPartitionedSpmv::plan(const CsrMatrix& a,
   s.rows_ = a.rows();
   s.cols_ = a.cols();
   s.prefetch_ = opt.prefetch_distance;
-  s.pin_threads_ = opt.pin_threads;
   s.backend_ = resolve_kernel_backend(opt.backend);
   s.ctx_ = &engine::context_or_global(opt.context);
 
@@ -84,17 +83,14 @@ void ColumnPartitionedSpmv::execute(const double* x, double* y,
   auto& s = *static_cast<engine::PrivateYScratch*>(scratch);
   // Phase 1: each thread multiplies its stripe into its private y.
   // Phase 2: chunked parallel reduction into the caller's y.
-  ctx_->parallel_for(
-      threads,
-      [&](unsigned t) {
-        auto& py = s.private_y[t];
-        std::fill(py.begin(), py.end(), 0.0);
-        for (const EncodedBlock& blk : stripes_[t].blocks) {
-          run_block(blk, x, py.data(), prefetch_, backend_);
-        }
-      },
-      pin_threads_);
-  engine::reduce_private_y(*ctx_, threads, rows_, pin_threads_, s, y);
+  ctx_->parallel_for(threads, [&](unsigned t) {
+    auto& py = s.private_y[t];
+    std::fill(py.begin(), py.end(), 0.0);
+    for (const EncodedBlock& blk : stripes_[t].blocks) {
+      run_block(blk, x, py.data(), prefetch_, backend_);
+    }
+  });
+  engine::reduce_private_y(*ctx_, threads, rows_, s, y);
 }
 
 }  // namespace spmv

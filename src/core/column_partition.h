@@ -65,7 +65,6 @@ class ColumnPartitionedSpmv final : public engine::SpmvPlan {
 
   std::uint32_t rows_ = 0, cols_ = 0;
   unsigned prefetch_ = 0;
-  bool pin_threads_ = true;
   KernelBackend backend_ = KernelBackend::kScalar;  ///< resolved at plan
   std::vector<Stripe> stripes_;
   std::vector<std::uint32_t> boundaries_;

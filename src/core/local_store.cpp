@@ -229,7 +229,7 @@ void LocalStoreSpmv::execute(const double* x, double* y,
     }
   };
 
-  ctx_->parallel_for(params_.spes, work, /*pin=*/false);
+  ctx_->parallel_for(params_.spes, work);
 
   // Relaxed loads: parallel_for's barrier already ordered every SPE's
   // final fetch_add before this point.

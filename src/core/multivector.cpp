@@ -58,7 +58,7 @@ void MultiVectorSpmv::execute(const double* x, double* y,
   auto work = [&](unsigned t) {
     kernels_[t].for_width(k_)(blocks_[t], x, y, /*prefetch_distance=*/0, k_);
   };
-  ctx_->parallel_for(plan_threads(), work, /*pin=*/false);
+  ctx_->parallel_for(plan_threads(), work);
 }
 
 }  // namespace spmv

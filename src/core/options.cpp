@@ -22,13 +22,4 @@ const char* to_string(KernelBackend backend) {
   return "?";
 }
 
-const char* to_string(BatchExecMode mode) {
-  switch (mode) {
-    case BatchExecMode::kAuto: return "auto";
-    case BatchExecMode::kFused: return "fused";
-    case BatchExecMode::kLooped: return "looped";
-  }
-  return "?";
-}
-
 }  // namespace spmv

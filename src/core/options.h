@@ -1,11 +1,17 @@
 // Tuning knobs for the multicore SpMV implementation.
 //
-// These correspond one-to-one to the optimization categories of the paper's
-// Table 2: code optimizations (kernel backend, prefetch distance), data
-// structure optimizations (register blocking, BCOO, index compression,
-// cache/TLB blocking), and parallelization optimizations (threads, affinity,
-// NUMA-aware first touch).  The plain-CSR inner-loop flavor (KernelFlavor)
-// is a parameter of spmv_csr itself, not a planner knob.
+// These correspond to the optimization categories of the paper's Table 2:
+// code optimizations (kernel backend, prefetch distance), data structure
+// optimizations (register blocking, BCOO, index compression, cache/TLB
+// blocking), and parallelization optimizations (threads).  The other two
+// Table 2 parallelization rows are not per-plan knobs: process affinity
+// is the execution context's (engine::ExecutionConfig::pin_threads,
+// applied when its worker pool is created), and NUMA-aware first touch
+// is how every parallel plan encodes — each thread's blocks on the
+// worker that streams them.  Whether a batch runs fused is the planner's
+// pack-cost crossover (TuningReport::fused_batch_min_width).  The
+// plain-CSR inner-loop flavor (KernelFlavor) is a parameter of spmv_csr
+// itself, not a planner knob.
 #pragma once
 
 #include <cstddef>
@@ -42,19 +48,6 @@ enum class KernelBackend : std::uint8_t {
 
 const char* to_string(KernelBackend backend);
 
-/// How multiply_batch executes a coalesced batch (OSKI's "multiple
-/// vectors" optimization, paper §2.1): fused SpMM — one matrix sweep
-/// applying each nonzero to every right-hand side in the batch — or a
-/// loop of single multiplies.  Fused and looped are bit-identical; the
-/// difference is purely how often the matrix is streamed.
-enum class BatchExecMode : std::uint8_t {
-  kAuto,    ///< fuse when the pack-cost crossover model predicts a win
-  kFused,   ///< always fuse chunks of width >= 2
-  kLooped,  ///< never fuse (the pre-fusion looped behavior)
-};
-
-const char* to_string(BatchExecMode mode);
-
 struct TuningOptions {
   // --- data structure optimizations (§4.2) ---
   /// Allow register blocking with power-of-two tiles up to
@@ -90,26 +83,13 @@ struct TuningOptions {
   /// Measure a few candidate prefetch distances at plan time and keep the
   /// fastest (the paper's generator tunes the distance from 0 to one page).
   bool tune_prefetch = false;
-  /// Batched-execution strategy.  kAuto lets the planner decide per matrix
-  /// from the pack-cost crossover model; the decision lands in
-  /// TuningReport::fused_batch_min_width.
-  BatchExecMode batch_mode = BatchExecMode::kAuto;
 
   // --- parallelization optimizations (§4.3) ---
   unsigned threads = 1;
-  /// Request pinning worker i to logical CPU i (process affinity).  The
-  /// worker pool is shared through the ExecutionContext, so affinity is a
-  /// process-wide, upgrade-only policy: the pool becomes pinned once any
-  /// plan that requests pinning dispatches on it (regardless of dispatch
-  /// order), and false never unpins it.  ExecutionConfig::pin_threads =
-  /// false on the context forbids pinning outright.
-  bool pin_threads = true;
-  /// Encode each thread's blocks on that thread so first-touch places them
-  /// in the local NUMA domain (memory affinity).
-  bool numa_first_touch = true;
   /// Execution context whose shared worker pool the plan borrows for both
   /// NUMA-aware encoding and every multiply; nullptr means the process-wide
-  /// engine::ExecutionContext::global().  The context must outlive the plan.
+  /// engine::ExecutionContext::global().  The context must outlive the
+  /// plan, and its ExecutionConfig decides whether the workers are pinned.
   engine::ExecutionContext* context = nullptr;
 
   /// Everything off: the naive serial CSR configuration.
@@ -122,8 +102,6 @@ struct TuningOptions {
     o.tlb_blocking = false;
     o.prefetch_distance = 0;
     o.threads = 1;
-    o.pin_threads = false;
-    o.numa_first_touch = false;
     return o;
   }
 

@@ -109,8 +109,7 @@ void SegmentedScanSpmv::execute(const double* x, double* y,
     tail_partial[t] = acc;
   };
 
-  ctx_->parallel_for(static_cast<unsigned>(chunks_.size()), work,
-                     /*pin=*/false);
+  ctx_->parallel_for(static_cast<unsigned>(chunks_.size()), work);
 
   // Serial fix-up: fold the 2T carries into their rows.  Chunks are
   // ordered, so this is a short deterministic loop.

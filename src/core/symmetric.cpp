@@ -97,17 +97,13 @@ void SymmetricSpmv::execute(const double* x, double* y,
     return;
   }
   auto& s = *static_cast<engine::PrivateYScratch*>(scratch);
-  ctx_->parallel_for(
-      threads,
-      [&](unsigned t) {
-        auto& py = s.private_y[t];
-        std::fill(py.begin(), py.end(), 0.0);
-        sweep(upper_, thread_rows_[t].begin, thread_rows_[t].end, x,
-              py.data(), py.data());
-      },
-      /*pin=*/false);
-  engine::reduce_private_y(*ctx_, threads, upper_.rows(), /*pin=*/false, s,
-                           y);
+  ctx_->parallel_for(threads, [&](unsigned t) {
+    auto& py = s.private_y[t];
+    std::fill(py.begin(), py.end(), 0.0);
+    sweep(upper_, thread_rows_[t].begin, thread_rows_[t].end, x, py.data(),
+          py.data());
+  });
+  engine::reduce_private_y(*ctx_, threads, upper_.rows(), s, y);
 }
 
 }  // namespace spmv

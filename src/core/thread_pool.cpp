@@ -83,12 +83,6 @@ ThreadPool::ThreadPool(unsigned threads, bool pin) {
   }
 }
 
-void ThreadPool::pin_workers() {
-  for (unsigned tid = 1; tid < size(); ++tid) {
-    pin_thread(workers_[tid - 1], tid % host_info().logical_cpus);
-  }
-}
-
 ThreadPool::~ThreadPool() {
   // The empty critical section below orders this store against any worker
   // between "decided to park" and "asleep": either it already waits (the

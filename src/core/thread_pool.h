@@ -71,12 +71,6 @@ class ThreadPool {
   /// that share a pool must serialize dispatches (ExecutionContext does).
   void run(unsigned active, const std::function<void(unsigned)>& task);
 
-  /// Pin every worker tid to logical CPU tid modulo the host CPU count, as
-  /// the pinning constructor would have.  Lets a shared pool spawned
-  /// unpinned be upgraded when a plan that wants process affinity first
-  /// dispatches.  Tid 0 stays on the caller's CPU.
-  void pin_workers();
-
   /// True when called from inside one of *any* ThreadPool's workers, or
   /// from a caller running its tid-0 share.  Used to refuse (or inline)
   /// nested dispatches that would deadlock.

@@ -1,6 +1,7 @@
 #include "core/tuned_matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -9,10 +10,28 @@
 #include "core/kernels_block.h"
 #include "core/kernels_simd.h"
 #include "engine/execution_context.h"
+#include "util/aligned.h"
 #include "util/cpu.h"
 #include "util/timer.h"
 
 namespace spmv {
+
+namespace {
+
+/// The fused batch path's per-call panel buffers, lazily grown to the
+/// widest chunk seen and recycled through the plan's scratch free list,
+/// so steady-state batched serving allocates nothing.
+struct PanelScratch final : engine::Scratch {
+  AlignedBuffer<double> x;
+  AlignedBuffer<double> y;
+};
+
+double* panel(AlignedBuffer<double>& buf, std::size_t elements) {
+  if (buf.size() < elements) buf = AlignedBuffer<double>(elements);
+  return buf.data();
+}
+
+}  // namespace
 
 std::string TuningReport::summary() const {
   std::ostringstream os;
@@ -89,9 +108,10 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
     }
   }
 
-  // 3. Encode.  With NUMA first touch the encode of thread t's blocks runs
-  // on the thread that runs tid t at multiply time (pinned pool worker t,
-  // or the caller for t = 0), so the pages land in its local domain.
+  // 3. Encode, NUMA first touch: thread t's blocks are encoded on the
+  // thread that runs tid t at multiply time (pool worker t, pinned when
+  // the context pins, or the caller for t = 0), so the pages land in its
+  // local domain.
   m.blocks_.resize(opt.threads);
   auto encode_thread = [&](unsigned t) {
     auto& dst = m.blocks_[t];
@@ -102,13 +122,7 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
                                  pb.decision.idx));
     }
   };
-  // Encoding borrows the same shared pool multiply() will use, so the
-  // first-touch pages stay with the workers that later stream them.
-  if (opt.threads > 1 && opt.numa_first_touch) {
-    m.ctx_->parallel_for(opt.threads, encode_thread, opt.pin_threads);
-  } else {
-    for (unsigned t = 0; t < opt.threads; ++t) encode_thread(t);
-  }
+  m.ctx_->parallel_for(opt.threads, encode_thread);
 
   // 4. Report, and the per-block kernel pointers multiply() dispatches
   // through (resolved once here instead of per block per multiply).
@@ -152,23 +166,13 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
   // 8·k·(cols + 2·rows) bytes.  Record the smallest width where the saving
   // wins; for hypersparse matrices (nnz ≈ rows) no width qualifies and
   // fusion stays off.
-  switch (opt.batch_mode) {
-    case BatchExecMode::kLooped:
-      break;  // fused_batch_min_width stays 0
-    case BatchExecMode::kFused:
-      m.report_.fused_batch_min_width = 2;
-      break;
-    case BatchExecMode::kAuto: {
-      const std::uint64_t panel_bytes =
-          8ull * (static_cast<std::uint64_t>(a.cols()) +
-                  2ull * static_cast<std::uint64_t>(a.rows()));
-      for (unsigned k = 2; k <= kMaxFusedWidth; ++k) {
-        if (static_cast<std::uint64_t>(k - 1) * m.report_.tuned_bytes >
-            static_cast<std::uint64_t>(k) * panel_bytes) {
-          m.report_.fused_batch_min_width = k;
-          break;
-        }
-      }
+  const std::uint64_t panel_bytes =
+      8ull * (static_cast<std::uint64_t>(a.cols()) +
+              2ull * static_cast<std::uint64_t>(a.rows()));
+  for (unsigned k = 2; k <= kMaxFusedWidth; ++k) {
+    if (static_cast<std::uint64_t>(k - 1) * m.report_.tuned_bytes >
+        static_cast<std::uint64_t>(k) * panel_bytes) {
+      m.report_.fused_batch_min_width = k;
       break;
     }
   }
@@ -206,6 +210,10 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
   return m;
 }
 
+std::unique_ptr<engine::Scratch> TunedMatrix::make_scratch() const {
+  return std::make_unique<PanelScratch>();
+}
+
 void TunedMatrix::execute(const double* x, double* y,
                           engine::Scratch* /*scratch*/) const {
   const unsigned pf = opt_.prefetch_distance;
@@ -217,77 +225,79 @@ void TunedMatrix::execute(const double* x, double* y,
     }
     return;
   }
-  ctx_->parallel_for(
-      opt_.threads,
-      [this, x, y, pf](unsigned t) {
-        for (std::size_t b = 0; b < blocks_[t].size(); ++b) {
-          kernels_[t][b](blocks_[t][b], x, y, pf);
-        }
-      },
-      opt_.pin_threads);
+  ctx_->parallel_for(opt_.threads, [this, x, y, pf](unsigned t) {
+    for (std::size_t b = 0; b < blocks_[t].size(); ++b) {
+      kernels_[t][b](blocks_[t][b], x, y, pf);
+    }
+  });
 }
 
 void TunedMatrix::execute_batch_looped(std::span<const double* const> xs,
-                                       std::span<double* const> ys,
-                                       engine::Scratch* scratch) const {
-  if (opt_.threads <= 1) {
-    engine::SpmvPlan::execute_batch(xs, ys, scratch);
-    return;
-  }
+                                       std::span<double* const> ys) const {
   const unsigned pf = opt_.prefetch_distance;
-  ctx_->parallel_for(
-      opt_.threads,
-      [this, xs, ys, pf](unsigned t) {
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-          for (std::size_t b = 0; b < blocks_[t].size(); ++b) {
-            kernels_[t][b](blocks_[t][b], xs[i], ys[i], pf);
-          }
-        }
-      },
-      opt_.pin_threads);
+  ctx_->parallel_for(opt_.threads, [this, xs, ys, pf](unsigned t) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      for (std::size_t b = 0; b < blocks_[t].size(); ++b) {
+        kernels_[t][b](blocks_[t][b], xs[i], ys[i], pf);
+      }
+    }
+  });
 }
 
 void TunedMatrix::fused_sweep(const double* xp, double* yp,
                               unsigned w) const {
   const unsigned pf = opt_.prefetch_distance;
-  auto sweep_thread = [this, xp, yp, w, pf](unsigned t) {
+  // Workers write disjoint yp row ranges (cache blocks never cross thread
+  // row partitions), so one dispatch per chunk suffices.
+  ctx_->parallel_for(opt_.threads, [this, xp, yp, w, pf](unsigned t) {
     for (std::size_t b = 0; b < blocks_[t].size(); ++b) {
       fused_kernels_[t][b].for_width(w)(blocks_[t][b], xp, yp, pf, w);
     }
-  };
-  if (opt_.threads <= 1) {
-    for (unsigned t = 0; t < static_cast<unsigned>(blocks_.size()); ++t) {
-      sweep_thread(t);
-    }
-    return;
-  }
-  // Workers write disjoint yp row ranges (cache blocks never cross thread
-  // row partitions), so one dispatch per chunk suffices.
-  ctx_->parallel_for(opt_.threads, sweep_thread, opt_.pin_threads);
+  });
 }
 
 void TunedMatrix::execute_batch(std::span<const double* const> xs,
                                 std::span<double* const> ys,
                                 engine::Scratch* scratch) const {
   const unsigned min_width = report_.fused_batch_min_width;
-  if (min_width == 0 || xs.size() < min_width) {
-    execute_batch_looped(xs, ys, scratch);
-    return;
-  }
-  // With a SIMD backend every fused kernel is vectorized at widths
-  // {2, 4, 8}, so decomposing ragged remainders into those widths beats
-  // one scalar runtime-width sweep; on scalar backends the single sweep
-  // (fewer matrix streams) wins.
+  // SIMD fused kernels exist only at widths {2, 4, 8}, so on a SIMD
+  // backend a ragged chunk shrinks to the largest power of two (7 -> 4 +
+  // 2 + a looped rest): every panel hits a vector kernel, at the cost of
+  // extra matrix streams.  On the scalar backend one runtime-width sweep
+  // (fewer streams) wins.
   const bool decompose_ragged = report_.backend != KernelBackend::kScalar;
-  engine::run_fused_batch(
-      xs, ys, report_.rows, report_.cols, min_width, kMaxFusedWidth,
-      decompose_ragged, *scratch,
-      [this](const double* xp, double* yp, unsigned w) {
-        fused_sweep(xp, yp, w);
-      },
-      [this, scratch](const double* x, double* y) {
-        execute(x, y, scratch);
-      });
+  auto& panels = *static_cast<PanelScratch*>(scratch);
+  const std::uint32_t rows = report_.rows;
+  const std::uint32_t cols = report_.cols;
+  std::size_t i = 0;
+  while (min_width != 0 && xs.size() - i >= min_width) {
+    const auto capped = static_cast<unsigned>(
+        std::min<std::size_t>(kMaxFusedWidth, xs.size() - i));
+    const unsigned w = decompose_ragged ? std::bit_floor(capped) : capped;
+    if (w < min_width) break;  // e.g. min_width 3, remainder 3 -> width 2
+    double* xp = panel(panels.x, static_cast<std::size_t>(cols) * w);
+    double* yp = panel(panels.y, static_cast<std::size_t>(rows) * w);
+    // Pack, panel-sequential: w concurrent read streams, one write stream.
+    for (std::uint32_t c = 0; c < cols; ++c) {
+      double* dst = xp + static_cast<std::size_t>(c) * w;
+      for (unsigned j = 0; j < w; ++j) dst[j] = xs[i + j][c];
+    }
+    // The y panel starts from the caller's y values (not zero): each
+    // right-hand side's chain then runs y0 + block contributions in the
+    // single-multiply order, which is what makes fused == looped bitwise.
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      double* dst = yp + static_cast<std::size_t>(r) * w;
+      for (unsigned j = 0; j < w; ++j) dst[j] = ys[i + j][r];
+    }
+    fused_sweep(xp, yp, w);
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      const double* src = yp + static_cast<std::size_t>(r) * w;
+      for (unsigned j = 0; j < w; ++j) ys[i + j][r] = src[j];
+    }
+    i += w;
+  }
+  // Below the crossover the pack traffic outweighs the amortization.
+  if (i < xs.size()) execute_batch_looped(xs.subspan(i), ys.subspan(i));
 }
 
 }  // namespace spmv

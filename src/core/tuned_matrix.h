@@ -8,7 +8,9 @@
 //      {BCSR | BCOO} × {1,2,4}² register tiles × {16 | 32}-bit indices —
 //      via the one-pass tuner (§4.2);
 //   4. blocks are encoded on their owning worker thread so first-touch
-//      places them NUMA-locally (§4.3).
+//      places them NUMA-locally (§4.3);
+//   5. a pack-cost crossover decides the batch width from which
+//      multiply_batch() runs fused (OSKI's "multiple vectors", §2.1).
 // multiply() then runs y ← y + A·x on the shared engine pool (borrowed from
 // the plan's ExecutionContext) with the specialized kernel for each block
 // (§4.1).
@@ -64,7 +66,7 @@ struct TuningReport {
   /// at which execute_batch() packs operands into panels and runs the
   /// fused SpMM sweep (one matrix stream per chunk) instead of looping
   /// single multiplies.  0 = fusion off — packing would cost more than the
-  /// re-streams it saves (hypersparse matrices, or batch_mode = kLooped).
+  /// re-streams it saves (hypersparse matrices).
   unsigned fused_batch_min_width = 0;
   double plan_seconds = 0.0;
 
@@ -101,18 +103,21 @@ class TunedMatrix final : public engine::SpmvPlan {
   [[nodiscard]] engine::ExecutionContext& context() const override {
     return *ctx_;
   }
+  /// Carries the fused-batch panel buffers.
+  [[nodiscard]] std::unique_ptr<engine::Scratch> make_scratch() const override;
   void execute(const double* x, double* y,
                engine::Scratch* scratch) const override;
   /// Batched execution with two amortization levers.  Batches at or above
-  /// report().fused_batch_min_width run fused: the batch is packed into
-  /// k-wide panels (scratch-resident, allocation-free in steady state) and
-  /// each worker streams its blocks ONCE per chunk, applying every nonzero
-  /// to all k right-hand sides — the §2.1 "multiple vectors" optimization.
-  /// Narrower batches (or fusion off) fall back to a single dispatch that
-  /// sweeps each right-hand side per worker, amortizing only the barrier.
-  /// Both paths are bit-identical to looped multiply() calls.  There is no
-  /// ordering between right-hand sides — no xs[j] may alias any ys[i]
-  /// (multiply_batch() enforces this).
+  /// report().fused_batch_min_width run fused: chunks of up to
+  /// kMaxFusedWidth right-hand sides are packed into row-major k-wide
+  /// panels (scratch-resident, allocation-free in steady state) and each
+  /// worker streams its blocks ONCE per chunk, applying every nonzero to
+  /// all k right-hand sides — the §2.1 "multiple vectors" optimization.
+  /// The rest of the batch (all of it when fusion is off) runs as a
+  /// single dispatch that sweeps each right-hand side per worker,
+  /// amortizing only the barrier.  Both paths are bit-identical to looped
+  /// multiply() calls.  There is no ordering between right-hand sides —
+  /// no xs[j] may alias any ys[i] (multiply_batch() enforces this).
   void execute_batch(std::span<const double* const> xs,
                      std::span<double* const> ys,
                      engine::Scratch* scratch) const override;
@@ -120,9 +125,10 @@ class TunedMatrix final : public engine::SpmvPlan {
  private:
   TunedMatrix() = default;
 
+  /// One dispatch in which each worker sweeps its blocks once per
+  /// right-hand side.
   void execute_batch_looped(std::span<const double* const> xs,
-                            std::span<double* const> ys,
-                            engine::Scratch* scratch) const;
+                            std::span<double* const> ys) const;
   /// One fused sweep of every block over a w-wide panel pair.
   void fused_sweep(const double* xp, double* yp, unsigned w) const;
 

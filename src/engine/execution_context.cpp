@@ -18,8 +18,7 @@ unsigned ExecutionContext::capacity() const {
 }
 
 void ExecutionContext::parallel_for(unsigned threads,
-                                    const std::function<void(unsigned)>& task,
-                                    bool pin) {
+                                    const std::function<void(unsigned)>& task) {
   if (threads <= 1) {
     task(0);
     return;
@@ -31,19 +30,10 @@ void ExecutionContext::parallel_for(unsigned threads,
     return;
   }
   MutexLock lock(dispatch_mutex_);
-  const bool may_pin = config_.pin_threads && pin;
   if (!pool_ || pool_->size() < threads) {
     pool_.reset();  // join the narrower pool before spawning the wider one
-    const bool pin_now = may_pin || pinned_;  // regrow keeps the upgrade
-    pool_ = std::make_unique<ThreadPool>(threads, pin_now);
-    pinned_ = pin_now;
+    pool_ = std::make_unique<ThreadPool>(threads, config_.pin_threads);
     pools_spawned_.add();
-  } else if (may_pin && !pinned_) {
-    // Affinity is an upgrade-only, order-independent policy: the pool ends
-    // up pinned iff any pinning plan ever dispatches, no matter which plan
-    // spawned the workers first.
-    pool_->pin_workers();
-    pinned_ = true;
   }
   pool_->run(threads, task);
   dispatches_.add();

@@ -11,6 +11,11 @@
 // goes through the pool's one barrier (core/thread_pool.h): the caller
 // runs t = 0 and spins briefly for the workers.
 //
+// Affinity has one owner: ExecutionConfig::pin_threads, applied when the
+// pool is created (and when it is regrown).  No plan and no dispatch can
+// change it, so every plan family on a context runs on the same workers
+// under the same policy.
+//
 // Most code uses the process-wide ExecutionContext::global(); tests and
 // embedders that need isolation construct their own and pass it through
 // TuningOptions::context (or the variant constructors).
@@ -27,10 +32,9 @@
 namespace spmv::engine {
 
 struct ExecutionConfig {
-  /// Allow pinning worker i to logical CPU i (process affinity, Table 2).
-  /// false forbids pinning outright; true lets plans request it — the pool
-  /// is pinned from the first pin-requesting dispatch onward (upgrade-only,
-  /// order-independent) — see parallel_for.
+  /// Pin worker i to logical CPU i modulo the host CPU count (process
+  /// affinity, Table 2) when the pool is created.  The caller's thread,
+  /// which runs t = 0 of every dispatch, keeps its own affinity.
   bool pin_threads = true;
 };
 
@@ -52,11 +56,7 @@ class ExecutionContext {
   ///    touch the pool or its dispatch lock.
   ///  * The worker pool is created on first parallel use and grown (never
   ///    shrunk) when a wider dispatch arrives; existing plans keep working.
-  ///  * `pin` is the dispatching plan's affinity preference (e.g.
-  ///    TuningOptions::pin_threads).  Pinning is upgrade-only and
-  ///    order-independent: the pool becomes (and stays) pinned as soon as
-  ///    any pin-requesting plan dispatches, provided the context's config
-  ///    allows pinning; pin = false never unpins a shared pool.
+  ///    Its workers are pinned iff config().pin_threads.
   ///  * Concurrent callers serialize on an internal mutex, so any number of
   ///    host threads may execute plans simultaneously.
   ///  * The caller runs t = 0 itself and pool workers run the rest (see
@@ -64,8 +64,8 @@ class ExecutionContext {
   ///  * Called from inside a pool task (nested parallelism), the task
   ///    runs inline serially instead of deadlocking on the dispatch lock.
   void parallel_for(unsigned threads,
-                    const std::function<void(unsigned)>& task,
-                    bool pin = true) SPMV_EXCLUDES(dispatch_mutex_);
+                    const std::function<void(unsigned)>& task)
+      SPMV_EXCLUDES(dispatch_mutex_);
 
   /// Current worker count (0 until the first parallel dispatch).
   [[nodiscard]] unsigned capacity() const SPMV_EXCLUDES(dispatch_mutex_);
@@ -87,7 +87,6 @@ class ExecutionContext {
   /// caller-owned Scratch (see engine/spmv_plan.h).
   mutable Mutex dispatch_mutex_;
   std::unique_ptr<ThreadPool> pool_ SPMV_GUARDED_BY(dispatch_mutex_);
-  bool pinned_ SPMV_GUARDED_BY(dispatch_mutex_) = false;  ///< upgrade-only
   Counter dispatches_;
   Counter pools_spawned_;
 };

@@ -28,7 +28,7 @@ struct PrivateYScratch final : Scratch {
 /// parallel reduction on `ctx`: worker t folds row chunk t of every
 /// private vector.
 void reduce_private_y(ExecutionContext& ctx, unsigned threads,
-                      std::uint32_t rows, bool pin,
-                      const PrivateYScratch& s, double* y);
+                      std::uint32_t rows, const PrivateYScratch& s,
+                      double* y);
 
 }  // namespace spmv::engine

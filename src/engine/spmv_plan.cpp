@@ -1,7 +1,5 @@
 #include "engine/spmv_plan.h"
 
-#include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "engine/execution_context.h"
@@ -9,16 +7,6 @@
 namespace spmv::engine {
 
 Scratch::~Scratch() = default;
-
-double* Scratch::x_panel(std::size_t elements) {
-  if (x_panel_.size() < elements) x_panel_ = AlignedBuffer<double>(elements);
-  return x_panel_.data();
-}
-
-double* Scratch::y_panel(std::size_t elements) {
-  if (y_panel_.size() < elements) y_panel_ = AlignedBuffer<double>(elements);
-  return y_panel_.data();
-}
 
 SpmvPlan::~SpmvPlan() = default;
 
@@ -103,60 +91,6 @@ void SpmvPlan::multiply_batch(std::span<const double* const> xs,
   std::unique_ptr<Scratch> scratch = scratches_.take(*this);
   execute_batch(xs, ys, scratch.get());
   scratches_.give_back(std::move(scratch));
-}
-
-void run_fused_batch(
-    std::span<const double* const> xs, std::span<double* const> ys,
-    std::uint32_t rows, std::uint32_t cols, unsigned min_width,
-    unsigned max_width, bool decompose_ragged, Scratch& scratch,
-    const std::function<void(const double* xp, double* yp, unsigned w)>&
-        sweep,
-    const std::function<void(const double* x, double* y)>& single) {
-  if (min_width < 2) {
-    throw std::invalid_argument("run_fused_batch: min_width < 2");
-  }
-  std::size_t i = 0;
-  while (i < xs.size()) {
-    const std::size_t remaining = xs.size() - i;
-    if (remaining < min_width) {
-      // Below the crossover the pack traffic outweighs the amortization.
-      for (; i < xs.size(); ++i) single(xs[i], ys[i]);
-      return;
-    }
-    const unsigned capped = static_cast<unsigned>(
-        std::min<std::size_t>(max_width, remaining));
-    const unsigned w =
-        decompose_ragged ? std::bit_floor(capped) : capped;
-    if (w < min_width) {
-      // Decomposition left only a chunk the crossover model predicts is a
-      // loss (e.g. min_width 3, remainder 3 -> width-2 chunk): honor the
-      // model and run the tail through single multiplies instead.
-      for (; i < xs.size(); ++i) single(xs[i], ys[i]);
-      return;
-    }
-    double* xp =
-        scratch.x_panel(static_cast<std::size_t>(cols) * w);
-    double* yp =
-        scratch.y_panel(static_cast<std::size_t>(rows) * w);
-    // Pack, panel-sequential: w concurrent read streams, one write stream.
-    for (std::uint32_t c = 0; c < cols; ++c) {
-      double* dst = xp + static_cast<std::size_t>(c) * w;
-      for (unsigned j = 0; j < w; ++j) dst[j] = xs[i + j][c];
-    }
-    // The y panel starts from the caller's y values (not zero): each
-    // right-hand side's chain then runs y0 + block contributions in the
-    // single-multiply order, which is what makes fused == looped bitwise.
-    for (std::uint32_t r = 0; r < rows; ++r) {
-      double* dst = yp + static_cast<std::size_t>(r) * w;
-      for (unsigned j = 0; j < w; ++j) dst[j] = ys[i + j][r];
-    }
-    sweep(xp, yp, w);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-      const double* src = yp + static_cast<std::size_t>(r) * w;
-      for (unsigned j = 0; j < w; ++j) ys[i + j][r] = src[j];
-    }
-    i += w;
-  }
 }
 
 std::unique_ptr<Scratch> SpmvPlan::ScratchCache::take(const SpmvPlan& plan) {

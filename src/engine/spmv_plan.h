@@ -7,7 +7,7 @@
 //   * SpmvPlan is the immutable product of planning.  execute() is const
 //     and touches no plan state besides reading it — every mutable byte a
 //     call needs (private destination vectors, carry slots, DMA staging
-//     buffers) lives in a Scratch object.
+//     buffers, fused-batch panels) lives in a Scratch object.
 //   * Scratch is the per-call state.  Two concurrent execute() calls with
 //     distinct Scratch objects are data-race free and produce bit-identical
 //     results to back-to-back serial calls.
@@ -16,16 +16,15 @@
 // validate the operands, borrow a scratch from the plan's own free list
 // and run execute()/execute_batch().  All six parallel variants and both
 // baselines implement this interface, so servers, benches and the
-// scheduler's batch path treat them uniformly.
+// scheduler's batch path treat them uniformly.  Every plan dispatches on
+// its ExecutionContext, which alone decides worker affinity.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "util/aligned.h"
 #include "util/thread_annotations.h"
 
 namespace spmv::engine {
@@ -33,25 +32,12 @@ namespace spmv::engine {
 class ExecutionContext;
 class SpmvPlan;
 
-/// Base class for a plan's per-call mutable state.  Plans with no state of
-/// their own (disjoint-row-write variants like the tuned matrix) use the
-/// base class directly — it still carries the fused-batch panel buffers,
-/// which is why make_scratch() never returns nullptr.
+/// Base class for a plan's per-call mutable state.  Plans with no per-call
+/// state of their own use the base class directly, so make_scratch()
+/// never returns nullptr.
 class Scratch {
  public:
   virtual ~Scratch();
-
-  /// Panel buffers for the fused SpMM batch path: execute_batch()
-  /// overrides pack strided batch operands into these row-major k-wide
-  /// panels (see run_fused_batch).  Lazily grown to the requested element
-  /// count and kept for reuse, so steady-state batched serving allocates
-  /// nothing.
-  [[nodiscard]] double* x_panel(std::size_t elements);
-  [[nodiscard]] double* y_panel(std::size_t elements);
-
- private:
-  AlignedBuffer<double> x_panel_;
-  AlignedBuffer<double> y_panel_;
 };
 
 class SpmvPlan {
@@ -65,16 +51,16 @@ class SpmvPlan {
   void multiply(std::span<const double> x, std::span<double> y) const;
 
   /// ys[i] ← ys[i] + A·xs[i] for all i, through execute_batch() (one
-  /// dispatch per batch, and a fused matrix stream where the plan has
-  /// one).  xs and ys must be the same length; each pointer must be
-  /// non-null and reference at least x_elements()/y_elements() valid
-  /// elements — lengths cannot be checked from bare pointers, unlike
-  /// multiply()'s spans.  No xs pointer may equal any ys pointer, and no
-  /// two ys pointers may be equal (both checked): the batch executes with
-  /// no ordering between right-hand sides, so chained batches and shared
-  /// destinations are rejected — express dependent multiplies as
-  /// successive multiply() calls.  Throws std::invalid_argument on a
-  /// violation; thread-safe like multiply().
+  /// dispatch per batch for the tuned matrix, plus a fused matrix stream
+  /// where its planner chose one).  xs and ys must be the same length;
+  /// each pointer must be non-null and reference at least
+  /// x_elements()/y_elements() valid elements — lengths cannot be checked
+  /// from bare pointers, unlike multiply()'s spans.  No xs pointer may
+  /// equal any ys pointer, and no two ys pointers may be equal (both
+  /// checked): the batch executes with no ordering between right-hand
+  /// sides, so chained batches and shared destinations are rejected —
+  /// express dependent multiplies as successive multiply() calls.  Throws
+  /// std::invalid_argument on a violation; thread-safe like multiply().
   void multiply_batch(std::span<const double* const> xs,
                       std::span<double* const> ys) const;
 
@@ -95,8 +81,7 @@ class SpmvPlan {
   [[nodiscard]] virtual ExecutionContext& context() const;
 
   /// Allocate the scratch one concurrent execute()/execute_batch() call
-  /// needs.  Never null: plans without private state get a base Scratch,
-  /// which still carries the fused-batch panel buffers.
+  /// needs.  Never null: plans without private state get a base Scratch.
   [[nodiscard]] virtual std::unique_ptr<Scratch> make_scratch() const;
 
   /// y ← y + A·x with no operand checks: the hook each plan implements
@@ -109,11 +94,9 @@ class SpmvPlan {
 
   /// ys[i] ← ys[i] + A·xs[i] for every i: the hook multiply_batch() calls,
   /// with operands already checked and a non-null `scratch`.  The default
-  /// loops over execute(); the blocked plans override it with a fused SpMM
-  /// path that packs the batch into k-wide panels and streams the matrix
-  /// once per chunk (see run_fused_batch), falling back to a single looped
-  /// dispatch where fusion is off.  Overrides must stay bit-identical to
-  /// the loop.
+  /// loops over execute(); TunedMatrix overrides it with one dispatch per
+  /// batch and, above its planned crossover width, a fused SpMM sweep.
+  /// Overrides must stay bit-identical to the loop.
   virtual void execute_batch(std::span<const double* const> xs,
                              std::span<double* const> ys,
                              Scratch* scratch) const;
@@ -153,32 +136,5 @@ class SpmvPlan {
 void validate_multiply_operands(const SpmvPlan& plan,
                                 std::span<const double> x,
                                 std::span<double> y);
-
-/// Shared panel machinery for fused execute_batch overrides.  Chunks the
-/// batch into panels of at most `max_width` right-hand sides, packs each
-/// chunk's strided operands into `scratch`'s row-major panels — the y
-/// panel is seeded with the caller's y values, so every right-hand side's
-/// accumulation chain is exactly its single-multiply chain and the fused
-/// result is bit-identical to the loop — runs `sweep(xp, yp, w)` per
-/// chunk, and unpacks.  Chunks narrower than `min_width` (including
-/// width-1 tails) run through `single(x, y)` instead, because packing
-/// cannot pay for itself below the crossover.  Requires min_width >= 2.
-///
-/// `decompose_ragged` controls how a ragged remainder (not a power of
-/// two) chunks.  SIMD fused kernels are registered only at widths
-/// {2, 4, 8}; a width-7 panel would sweep the whole matrix through the
-/// runtime-width scalar kernel.  With decompose_ragged, chunk widths are
-/// the largest power of two <= remaining (7 -> 4 + 2 + single), so every
-/// panel hits a vector kernel at the cost of extra matrix streams —
-/// measured profitable exactly when the plan's kernels are SIMD.  Without
-/// it, the remainder runs as one maximal scalar-width chunk (one matrix
-/// stream), the right call for scalar-backend plans.
-void run_fused_batch(
-    std::span<const double* const> xs, std::span<double* const> ys,
-    std::uint32_t rows, std::uint32_t cols, unsigned min_width,
-    unsigned max_width, bool decompose_ragged, Scratch& scratch,
-    const std::function<void(const double* xp, double* yp, unsigned w)>&
-        sweep,
-    const std::function<void(const double* x, double* y)>& single);
 
 }  // namespace spmv::engine

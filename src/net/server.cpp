@@ -248,7 +248,7 @@ void SpmvServer::stop() {
 
 NetStats SpmvServer::net_stats() const {
   NetStats s = stats_;
-  s.sessions_opened = sessions_.totals().opened;
+  s.sessions_opened = sessions_.opened();
   return s;
 }
 

@@ -79,7 +79,7 @@ struct SessionStats {
 enum class AttachState : std::uint8_t {
   kAttached,  ///< a live connection owns it
   kParked,    ///< connection died; waiting for resume or the reaper
-  kClosed,    ///< permanently gone; stats retired
+  kClosed,    ///< permanently gone; late completions count as dropped
 };
 
 /// What a multiply request id means to this session right now.
@@ -116,8 +116,7 @@ class ClientSlot {
   /// reach the slot yet, so this needs no guard.
   std::string client_name;
 
-  /// The session's counters.  Exact retirement goes through
-  /// mark_closed_and_snapshot(), never a bare copy.
+  /// The session's counters; a copy is a snapshot (see snapshot()).
   SessionStats stats;
 
   // --- operand cache (guarded: resume takeover can race the stale
@@ -198,9 +197,9 @@ class ClientSlot {
   /// A completion arrived for a connection that no longer exists (the
   /// session is parked, re-attached elsewhere, or closed).  Record the
   /// decision into the replay window and count the outcome so a retry
-  /// can be answered and accounting stays exact.  Returns false when the
-  /// slot is already closed — its stats were retired, so the caller must
-  /// count the completion as dropped instead.
+  /// can be answered.  Returns false when the slot is already closed —
+  /// no retry can reach it, so the caller must count the completion as
+  /// dropped instead.
   [[nodiscard]] bool record_orphan(std::uint64_t request_id, bool ok,
                                    std::uint64_t rpc_ns,
                                    std::vector<std::uint8_t> frame,
@@ -265,22 +264,18 @@ class ClientSlot {
     state_.store(AttachState::kAttached, std::memory_order_relaxed);
   }
 
-  /// Permanently close and snapshot the final statistics in one critical
-  /// section: any record_orphan that counted before this call is ordered
-  /// before the snapshot (mutex release/acquire), and any after it sees
-  /// kClosed and counts as dropped — nothing is ever counted twice or
-  /// lost between a slot and the manager's retired totals.
-  [[nodiscard]] SessionStats mark_closed_and_snapshot()
-      SPMV_EXCLUDES(retry_mutex_) {
+  /// Permanently close: any record_orphan after this (under the same
+  /// mutex) sees kClosed and counts its completion as dropped, so a
+  /// completion is either parked in the replay window or dropped, never
+  /// both.
+  void mark_closed() SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
     // relaxed: guarded by retry_mutex_ (see record_orphan).
     state_.store(AttachState::kClosed, std::memory_order_relaxed);
-    return stats;
   }
 
-  /// A copy of the counters.  Advisory: each counter is exact on its own,
-  /// and the one snapshot that must be exact across counters —
-  /// retirement — is mark_closed_and_snapshot().
+  /// A copy of the counters.  Advisory: each counter is exact on its
+  /// own, but the copy is not one atomic cut across them.
   [[nodiscard]] SessionStats snapshot() const { return stats; }
 
  private:
@@ -443,7 +438,7 @@ class SessionManager {
     } else {
       return;
     }
-    retire_locked(*slot);
+    slot->mark_closed();
   }
 
   /// Close every parked session whose resume deadline lapsed.  Returns
@@ -457,7 +452,7 @@ class SessionManager {
         ++it;
         continue;
       }
-      retire_locked(*it->second.slot);
+      it->second.slot->mark_closed();
       it = parked_.erase(it);
       ++reaped;
     }
@@ -474,31 +469,10 @@ class SessionManager {
     return parked_.size();
   }
 
-  /// Cumulative request totals: live and parked sessions plus
-  /// everything retired.
-  struct Totals {
-    std::uint64_t opened = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::size_t active = 0;
-  };
-  [[nodiscard]] Totals totals() const SPMV_EXCLUDES(mutex_) {
+  /// Sessions opened since construction (resumes are not new sessions).
+  [[nodiscard]] std::uint64_t opened() const SPMV_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    Totals t;
-    t.opened = opened_;
-    t.requests = retired_requests_;
-    t.completed = retired_completed_;
-    t.failed = retired_failed_;
-    t.active = slots_.size();
-    const auto add = [&t](const ClientSlot& slot) {
-      t.requests += slot.stats.requests;
-      t.completed += slot.stats.completed;
-      t.failed += slot.stats.failed;
-    };
-    for (const auto& [id, slot] : slots_) add(*slot);
-    for (const auto& [id, p] : parked_) add(*p.slot);
-    return t;
+    return opened_;
   }
 
  private:
@@ -506,13 +480,6 @@ class SessionManager {
     std::shared_ptr<ClientSlot> slot;
     Clock::time_point deadline;
   };
-
-  void retire_locked(ClientSlot& slot) SPMV_REQUIRES(mutex_) {
-    const SessionStats s = slot.mark_closed_and_snapshot();
-    retired_completed_ += s.completed;
-    retired_failed_ += s.failed;
-    retired_requests_ += s.requests;
-  }
 
   mutable Mutex mutex_;
   std::map<std::uint64_t, std::shared_ptr<ClientSlot>> slots_
@@ -522,9 +489,6 @@ class SessionManager {
   /// is plaintext); a fixed-seed Prng keeps them deterministic per run.
   Prng token_rng_ SPMV_GUARDED_BY(mutex_){0x5e551044'cafef00dULL};
   std::uint64_t opened_ SPMV_GUARDED_BY(mutex_) = 0;
-  std::uint64_t retired_requests_ SPMV_GUARDED_BY(mutex_) = 0;
-  std::uint64_t retired_completed_ SPMV_GUARDED_BY(mutex_) = 0;
-  std::uint64_t retired_failed_ SPMV_GUARDED_BY(mutex_) = 0;
   std::atomic<std::uint64_t> next_id_{1};
 };
 

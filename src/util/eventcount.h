@@ -11,15 +11,17 @@
 //              if (work available) cancel_wait();  // re-check!
 //              else commit_wait(ticket);         // sleep
 //   producer:  push work onto the queue;         // plain lock-free push
-//              notify_one();                     // one atomic load when
+//              notify_one();                     // one atomic RMW when
 //                                                // nobody is sleeping
 //
 // The announce/re-check on one side and publish/check-waiters on the
 // other form a Dekker-style store-buffering handshake: at least one side
 // observes the other, so a consumer never sleeps on work pushed after its
 // re-check, and a producer never skips a wakeup for a consumer that saw
-// an empty queue.  When no consumer is parked — the steady state of a
-// busy data plane — notify_one() is a single uncontended atomic load.
+// an empty queue.  Both sides of the handshake are read-modify-writes on
+// the one state word (no standalone fence), so ThreadSanitizer models it
+// like any other atomic.  When no consumer is parked — the steady state
+// of a busy data plane — notify_one() is that one RMW and no lock.
 //
 // State layout: low 32 bits count parked-or-parking waiters (so notifiers
 // can skip the slow path), high 32 bits are the wake epoch (so a notify
@@ -55,11 +57,10 @@ class EventCount {
   /// either cancel_wait() (work appeared) or commit_wait(ticket).
   [[nodiscard]] std::uint64_t prepare_wait() {
     // seq_cst RMW: the Dekker handshake's waiter side — this increment
-    // must be globally ordered before the caller's work-predicate
-    // re-check, pairing with the seq_cst fence in notify_one/notify_all
-    // (producer: work store, fence, waiter load).  If both sides used
-    // weaker orders, the producer could miss our announcement while we
-    // miss its work, stranding a sleeper with work queued.
+    // must be ordered before the caller's work-predicate re-check,
+    // pairing with notify()'s seq_cst RMW on the same word (producer:
+    // work store, then RMW).  See notify() for why one of the two always
+    // observes the other.
     const std::uint64_t s =
         state_.fetch_add(kWaiterInc, std::memory_order_seq_cst);
     return s >> kEpochShift;
@@ -125,7 +126,7 @@ class EventCount {
   }
 
   /// Wake at least one waiter that prepared before this call.  One atomic
-  /// load when nobody is waiting.  Call AFTER publishing the work the
+  /// RMW when nobody is waiting.  Call AFTER publishing the work the
   /// waiter is waiting for.
   void notify_one() SPMV_EXCLUDES(mutex_) { notify(false); }
 
@@ -139,17 +140,20 @@ class EventCount {
   static constexpr std::uint64_t kEpochInc = std::uint64_t{1} << kEpochShift;
 
   void notify(bool all) SPMV_EXCLUDES(mutex_) {
-    // seq_cst fence: the Dekker handshake's producer side — orders the
-    // caller's work publication (e.g. the ring slot's release store)
-    // before the waiter-count load below, pairing with prepare_wait's
-    // seq_cst increment.  Without it, this load could act before the
-    // work store, read "no waiters" from before a consumer's
-    // announcement, and skip the wake while that consumer's re-check
-    // read the queue from before our push: a lost wakeup.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // relaxed: the fence above provides the ordering; the load itself
-    // only inspects the waiter count.
-    const std::uint64_t s = state_.load(std::memory_order_relaxed);
+    // seq_cst RMW (adding 0 reads the word without changing it): the
+    // Dekker handshake's producer side, pairing with prepare_wait's
+    // seq_cst increment.  Both are RMWs on state_, so they are totally
+    // ordered in its modification order and each reads the latest value:
+    //  * ours after the waiter's: we read its announcement and wake it;
+    //  * ours before it: the waiter's acquire RMW reads our release RMW
+    //    (or a later value in the chain of RMWs that follow it), so the
+    //    caller's work store, sequenced before this call, happens-before
+    //    the waiter's re-check, which then sees the work.
+    // A relaxed load alone could read "no waiters" from before the
+    // announcement while the re-check reads the queue from before our
+    // push — a lost wakeup.  A seq_cst fence before that load closes the
+    // window too, but ThreadSanitizer does not model fences.
+    const std::uint64_t s = state_.fetch_add(0, std::memory_order_seq_cst);
     if ((s & kWaiterMask) == 0) return;  // fast path: nobody sleeping
     {
       MutexLock lock(mutex_);

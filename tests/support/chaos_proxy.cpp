@@ -1,4 +1,4 @@
-#include "net/chaos_proxy.h"
+#include "support/chaos_proxy.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

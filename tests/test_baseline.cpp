@@ -9,17 +9,10 @@
 #include "baseline/petsc_like.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
 
 namespace spmv::baseline {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 void expect_matches_reference(const CsrMatrix& m,
                               const std::function<void(

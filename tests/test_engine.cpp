@@ -1,12 +1,19 @@
 // Tests for the shared execution engine: concurrent multiply() safety on
 // one planned matrix (results bit-identical to serial), pool sharing
-// across plans on one ExecutionContext, the plan front door's operand
-// checks and batch equivalence on every plan family, and DMA-stats
-// accounting under concurrency.
+// across plans on one ExecutionContext, worker affinity decided by the
+// context alone, the plan front door's operand checks and batch
+// equivalence on every plan family, and DMA-stats accounting under
+// concurrency.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <filesystem>
 #include <functional>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,25 +21,19 @@
 #include "baseline/oski_like.h"
 #include "baseline/petsc_like.h"
 #include "core/column_partition.h"
+#include "core/kernels_csr.h"
 #include "core/local_store.h"
 #include "core/multivector.h"
 #include "core/segmented_scan.h"
 #include "core/symmetric.h"
 #include "core/tuned_matrix.h"
-#include "core/kernels_csr.h"
 #include "engine/execution_context.h"
 #include "gen/generators.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
+#include "util/cpu.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 using MultiplyFn =
     std::function<void(std::span<const double>, std::span<double>)>;
@@ -146,13 +147,11 @@ TEST(EnginePoolSharing, TwoPlansOneContextSpawnOnePool) {
 
   TuningOptions wide = TuningOptions::full(4);
   wide.tune_prefetch = false;
-  wide.pin_threads = false;
   wide.context = &ctx;
   const TunedMatrix ta = TunedMatrix::plan(a, wide);
 
   TuningOptions narrow = TuningOptions::full(2);
   narrow.tune_prefetch = false;
-  narrow.pin_threads = false;
   narrow.context = &ctx;
   const TunedMatrix tb = TunedMatrix::plan(b, narrow);
 
@@ -206,6 +205,76 @@ TEST(EnginePoolSharing, PoolGrowsForWiderPlan) {
   // The narrow plan keeps working on the regrown pool.
   narrow.multiply(x, y);
   EXPECT_EQ(ctx.capacity(), 6u);
+}
+
+/// Kernel ids of this process's threads (the entries of /proc/self/task).
+std::set<long> thread_ids() {
+  std::set<long> ids;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(std::stol(e.path().filename().string()));
+  }
+  return ids;
+}
+
+/// The CPUs thread `tid` may run on; nullopt once it has exited.
+std::optional<cpu_set_t> allowed_cpus(long tid) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(static_cast<pid_t>(tid), sizeof(set), &set) != 0) {
+    return std::nullopt;
+  }
+  return set;
+}
+
+TEST(EngineAffinity, ContextAloneDecidesPinning) {
+  // The first parallel dispatch on each context comes from a symmetric or
+  // segmented-scan plan; the workers it creates are pinned exactly when
+  // the context says so, whichever plan family dispatches.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  const std::optional<cpu_set_t> caller = allowed_cpus(0);
+  ASSERT_TRUE(caller.has_value());
+  // A two-wide pool has one worker, pinned to logical CPU 1.
+  if (CPU_COUNT(&*caller) < 2 || !CPU_ISSET(1, &*caller) ||
+      host_info().logical_cpus < 2) {
+    GTEST_SKIP() << "needs logical CPUs 0 and 1 allowed";
+  }
+  // A runtime that starts a helper thread on the first thread creation
+  // (ThreadSanitizer does) starts it here, before the ids are listed.
+  std::thread([] {}).join();
+  const CsrMatrix m = gen::fem_like(120, 2, 8.0, 20, 60);
+  const auto x = random_vector(m.cols(), 61);
+  for (const bool pin : {true, false}) {
+    for (const bool symmetric : {true, false}) {
+      SCOPED_TRACE(std::string(pin ? "pinning" : "non-pinning") +
+                   " context, first dispatch from " +
+                   (symmetric ? "SymmetricSpmv" : "SegmentedScanSpmv"));
+      engine::ExecutionContext ctx({.pin_threads = pin});
+      const std::set<long> before = thread_ids();
+      std::vector<double> y(m.rows(), 0.0);
+      if (symmetric) {
+        SymmetricSpmv::from_full(m, 2, &ctx).multiply(x, y);
+      } else {
+        SegmentedScanSpmv(m, 2, &ctx).multiply(x, y);
+      }
+      ASSERT_EQ(ctx.pools_spawned(), 1u);
+      std::size_t workers = 0;
+      for (const long tid : thread_ids()) {
+        if (before.count(tid) != 0) continue;
+        const std::optional<cpu_set_t> cpus = allowed_cpus(tid);
+        if (!cpus.has_value()) continue;
+        ++workers;
+        if (pin) {
+          EXPECT_EQ(CPU_COUNT(&*cpus), 1) << "worker " << tid;
+        } else {
+          EXPECT_TRUE(CPU_EQUAL(&*cpus, &*caller)) << "worker " << tid;
+        }
+      }
+      EXPECT_EQ(workers, 1u);
+    }
+  }
 }
 
 TEST(EnginePlan, BatchMatchesLoopedMultiply) {

@@ -14,17 +14,10 @@
 #include "core/tuned_matrix.h"
 #include "engine/execution_context.h"
 #include "gen/generators.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 using MultiplyFn =
     std::function<void(std::span<const double>, std::span<double>)>;
@@ -60,7 +53,6 @@ TEST(EngineSpinDispatch, TunedMatrixConcurrentMultiply) {
   const CsrMatrix m = gen::fem_like(300, 3, 9.0, 50, 31);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
-  opt.pin_threads = false;
   opt.context = &ctx;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
   expect_concurrent_bit_identical(
@@ -81,7 +73,6 @@ TEST(EngineSpinDispatch, BatchedMultiplyUnderSpin) {
   const CsrMatrix m = gen::fem_like(280, 3, 9.0, 45, 39);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
-  opt.pin_threads = false;
   opt.context = &ctx;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
 

@@ -12,17 +12,11 @@
 #include "matrix/dia.h"
 #include "matrix/matrix_stats.h"
 #include "matrix/reorder.h"
+#include "support/test_helpers.h"
 #include "util/prng.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 CsrMatrix symmetric_matrix(std::uint32_t n, std::uint64_t seed) {
   CooBuilder b(n, n);

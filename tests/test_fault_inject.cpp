@@ -22,7 +22,7 @@
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/serve_stats.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
 
 namespace spmv::serve {
 namespace {
@@ -38,28 +38,6 @@ class FaultArm {
   FaultArm(const FaultArm&) = delete;
   FaultArm& operator=(const FaultArm&) = delete;
 };
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
-
-TuningOptions serve_options(engine::ExecutionContext* ctx, unsigned threads) {
-  TuningOptions opt = TuningOptions::full(threads);
-  opt.tune_prefetch = false;
-  opt.pin_threads = false;
-  opt.context = ctx;
-  return opt;
-}
-
-std::vector<double> direct_result(const MatrixRegistry::Entry& entry,
-                                  std::span<const double> x, double fill) {
-  std::vector<double> y(entry.plan.rows(), fill);
-  entry.plan.multiply(x, y);
-  return y;
-}
 
 bool all_equal(const std::vector<double>& y, double fill) {
   for (const double v : y) {

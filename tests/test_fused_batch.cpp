@@ -3,7 +3,7 @@
 // width, format, tile shape, and backend (the chains per right-hand side
 // are the same, so equality is exact memcmp, not approximate); the engine
 // batch path must be bit-identical to looped multiply() under every batch
-// width and batch_mode; the crossover decision must land in the
+// width, fused or not; the crossover decision must land in the
 // TuningReport; a moved plan must keep multiplying with its recycled
 // scratch; and concurrent fused batches must stay race-free (this file's
 // Engine* suites join the spmv_concurrency TSan gate).
@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/oski_like.h"
 #include "core/encode.h"
 #include "core/kernels_block.h"
 #include "core/kernels_csr.h"
@@ -24,17 +23,10 @@
 #include "core/tuned_matrix.h"
 #include "engine/execution_context.h"
 #include "gen/generators.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 constexpr unsigned kWidthSweep[] = {1, 2, 3, 4, 5, 8};
 constexpr unsigned kDims[] = {1, 2, 4};
@@ -206,17 +198,18 @@ TEST(EngineFusedBatch, TunedMatrixFusedMatchesLoopedEveryWidth) {
       TuningOptions opt = TuningOptions::full(threads);
       opt.tune_prefetch = false;
       opt.backend = backend;
-      opt.batch_mode = BatchExecMode::kFused;  // fuse from width 2 up
       const TunedMatrix tuned = TunedMatrix::plan(m, opt);
+      // The crossover fuses this matrix from width 2 up, so the sweep
+      // covers fused chunks at every width and looped tails.
       ASSERT_EQ(tuned.report().fused_batch_min_width, 2u);
       expect_batch_matches_loop(tuned, m.rows(), m.cols(), 777);
     }
   }
 }
 
-TEST(EngineFusedBatch, AutoModeMatchesLoopedOnMixedFormats) {
+TEST(EngineFusedBatch, CrossoverMatchesLoopedOnMixedFormats) {
   // A matrix whose blocks mix formats/shapes (and thus fused kernels),
-  // under the kAuto crossover decision.
+  // under the planner's crossover decision.
   const CsrMatrix m = gen::uniform_random(900, 850, 7.0, 221);
   TuningOptions opt = TuningOptions::full(3);
   opt.tune_prefetch = false;
@@ -224,40 +217,24 @@ TEST(EngineFusedBatch, AutoModeMatchesLoopedOnMixedFormats) {
   expect_batch_matches_loop(tuned, m.rows(), m.cols(), 888);
 }
 
-TEST(EngineFusedBatch, OskiBaselineFusedMatchesLooped) {
-  const CsrMatrix m = gen::uniform_random(400, 380, 6.0, 222);
-  const baseline::OskiLikeMatrix oski =
-      baseline::OskiLikeMatrix::tune(m, baseline::RegisterProfile::typical());
-  expect_batch_matches_loop(oski, m.rows(), m.cols(), 999);
-}
-
 TEST(EngineFusedBatch, CrossoverDecisionRecordedInReport) {
   const CsrMatrix dense_ish = gen::fem_like(300, 3, 9.0, 50, 230);
   TuningOptions opt = TuningOptions::full(2);
   opt.tune_prefetch = false;
 
-  // kAuto on a matrix with ~9 nnz/row: matrix bytes dominate the panels,
-  // so some width must qualify.
-  const TunedMatrix auto_plan = TunedMatrix::plan(dense_ish, opt);
-  EXPECT_GE(auto_plan.report().fused_batch_min_width, 2u);
-  EXPECT_LE(auto_plan.report().fused_batch_min_width, kMaxFusedWidth);
+  // ~9 nnz/row: matrix bytes dominate the panels, so some width must
+  // qualify.
+  const TunedMatrix fused_plan = TunedMatrix::plan(dense_ish, opt);
+  EXPECT_GE(fused_plan.report().fused_batch_min_width, 2u);
+  EXPECT_LE(fused_plan.report().fused_batch_min_width, kMaxFusedWidth);
 
-  // Explicit modes override the model.
-  opt.batch_mode = BatchExecMode::kLooped;
-  EXPECT_EQ(TunedMatrix::plan(dense_ish, opt).report().fused_batch_min_width,
-            0u);
-  opt.batch_mode = BatchExecMode::kFused;
-  EXPECT_EQ(TunedMatrix::plan(dense_ish, opt).report().fused_batch_min_width,
-            2u);
-
-  // Hypersparse (1 nnz/row): packing can never pay for itself, kAuto
-  // keeps fusion off.
+  // Hypersparse (1 nnz/row): packing can never pay for itself, so fusion
+  // stays off.
   const CsrMatrix diag = gen::banded(4000, 0, 1.0, 231);
-  opt.batch_mode = BatchExecMode::kAuto;
   EXPECT_EQ(TunedMatrix::plan(diag, opt).report().fused_batch_min_width, 0u);
 
   // The summary mentions the decision.
-  EXPECT_NE(auto_plan.report().summary().find("fused-batch>="),
+  EXPECT_NE(fused_plan.report().summary().find("fused-batch>="),
             std::string::npos);
 }
 
@@ -314,10 +291,12 @@ TEST(EngineFusedBatchConcurrency, ConcurrentFusedBatchesBitIdentical) {
   const CsrMatrix m = gen::fem_like(220, 3, 9.0, 40, 280);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
-  opt.batch_mode = BatchExecMode::kFused;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
 
   constexpr unsigned kBatch = 8;
+  // The crossover must fuse a batch this wide, or the test races nothing.
+  ASSERT_GE(tuned.report().fused_batch_min_width, 2u);
+  ASSERT_LE(tuned.report().fused_batch_min_width, kBatch);
   std::vector<std::vector<double>> xs_store, serial_ys;
   for (unsigned i = 0; i < kBatch; ++i) {
     xs_store.push_back(random_vector(m.cols(), 300 + i));

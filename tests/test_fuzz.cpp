@@ -67,8 +67,9 @@ TuningOptions random_options(Prng& rng) {
   o.tlb_entries = 8 << rng.next_below(4);
   o.prefetch_distance = static_cast<unsigned>(rng.next_below(3) * 64);
   o.threads = 1 + static_cast<unsigned>(rng.next_below(4));
-  o.pin_threads = false;
-  o.numa_first_touch = rng.next_below(2) != 0;
+  // This draw once toggled NUMA first touch, which every parallel plan
+  // now always does; it stays so each seed keeps its options.
+  (void)rng.next_below(2);
   o.max_block_rows = 1u << rng.next_below(3);
   o.max_block_cols = 1u << rng.next_below(3);
   return o;

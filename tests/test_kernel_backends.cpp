@@ -14,18 +14,12 @@
 #include "core/kernels_simd.h"
 #include "core/tuned_matrix.h"
 #include "gen/generators.h"
+#include "support/test_helpers.h"
 #include "util/cpu.h"
 #include "util/prng.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 /// 64 rows of 8 nonzeros each, then 4032 rows of which only every 64th
 /// holds one: the dense rows store cheapest as BCSR, the mostly-empty

@@ -10,17 +10,11 @@
 #include "core/kernels_csr.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
+#include "support/test_helpers.h"
 #include "util/prng.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 void expect_near_vectors(const std::vector<double>& a,
                          const std::vector<double>& b, double tol) {

@@ -10,17 +10,11 @@
 #include "gen/generators.h"
 #include "gen/suite.h"
 #include "matrix/coo.h"
+#include "support/test_helpers.h"
 #include "util/prng.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 CsrMatrix matrix_by_name(const std::string& which) {
   if (which == "banded") return gen::banded(800, 5, 0.5, 1);

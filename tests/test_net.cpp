@@ -24,64 +24,15 @@
 #include <thread>
 #include <vector>
 
-#include "net/chaos_proxy.h"
 #include "net/client.h"
+#include "support/chaos_proxy.h"
+#include "support/test_helpers.h"
 #include "util/crc32.h"
 
 namespace spmv::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Small deterministic CSR test matrix: tridiagonal n x n.
-struct TestMatrix {
-  std::uint32_t n;
-  std::vector<std::uint64_t> row_ptr;
-  std::vector<std::uint32_t> col_idx;
-  std::vector<double> values;
-};
-
-TestMatrix tridiag(std::uint32_t n) {
-  TestMatrix m;
-  m.n = n;
-  m.row_ptr.push_back(0);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    if (r > 0) {
-      m.col_idx.push_back(r - 1);
-      m.values.push_back(-1.0);
-    }
-    m.col_idx.push_back(r);
-    m.values.push_back(2.0 + 0.001 * r);
-    if (r + 1 < n) {
-      m.col_idx.push_back(r + 1);
-      m.values.push_back(-1.0);
-    }
-    m.row_ptr.push_back(m.col_idx.size());
-  }
-  return m;
-}
-
-/// Reference y = A·x straight off the CSR arrays.
-std::vector<double> reference(const TestMatrix& m,
-                              const std::vector<double>& x) {
-  std::vector<double> y(m.n, 0.0);
-  for (std::uint32_t r = 0; r < m.n; ++r) {
-    double acc = 0.0;
-    for (std::uint64_t k = m.row_ptr[r]; k < m.row_ptr[r + 1]; ++k) {
-      acc += m.values[k] * x[m.col_idx[k]];
-    }
-    y[r] = acc;
-  }
-  return y;
-}
-
-std::vector<double> random_x(std::uint32_t n, std::uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  std::vector<double> x(n);
-  for (auto& v : x) v = d(rng);
-  return x;
-}
 
 /// Server + uploaded tridiagonal matrix + connected client.
 struct Loop {
@@ -710,8 +661,8 @@ TEST(NetLoopback, MultiClientSmoke) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
-  const auto totals = loop.server.sessions().totals();
-  EXPECT_GE(totals.completed, static_cast<std::uint64_t>(kClients * kSteps));
+  EXPECT_GE(loop.server.scheduler().stats().total_completed(),
+            static_cast<std::uint64_t>(kClients * kSteps));
 }
 
 // A storm of abrupt connection kills — alternating mid-reply cuts and

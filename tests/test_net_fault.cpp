@@ -19,9 +19,9 @@
 #include <thread>
 #include <vector>
 
-#include "net/chaos_proxy.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "support/chaos_proxy.h"
 
 namespace spmv::net {
 namespace {

@@ -22,33 +22,10 @@
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/serve_stats.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
 
 namespace spmv::serve {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
-
-TuningOptions serve_options(engine::ExecutionContext* ctx, unsigned threads) {
-  TuningOptions opt = TuningOptions::full(threads);
-  opt.tune_prefetch = false;
-  opt.pin_threads = false;
-  opt.context = ctx;
-  return opt;
-}
-
-/// What a direct (unscheduled) multiply on `entry` produces from y0 = fill.
-std::vector<double> direct_result(const MatrixRegistry::Entry& entry,
-                                  std::span<const double> x, double fill) {
-  std::vector<double> y(entry.plan.rows(), fill);
-  entry.plan.multiply(x, y);
-  return y;
-}
 
 TEST(ServeRegistry, PutFindReplaceEraseWithPinnedEntries) {
   engine::ExecutionContext ctx({.pin_threads = false});
@@ -649,13 +626,10 @@ TEST(ServeLinger, QueuedBehindBatchRearmsDisarmedMatrix) {
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
   std::thread holder([&] {
-    ctx.parallel_for(
-        2,
-        [&](unsigned t) {
-          if (t == 0) entered.set_value();
-          released.wait();
-        },
-        /*pin=*/false);
+    ctx.parallel_for(2, [&](unsigned t) {
+      if (t == 0) entered.set_value();
+      released.wait();
+    });
   });
   entered.get_future().wait();
   std::vector<double> y1(m.rows(), 0.0);
@@ -717,13 +691,10 @@ TEST(ServeConcurrency, SameDestinationWaitsForTheExecutingBatch) {
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
   std::thread holder([&] {
-    ctx.parallel_for(
-        2,
-        [&](unsigned t) {
-          if (t == 0) entered.set_value();
-          released.wait();
-        },
-        /*pin=*/false);
+    ctx.parallel_for(2, [&](unsigned t) {
+      if (t == 0) entered.set_value();
+      released.wait();
+    });
   });
   entered.get_future().wait();
   std::vector<double> y(m.rows(), 0.0);

@@ -18,7 +18,7 @@
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/serve_stats.h"
-#include "util/prng.h"
+#include "support/test_helpers.h"
 
 namespace spmv::serve {
 namespace {
@@ -27,13 +27,6 @@ using namespace std::chrono_literals;
 
 constexpr std::uint32_t kN = 96;
 constexpr double kFill = 0.75;
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 /// One request's completion, observed: how often it ran and with what.
 class Probe {
@@ -76,7 +69,6 @@ class ServeCompletion : public ::testing::Test {
   ServeCompletion() {
     TuningOptions opt = TuningOptions::full(1);
     opt.tune_prefetch = false;
-    opt.pin_threads = false;
     opt.context = &ctx_;
     reg_.put("A", gen::banded(kN, 3, 0.8, 71), opt);
     expect_.assign(kN, kFill);

@@ -9,17 +9,11 @@
 #include "core/tuner.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
+#include "support/test_helpers.h"
 #include "util/prng.h"
 
 namespace spmv {
 namespace {
-
-std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
-  std::vector<double> v(n);
-  Prng rng(seed);
-  for (double& x : v) x = rng.next_double(-1.0, 1.0);
-  return v;
-}
 
 /// Dense 2x2 blocks on the grid plus scattered singletons: the exact
 /// workload splitting exists for.

@@ -159,7 +159,7 @@ TEST(WireFrame, BackToBackFramesParseInOrder) {
 // so the CRC's folding path runs on hosts that have it.
 
 /// 20 doubles covering -0.0, +inf and a subnormal.
-MultiplyResult pinned_result() {
+MultiplyResult golden_result() {
   MultiplyResult r;
   for (int i = 0; i < 20; ++i) r.y.push_back(0.25 * i - 1.5);
   r.y[3] = -0.0;
@@ -187,7 +187,7 @@ TEST(WireFrame, MultiplyResultFrameBytesPinned) {
       0x00, 0x00, 0x02, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x40, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x08, 0x40, 0x17, 0xc5, 0x57, 0xca, 0x85, 0xe1, 0xdf, 0x44};
-  const MultiplyResult in = pinned_result();
+  const MultiplyResult in = golden_result();
   EXPECT_EQ(frame_of(FrameType::kMultiplyResult, 0x0102030405060708ull,
                      encode_multiply_result(in)),
             v2);

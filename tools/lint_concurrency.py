@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Concurrency lint for src/: keep the locking and ordering contracts honest.
+"""Concurrency lint for src/ (and tests/support/, whose ChaosProxy owns a
+thread): keep the locking and ordering contracts honest.
+
+Usage: lint_concurrency.py [PATH ...]   (default: src).  Each PATH is a
+directory or a file inside the repository; rules keyed by file name use
+paths relative to the repository root.
 
 The engine's thread-safety story rests on two conventions the compiler
 cannot fully enforce by itself:
@@ -54,8 +59,9 @@ THREAD_FILES = WRAPPER_FILES | {
     "src/serve/scheduler.cpp",
     "src/net/server.h",        # I/O + upload threads, joined in stop()
     "src/net/server.cpp",
-    "src/net/chaos_proxy.h",   # single relay thread, joined in stop()
-    "src/net/chaos_proxy.cpp",
+    # Test support: the chaos proxy's single relay thread, joined in stop().
+    "tests/support/chaos_proxy.h",
+    "tests/support/chaos_proxy.cpp",
 }
 
 # Lock-free algorithm files: every atomic operation (any order) must argue
@@ -217,17 +223,18 @@ def lint_file(path: Path, rel: str):
     return violations
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
 def main(argv):
-    root = Path(argv[1]) if len(argv) > 1 else Path("src")
-    base = root if root.is_dir() else root.parent
-    # Resolve rel paths against the repo root (parent of src/).
-    repo = base.resolve().parent if base.name == "src" else base.resolve()
+    roots = [Path(a) for a in argv[1:]] or [Path("src")]
     files = sorted(
-        p for p in ([root] if root.is_file() else root.rglob("*"))
+        p for root in roots
+        for p in ([root] if root.is_file() else root.rglob("*"))
         if p.suffix in {".h", ".cpp", ".cc", ".hpp"})
     total = 0
     for p in files:
-        rel = p.resolve().relative_to(repo).as_posix()
+        rel = p.resolve().relative_to(REPO).as_posix()
         for line_no, msg in lint_file(p, rel):
             print(f"{rel}:{line_no}: {msg}")
             total += 1
