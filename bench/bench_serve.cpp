@@ -11,6 +11,10 @@
 //   serve-batch   closed loop through the Scheduler with coalescing on —
 //                 concurrent requests on one matrix merge into a single
 //                 plan.multiply_batch dispatch;
+//                 both closed-loop modes submit with
+//                 SubmitOptions::allow_inline, so a request that finds the
+//                 scheduler idle and its matrix disarmed runs on its
+//                 client thread;
 //   serve-open-1  open(ish) loop, coalescing off: each client keeps
 //                 `window` requests outstanding (offered load above one
 //                 request per client) but every dispatch still runs one
@@ -31,8 +35,8 @@
 // together.
 //
 // Per point it reports achieved mean/max batch width and queue/dispatch
-// latency percentiles from the scheduler's ServeStats snapshot, plus a
-// "vs direct" column (delivered ops/s over the direct row at the same
+// latency percentiles from the scheduler's ServeStats snapshot, the
+// share of requests that ran inline, plus a "vs direct" column (delivered ops/s over the direct row at the same
 // client count — the scheduling overhead/amortization factor the
 // scheduler is accountable for).  Extra flags: --max_clients=8 (sweep
 // 1,2,4,..), --max_batch=32, --linger_us=100, --window=8,
@@ -173,8 +177,9 @@ TrafficPoint run_serve_shed(serve::Scheduler& sched,
   return {ops.load(), flops.load(), elapsed};
 }
 
-/// Traffic through the scheduler.  window = 1 is a closed loop; larger
-/// windows keep that many requests of each client in flight.
+/// Traffic through the scheduler.  window = 1 is a closed loop, whose
+/// requests may run inline; larger windows keep that many requests of
+/// each client in flight.
 TrafficPoint run_serve(serve::Scheduler& sched,
                        const std::vector<ClientPlan>& clients,
                        std::vector<std::vector<std::vector<double>>>& ys,
@@ -193,6 +198,8 @@ TrafficPoint run_serve(serve::Scheduler& sched,
       std::deque<std::future<void>> inflight;
       std::uint64_t n = 0;
       std::size_t slot = 0;
+      serve::SubmitOptions opt;
+      opt.allow_inline = window == 1;
       while (std::chrono::steady_clock::now() < deadline) {
         if (inflight.size() >= window) {
           inflight.front().get();
@@ -202,7 +209,7 @@ TrafficPoint run_serve(serve::Scheduler& sched,
         // Each outstanding request needs its own destination; slots are
         // recycled strictly after their future resolved.
         inflight.push_back(
-            sched.submit(plan.entry, *plan.x, ys[c][slot]));
+            sched.submit(plan.entry, *plan.x, ys[c][slot], opt).future);
         slot = (slot + 1) % window;
       }
       for (std::future<void>& f : inflight) {
@@ -254,7 +261,7 @@ int main(int argc, char** argv) {
 
   Table table({"mode", "clients", "ops", "ops/s", "GFlop/s", "vs direct",
                "mean width", "max width", "queue p50 us", "queue p95 us",
-               "disp p50 us", "shed", "expired"});
+               "disp p50 us", "inline", "shed", "expired"});
 
   std::vector<unsigned> sweep;
   for (unsigned c = 1; c <= max_clients; c *= 2) sweep.push_back(c);
@@ -291,6 +298,13 @@ int main(int argc, char** argv) {
       double q50 = 0.0, q95 = 0.0, d50 = 0.0;
       bool has_stats = false;  ///< went through a scheduler (not direct)
       std::uint64_t shed = 0, expired = 0;
+      double inline_share = 0.0;  ///< inline runs over completed requests
+    };
+    const auto inline_share = [](const serve::ServeStatsSnapshot& snap) {
+      const std::uint64_t done = snap.total_completed();
+      return done == 0 ? 0.0
+                       : static_cast<double>(snap.data_plane.inline_runs) /
+                             static_cast<double>(done);
     };
     std::vector<ModeResult> results;
 
@@ -320,6 +334,7 @@ int main(int argc, char** argv) {
       r.has_stats = true;
       r.shed = snap.data_plane.requests_shed;
       r.expired = snap.data_plane.requests_expired;
+      r.inline_share = inline_share(snap);
       r.mean_width = snap.mean_batch_width();
       for (const auto& m : snap.matrices) {
         r.max_width = std::max<std::uint64_t>(r.max_width, m.max_batch_width);
@@ -406,6 +421,7 @@ int main(int argc, char** argv) {
            Table::fmt(r.mean_width), std::to_string(r.max_width),
            Table::fmt(r.q50, 0), Table::fmt(r.q95, 0),
            Table::fmt(r.d50, 0),
+           r.has_stats ? Table::fmt(r.inline_share) : "-",
            r.has_stats ? std::to_string(r.shed) : "-",
            r.has_stats ? std::to_string(r.expired) : "-"});
     }

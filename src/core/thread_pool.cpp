@@ -47,15 +47,6 @@ bool spin_with_backoff(const Pred& pred) {
   }
 }
 
-/// Busy-waiting only pays when every waiter can sit on its own CPU; once
-/// the dispatch's threads exceed the host, a spinning thread is stealing
-/// cycles from the very thread it waits for, so both sides park
-/// immediately instead.  A dispatch of width `active` occupies exactly
-/// `active` threads: the caller runs tid 0, workers run the rest.
-inline bool spin_pays(unsigned active) {
-  return active <= host_info().logical_cpus;
-}
-
 /// Marks the calling thread as a pool worker while it runs its tid-0
 /// share, so nested dispatches inline exactly as they would on a worker.
 class WorkerScope {
@@ -74,11 +65,19 @@ ThreadPool::ThreadPool(unsigned threads, bool pin) {
   if (threads > kActiveMask) {
     throw std::invalid_argument("ThreadPool: too many threads");
   }
+  parking_ = std::make_unique<Parking[]>(threads);
+  // Workers inherit this thread's affinity mask; pinning keeps each one
+  // inside it, one CPU per tid in mask order.
+  const std::vector<unsigned> allowed = allowed_cpus();
+  cpus_ = allowed.empty() ? host_info().logical_cpus
+                          : static_cast<unsigned>(allowed.size());
   workers_.reserve(threads - 1);
   for (unsigned tid = 1; tid < threads; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });
     if (pin) {
-      pin_thread(workers_.back(), tid % host_info().logical_cpus);
+      pin_thread(workers_.back(), allowed.empty()
+                                      ? tid % host_info().logical_cpus
+                                      : allowed[tid % allowed.size()]);
     }
   }
 }
@@ -89,8 +88,11 @@ ThreadPool::~ThreadPool() {
   // notify wakes it) or its predicate re-check happens-after our unlock,
   // so it sees shutdown_.  seq_cst; spinners read the atomic directly.
   shutdown_.store(true, std::memory_order_seq_cst);
-  { MutexLock lock(mutex_); }
-  cv_start_.notify_all();
+  for (unsigned tid = 1; tid < size(); ++tid) {
+    Parking& p = parking_[tid];
+    { MutexLock lock(p.mutex); }
+    p.cv.notify_one();
+  }
   for (auto& w : workers_) w.join();
 }
 
@@ -132,13 +134,19 @@ void ThreadPool::run(unsigned active,
   const std::uint64_t next =
       (((prev >> kActiveBits) + 1) << kActiveBits) | active;
   // seq_cst, not just release: the store must be ordered before the
-  // parked_ load (Dekker handshake with a worker that is about to park).
+  // parked loads below (Dekker handshake with a worker about to park).
   dispatch_word_.store(next, std::memory_order_seq_cst);
-  // seq_cst: the other half of that Dekker handshake — either we see the
-  // worker's parked_ increment and wake it, or its predicate sees the word.
-  if (parked_.load(std::memory_order_seq_cst) > 0) {
-    MutexLock lock(mutex_);
-    cv_start_.notify_all();
+  // Wake exactly the selected workers that parked; bystanders (tid >=
+  // active) sleep on, as they take no part in this dispatch.
+  for (unsigned tid = 1; tid < active; ++tid) {
+    Parking& p = parking_[tid];
+    // seq_cst: the other half of that Dekker handshake — either we see
+    // the worker's parked store and wake it, or its predicate sees the
+    // word.
+    if (p.parked.load(std::memory_order_seq_cst)) {
+      MutexLock lock(p.mutex);
+      p.cv.notify_one();
+    }
   }
 
   // Fork-join with caller participation: tid 0 runs right here while the
@@ -188,7 +196,7 @@ void ThreadPool::run(unsigned active,
   if (std::exception_ptr e = steal_error()) std::rethrow_exception(e);
 }
 
-std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen,
+std::uint64_t ThreadPool::wait_for_dispatch(unsigned tid, std::uint64_t seen,
                                             bool stay_hot) {
   // acquire: pairs with run()'s word store, publishing task_ and the
   // barrier counters of the dispatch it names.
@@ -208,19 +216,22 @@ std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen,
     }
   }
   {
-    MutexLock lock(mutex_);
-    // seq_cst increment before the predicate's word load: Dekker handshake
-    // with run()'s word store / parked_ load pair (see there).
-    parked_.fetch_add(1, std::memory_order_seq_cst);
+    Parking& p = parking_[tid];
+    MutexLock lock(p.mutex);
+    // seq_cst store before the predicate's word load: Dekker handshake
+    // with run()'s word store / parked load pair (see there).
+    p.parked.store(true, std::memory_order_seq_cst);
     // seq_cst word load in the predicate: same Dekker handshake.  relaxed
-    // shutdown_: the destructor's store is ordered by mutex_ (see there).
+    // shutdown_: the destructor's store is ordered by p.mutex (see there).
+    // A dispatch that does not select this worker never notifies it, so
+    // it sleeps through; one that does finds it here or sees it awake.
     while (dispatch_word_.load(std::memory_order_seq_cst) == seen &&
            !shutdown_.load(std::memory_order_relaxed)) {
-      cv_start_.wait(mutex_);
+      p.cv.wait(p.mutex);
     }
-    // relaxed: the count only gates run()'s notify; a stale nonzero read
-    // costs one spurious notify, and it is decremented under mutex_.
-    parked_.fetch_sub(1, std::memory_order_relaxed);
+    // relaxed: the flag only gates run()'s notify; a stale true costs one
+    // spurious notify, and it is cleared under p.mutex.
+    p.parked.store(false, std::memory_order_relaxed);
   }
   // acquire: pairs with run()'s word store, as above.
   return dispatch_word_.load(std::memory_order_acquire);
@@ -231,7 +242,7 @@ void ThreadPool::worker_loop(unsigned tid) {
   std::uint64_t seen = 0;
   bool stay_hot = false;
   for (;;) {
-    const std::uint64_t w = wait_for_dispatch(seen, stay_hot);
+    const std::uint64_t w = wait_for_dispatch(tid, seen, stay_hot);
     // relaxed: shutdown_ publishes no data (see wait_for_dispatch).
     if (shutdown_.load(std::memory_order_relaxed)) return;
     seen = w;

@@ -3,10 +3,10 @@
 //
 // SpMV bodies are microseconds long, so thread creation per call would
 // dominate; the pool keeps workers alive across calls and dispatches with
-// an *atomic* generation-counter barrier.  Worker i can be pinned to
-// logical CPU i (process affinity); NUMA-aware planning runs the per-thread
-// encoding *on* the owning worker so first-touch places pages locally
-// (memory affinity).
+// an *atomic* generation-counter barrier.  Worker i can be pinned to the
+// i-th CPU the creating thread may run on (process affinity); NUMA-aware
+// planning runs the per-thread encoding *on* the owning worker so
+// first-touch places pages locally (memory affinity).
 //
 // One barrier, fork-join with caller participation: the caller publishes
 // the task with one release store of the generation word, executes tid
@@ -15,10 +15,12 @@
 // bounded exponential backoff: pause → yield → condvar park after ~50 µs
 // idle — for the remaining workers.  Workers that just finished a task
 // spin the same way for the next generation.  Back-to-back multiplies on
-// a warm pool therefore never touch the mutex, and everyone parks after
-// the budget, so an idle pool costs nothing.  On the 4-vCPU KVM Xeon this
-// barrier beat a mutex/condvar park at 2, 4 and 8 (oversubscribed)
-// threads.
+// a warm pool therefore never touch a mutex, and everyone parks after
+// the budget, so an idle pool costs nothing.  Each worker parks on its
+// own condvar, and a dispatch wakes exactly the workers it selects:
+// bystanders of a narrow dispatch on a wide pool stay asleep.  On the
+// 4-vCPU KVM Xeon this barrier beat a mutex/condvar park at 2, 4 and 8
+// (oversubscribed) threads.
 //
 // This file is on lint_concurrency.py's lock-free audit list: every
 // atomic operation states its memory_order and argues it in an adjacent
@@ -29,6 +31,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -40,8 +43,10 @@ class ThreadPool {
  public:
   /// A pool of width `threads`: tid 0 is whichever thread calls run(),
   /// so this starts `threads - 1` workers, for tids 1..threads-1.  When
-  /// `pin` is set, worker tid is pinned to logical CPU tid modulo the host
-  /// CPU count.
+  /// `pin` is set, worker tid is pinned to the (tid mod n)-th of the n
+  /// CPUs the constructing thread may run on (allowed_cpus(), so
+  /// `taskset` and cpusets are honoured), or to logical CPU tid modulo
+  /// the host CPU count where that mask cannot be read.
   explicit ThreadPool(unsigned threads, bool pin = false);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -77,12 +82,31 @@ class ThreadPool {
   static bool on_worker_thread();
 
  private:
+  /// One worker's parking place: its own condvar, so run() wakes only
+  /// the workers a dispatch selects.
+  struct alignas(64) Parking {
+    Mutex mutex;
+    CondVar cv;
+    /// Parked (or about to) on cv: Dekker-style handshake with the
+    /// dispatch-word store, so run() locks and notifies only when set.
+    std::atomic<bool> parked{false};
+  };
+
+  /// Busy-waiting pays only while a dispatch's threads each have a CPU
+  /// of their own: `active` threads (the caller runs tid 0) against the
+  /// CPUs this pool may use.  Past that, a spinner steals cycles from the
+  /// thread it waits for, so both sides park at once instead.
+  [[nodiscard]] bool spin_pays(unsigned active) const {
+    return active <= cpus_;
+  }
   void worker_loop(unsigned tid);
-  /// Block until the dispatch word moves past `seen`, or shutdown, and
-  /// return the new word.  With `stay_hot` (this worker just executed a
-  /// task of a dispatch that fits the host) it spins for ~kSpinBudget
+  /// Block worker `tid` until the dispatch word moves past `seen` and
+  /// that dispatch selects it (or a spurious wake, or shutdown), and
+  /// return the word it read.  With `stay_hot` (this worker just executed
+  /// a task of a dispatch that fits the CPUs) it spins for ~kSpinBudget
   /// before parking; otherwise it parks immediately.
-  std::uint64_t wait_for_dispatch(std::uint64_t seen, bool stay_hot);
+  std::uint64_t wait_for_dispatch(unsigned tid, std::uint64_t seen,
+                                  bool stay_hot);
   /// Record `e` as the dispatch's error if it is the first one.  Called
   /// from whichever thread's task threw (workers, or the caller).
   void record_error(std::exception_ptr e) SPMV_EXCLUDES(error_mutex_);
@@ -102,6 +126,11 @@ class ThreadPool {
 
   /// workers_[i] runs tid i + 1.
   std::vector<std::thread> workers_;
+  /// parking_[tid] for tids 1..size()-1 (slot 0, the caller's, unused).
+  std::unique_ptr<Parking[]> parking_;
+  /// CPUs the pool may use: allowed_cpus() at construction, or the host
+  /// count where that mask cannot be read.
+  unsigned cpus_ = 1;
 
   // One dispatch is described by the generation word (generation in the
   // high bits, the active count in the low kActiveBits) plus task_.  The
@@ -118,14 +147,11 @@ class ThreadPool {
   /// Workers of the current dispatch that have not finished their task.
   std::atomic<unsigned> remaining_{0};
   std::atomic<bool> shutdown_{false};
-  /// Workers currently parked in cv_start_ (Dekker-style handshake with
-  /// the dispatch-word store: the caller only locks/notifies when > 0).
-  std::atomic<unsigned> parked_{0};
-  /// Caller parked in cv_done_ (same handshake with remaining_).
+  /// Caller parked in cv_done_ (Dekker-style handshake with remaining_:
+  /// the last worker only locks/notifies when set).
   std::atomic<bool> caller_parked_{false};
 
-  Mutex mutex_;  ///< park/wake only — never taken on the spin path
-  CondVar cv_start_;
+  Mutex mutex_;  ///< the caller's park/wake only — never on the spin path
   CondVar cv_done_;
   Mutex error_mutex_;  ///< taken only when a task throws
   /// Guarded while tasks run; run() resets/steals it lock-free at the

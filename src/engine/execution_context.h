@@ -32,9 +32,10 @@
 namespace spmv::engine {
 
 struct ExecutionConfig {
-  /// Pin worker i to logical CPU i modulo the host CPU count (process
-  /// affinity, Table 2) when the pool is created.  The caller's thread,
-  /// which runs t = 0 of every dispatch, keeps its own affinity.
+  /// Pin worker i to the (i mod n)-th of the n CPUs the creating thread
+  /// may run on (process affinity, Table 2) when the pool is created; see
+  /// ThreadPool.  The caller's thread, which runs t = 0 of every
+  /// dispatch, keeps its own affinity.
   bool pin_threads = true;
 };
 

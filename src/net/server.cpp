@@ -24,6 +24,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The IoThread whose loop runs on this thread, if any: a multiply's
+/// completion hook that runs here, inside Scheduler::submit (an inline
+/// run or a door reject), hands its record straight to that thread.
+thread_local const void* tl_io_thread = nullptr;
+
 /// Best-effort one-byte write used for doorbells: a full pipe means a
 /// wakeup is already pending, which is exactly as good as ours.
 void ring(int fd) {
@@ -113,6 +118,12 @@ struct SpmvServer::IoThread {
   std::vector<int> new_fds SPMV_GUARDED_BY(mutex);
   /// Owned by the I/O thread; other threads never touch the map.
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns;
+  /// I/O-thread-only: completions whose hook ran on this thread inside
+  /// Scheduler::submit, answered before handle_multiply returns.
+  std::vector<Completion> finished_here;
+  /// I/O-thread-only: at most one connection was readable in this poll
+  /// round, so an inline run stalls no other connection's frames.
+  bool lone_readable = false;
   std::thread thread;
 };
 
@@ -296,6 +307,7 @@ void SpmvServer::post_completion(unsigned io_index, Completion c) {
 
 void SpmvServer::io_loop(unsigned index) {
   IoThread& io = *io_threads_[index];
+  tl_io_thread = &io;
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> ids;  // 0 for control fds, else conn id
 
@@ -353,6 +365,11 @@ void SpmvServer::io_loop(unsigned index) {
       accept_ready(io);
     }
 
+    std::size_t readable = 0;
+    for (std::size_t i = 0; i < pfds.size(); ++i) {
+      if (ids[i] != 0 && (pfds[i].revents & POLLIN) != 0) ++readable;
+    }
+    io.lone_readable = readable == 1;
     for (std::size_t i = 0; i < pfds.size(); ++i) {
       if (ids[i] == 0 || pfds[i].revents == 0) continue;
       auto it = io.conns.find(ids[i]);
@@ -389,6 +406,7 @@ void SpmvServer::io_loop(unsigned index) {
   // discarded.
   drain_pipe(io.doorbell[0]);
   drain_inbox(io);
+  io.lone_readable = false;
   for (auto& [id, conn] : io.conns) {
     if (conn->kill) continue;
     if (read_socket(*conn) == ReadEnd::kError) {
@@ -539,7 +557,8 @@ void SpmvServer::handle_frames(IoThread& io, Conn& conn) {
                                        header, payload, consumed);
     if (st == ParseStatus::kNeedMore) break;
     if (st == ParseStatus::kFrame) {
-      handle_frame(io, conn, header, payload);
+      handle_frame(io, conn, header, payload,
+                   /*last_buffered=*/consumed == conn.rdbuf.size());
       conn.rdbuf.erase(conn.rdbuf.begin(),
                        conn.rdbuf.begin() +
                            static_cast<std::ptrdiff_t>(consumed));
@@ -574,7 +593,8 @@ void SpmvServer::handle_frames(IoThread& io, Conn& conn) {
 
 void SpmvServer::handle_frame(IoThread& io, Conn& conn,
                               const FrameHeader& header,
-                              std::span<const std::uint8_t> payload) {
+                              std::span<const std::uint8_t> payload,
+                              bool last_buffered) {
   if (header.flags != 0) {  // reserved through wire version 2
     stats_.protocol_errors.add();
     send_status(conn, header.request_id, StatusCode::kProtocolError,
@@ -678,7 +698,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
       return;
     }
     case FrameType::kMultiply:
-      handle_multiply(io, conn, header, payload);
+      handle_multiply(io, conn, header, payload, last_buffered);
       return;
     case FrameType::kCancel:
       handle_cancel(conn, header.request_id, payload);
@@ -711,7 +731,8 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
 
 void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
                                  const FrameHeader& header,
-                                 std::span<const std::uint8_t> payload) {
+                                 std::span<const std::uint8_t> payload,
+                                 bool last_buffered) {
   ClientSlot& slot = *conn.slot;
 
   // Retransmission classification comes before everything else — before
@@ -863,7 +884,13 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
     opts.deadline = now + std::chrono::microseconds(req.deadline_us);
   }
   opts.priority = req.priority;
-  opts.on_complete = [this, io_index = io.index, conn_id = conn.id,
+  // Run to completion on this thread only while nothing else waits on
+  // it: no other connection was readable this round, so one multiply
+  // stalls nobody, and no byte of a further frame is buffered behind
+  // this one, so a pipelined burst keeps coalescing through the
+  // dispatcher.
+  opts.allow_inline = io.lone_readable && last_buffered;
+  opts.on_complete = [this, io_ptr = &io, conn_id = conn.id,
                       request_id = header.request_id,
                       op](const serve::ServeError* error) {
     Completion c;
@@ -874,11 +901,20 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
       c.status = status_of(error->code());
       c.message = error->what();
     }
-    post_completion(io_index, std::move(c));
+    if (tl_io_thread == io_ptr) {
+      io_ptr->finished_here.push_back(std::move(c));
+    } else {
+      post_completion(io_ptr->index, std::move(c));
+    }
   };
   op->token = scheduler_.submit(entry, std::span<const double>(*op->x),
                                 std::span<double>(op->y), std::move(opts))
                   .token;
+  // Finished inside submit (run inline, or refused at the scheduler's
+  // door): reply on this pass — replay record, encode, immediate send —
+  // instead of through the inbox, its doorbell and another poll round.
+  for (Completion& c : io.finished_here) process_completion(io, std::move(c));
+  io.finished_here.clear();
 }
 
 void SpmvServer::handle_cancel(Conn& conn, std::uint64_t request_id,
@@ -939,7 +975,8 @@ void SpmvServer::handle_health(Conn& conn, std::uint64_t request_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion path (I/O thread, fed by dispatcher hooks + control thread)
+// Completion path (I/O thread: fed by dispatcher hooks and the control
+// thread through the inbox, and by its own inline runs in place)
 
 StatusCode SpmvServer::status_of(serve::ServeErrorCode code) const {
   switch (code) {

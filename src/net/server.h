@@ -14,12 +14,23 @@
 //   MULTIPLY ──Scheduler::submit(on_complete=hook)─────┘
 //              (hook runs on the resolving dispatcher: push + wake, O(1))
 //
-// Responses complete asynchronously through the scheduler's one
-// completion: the SubmitOptions::on_complete hook receives the request's
-// outcome, pushes a completion record carrying its status code onto the
-// owning I/O thread's inbox and rings its doorbell pipe.  The net path
-// holds no future, and there is no thread-per-request anywhere.  Upload
-// results reach the I/O thread as the same record, status and message.
+// Responses complete through the scheduler's one completion: the
+// SubmitOptions::on_complete hook receives the request's outcome as a
+// completion record carrying its status code.  Two threads can run it:
+//   * Run to completion: a MULTIPLY that is the last frame buffered on
+//     the only connection readable in this poll round is submitted with
+//     SubmitOptions::allow_inline.  When the scheduler is idle and the
+//     matrix disarmed and fast (see serve/scheduler.h), it executes on
+//     this I/O thread inside submit(), and the hook hands the record
+//     back to handle_multiply, which answers on the same pass: replay
+//     record, encode, immediate send.  Door rejects come back the same
+//     way.  DataPlaneStats::inline_runs counts the inline runs.
+//   * Otherwise the request queues, and the hook runs on the dispatcher:
+//     it pushes the record onto the owning I/O thread's inbox and rings
+//     its doorbell pipe.
+// The net path holds no future, and there is no thread-per-request
+// anywhere.  Upload results reach the I/O thread as the same record,
+// status and message, through the inbox.
 // Operand lifetime is pin-based like the rest of the serving plane: each
 // request holds shared ownership of the exact cached-vector snapshot it
 // was submitted with (see net/session.h), its y buffer, and its registry
@@ -208,10 +219,14 @@ class SpmvServer {
   ReadEnd read_socket(Conn& conn);
   /// Parse and handle every complete frame in conn.rdbuf.
   void handle_frames(IoThread& io, Conn& conn);
+  /// `last_buffered`: no byte of a further frame follows this one in
+  /// conn.rdbuf (a multiply may then run inline).
   void handle_frame(IoThread& io, Conn& conn, const FrameHeader& header,
-                    std::span<const std::uint8_t> payload);
+                    std::span<const std::uint8_t> payload,
+                    bool last_buffered);
   void handle_multiply(IoThread& io, Conn& conn, const FrameHeader& header,
-                       std::span<const std::uint8_t> payload);
+                       std::span<const std::uint8_t> payload,
+                       bool last_buffered);
   void handle_cancel(Conn& conn, std::uint64_t request_id,
                      std::span<const std::uint8_t> payload);
   void handle_stats(Conn& conn, std::uint64_t request_id);
@@ -250,7 +265,10 @@ class SpmvServer {
 
   /// Push a completion to the owning thread's inbox and ring its
   /// doorbell.  Called from the scheduler's dispatcher thread (the
-  /// on_complete hook) and the control thread; must stay cheap.
+  /// on_complete hook of a queued multiply) and the control thread; must
+  /// stay cheap.  A hook that runs on the owning I/O thread itself (an
+  /// inline run or a door reject) skips it: handle_multiply answers that
+  /// completion in place.
   void post_completion(unsigned io_index, Completion c);
 
   ServerConfig config_;

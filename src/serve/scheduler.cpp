@@ -145,6 +145,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
         "dispatcher on the queue it is responsible for draining");
   }
   std::future<void> fut;
+  const bool allow_inline = options.allow_inline;
   std::function<void(const ServeError*)> complete =
       options.on_complete ? std::move(options.on_complete)
                           : future_completion(fut);
@@ -248,12 +249,17 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // Simulated capacity exhaustion: the first push attempt reports full,
   // exercising the reject/shed path (or one backpressure round under
   // kBlock — only the first attempt, so a kBlock submitter still makes
-  // progress through real pushes and cannot park forever).
+  // progress through real pushes and cannot park forever).  An inline
+  // run pushes nothing, so it ignores the fault; the point's injected
+  // delay still lands between the door checks and the inline claim.
   bool forced_full = SPMV_FAULT_POINT("scheduler.queue_full");
   // seq_cst: see the handshake above — must be ordered after the
   // announcement, or a concurrent shutdown() could miss this push.
   if (stopping_.load(std::memory_order_seq_cst)) {
     reject(ServeErrorCode::kShutdown, "serve: scheduler is shut down");
+  } else if (allow_inline && try_run_inline(req)) {
+    // Finished on this thread, still inside the announcement: shutdown()
+    // waits for it before its final sweep.
   } else {
     for (;;) {
       if (!forced_full && queue_.try_push(std::move(req))) {
@@ -359,6 +365,42 @@ bool Scheduler::resolve_if_dead(Request& req,
   return false;
 }
 
+bool Scheduler::try_run_inline(Request& req) noexcept {
+  const MatrixCell& cell = *req.cell;
+  // acquire: pairs with resume()'s release store, as the dispatcher's
+  // pause gate does.
+  if (paused_.load(std::memory_order_acquire)) return false;
+  // A matrix that still lingers is waiting for company the dispatcher
+  // could give it.  relaxed: the linger gate's heuristic word (see
+  // build_batch); a stale read costs one queued request or one window.
+  if (config_.max_linger.count() != 0 &&
+      cell.linger_misses.load(std::memory_order_relaxed) < kLingerMissLimit) {
+    return false;
+  }
+  if (cell.dispatch_latency.mean_us() >=
+      static_cast<double>(kInlineDispatchLimit.count())) {
+    return false;
+  }
+  if (queue_.approx_size() != 0) return false;
+  if (!executor_.try_lock()) return false;
+  // Re-check under the token: a request pushed since the first look is
+  // ahead of this one, and the dispatcher takes it next.
+  if (queue_.approx_size() != 0) {
+    executor_.unlock();
+    return false;
+  }
+  // The claim, exactly as at batch finalization: an expired or
+  // cancel-requested request finishes without executing, and past this
+  // point cancel() returns false.
+  if (!resolve_if_dead(req, std::chrono::steady_clock::now(),
+                       /*claim_token=*/true)) {
+    plane_.inline_runs.add();
+    execute_batch(std::span<Request>(&req, 1));
+  }
+  executor_.unlock();
+  return true;
+}
+
 void Scheduler::fill_pending(std::deque<Request>& pending) {
   bool popped = false;
   Request req;
@@ -421,8 +463,9 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
   // last is what two closed-loop clients produce once disarmed — each
   // one's request queues behind the other's 1-wide batch — and what a
   // lone one never does, as it resubmits only after its result.
-  // relaxed (every linger_misses access): a heuristic gate touched only
-  // by the dispatcher thread; no data rides on it.
+  // relaxed (every linger_misses access): a heuristic gate written only
+  // by the dispatcher thread (inline submits read it); no data rides on
+  // it.
   std::atomic<std::uint32_t>& misses = batch.front().cell->linger_misses;
   if (batch.size() >= 2 || batch.front().queued_behind) {
     misses.store(0, std::memory_order_relaxed);
@@ -531,7 +574,7 @@ void Scheduler::fail_request(Request& req, ServeErrorCode code,
   finish(req.complete, &req.cell->requests_failed, &error);
 }
 
-void Scheduler::execute_batch(std::vector<Request> batch) {
+void Scheduler::execute_batch(std::span<Request> batch) {
   MatrixCell& cell = *batch.front().cell;
   // Executing from here until just before the first member finishes, so
   // a closed-loop client never sees its own batch here.  relaxed: the
@@ -600,23 +643,7 @@ void Scheduler::dispatcher_loop() {
   for (;;) {
     // acquire: makes discard_'s relaxed store visible once stopping_
     // reads true (discard_ is stored before stopping_'s release).
-    const bool stopping = stopping_.load(std::memory_order_acquire);
-    if (stopping && discard_.load(std::memory_order_relaxed)) {
-      // relaxed ok above: ordered by the acquire on stopping_.
-      const auto now = std::chrono::steady_clock::now();
-      for (Request& r : pending) {
-        // Dead requests keep their specific verdict even in a discard
-        // teardown; everything else resolves kShutdown.  Claiming: this
-        // resolution is final, so a racing cancel() must lose.
-        if (!resolve_if_dead(r, now, /*claim_token=*/true)) {
-          fail_request(r, ServeErrorCode::kShutdown,
-                       "serve: scheduler shut down before the request was "
-                       "dispatched");
-        }
-      }
-      pending.clear();
-      return;  // shutdown() sweeps what's left in the ring
-    }
+    bool stopping = stopping_.load(std::memory_order_acquire);
     if (!stopping && paused_.load(std::memory_order_acquire)) {
       // acquire: pairs with resume()'s release store.
       const std::uint64_t ticket = work_ec_.prepare_wait();
@@ -632,25 +659,50 @@ void Scheduler::dispatcher_loop() {
       }
       continue;
     }
-    fill_pending(pending);
-    if (pending.empty()) {
-      if (stopping) return;  // drained
-      const std::uint64_t ticket = work_ec_.prepare_wait();
-      // seq_cst: re-check ordered after the wait announcement — a submit
-      // whose push landed before its notify saw "no waiters" is caught
-      // here; otherwise its notify sees us and wakes (Dekker pairing via
-      // the eventcount's fence).
-      if (stopping_.load(std::memory_order_seq_cst) ||
-          queue_.approx_size() != 0) {
-        work_ec_.cancel_wait();
-        continue;
+    {
+      // The executor token, from the first pop until the queue runs dry
+      // (while an inline run holds it, this waits out that one multiply),
+      // so a submit that acquires it knows nothing is pending or
+      // executing.
+      MutexLock token(executor_);
+      for (;;) {
+        if (stopping && discard_.load(std::memory_order_relaxed)) {
+          // relaxed ok above: ordered by the acquire on stopping_.
+          const auto now = std::chrono::steady_clock::now();
+          for (Request& r : pending) {
+            // Dead requests keep their specific verdict even in a discard
+            // teardown; everything else resolves kShutdown.  Claiming:
+            // this resolution is final, so a racing cancel() must lose.
+            if (!resolve_if_dead(r, now, /*claim_token=*/true)) {
+              fail_request(r, ServeErrorCode::kShutdown,
+                           "serve: scheduler shut down before the request "
+                           "was dispatched");
+            }
+          }
+          pending.clear();
+          return;  // shutdown() sweeps what's left in the ring
+        }
+        fill_pending(pending);
+        if (pending.empty()) break;
+        std::vector<Request> batch = build_batch(pending);
+        if (!batch.empty()) execute_batch(batch);
+        // acquire: as at the top of the loop.
+        stopping = stopping_.load(std::memory_order_acquire);
       }
-      plane_.dispatcher_sleeps.add();
-      work_ec_.commit_wait(ticket);
+    }
+    if (stopping) return;  // drained
+    const std::uint64_t ticket = work_ec_.prepare_wait();
+    // seq_cst: re-check ordered after the wait announcement — a submit
+    // whose push landed before its notify saw "no waiters" is caught
+    // here; otherwise its notify sees us and wakes (Dekker pairing via
+    // the eventcount's RMWs).
+    if (stopping_.load(std::memory_order_seq_cst) ||
+        queue_.approx_size() != 0) {
+      work_ec_.cancel_wait();
       continue;
     }
-    std::vector<Request> batch = build_batch(pending);
-    if (!batch.empty()) execute_batch(std::move(batch));
+    plane_.dispatcher_sleeps.add();
+    work_ec_.commit_wait(ticket);
   }
 }
 
@@ -689,6 +741,9 @@ void Scheduler::shutdown(Drain mode) {
   // relaxed: the dispatcher is joined; nothing concurrent remains.
   const bool discard =
       mode == Drain::kDiscard || discard_.load(std::memory_order_relaxed);
+  // Uncontended (no dispatcher, no submit in flight); execute_batch runs
+  // under the token everywhere.
+  MutexLock token(executor_);
   Request req;
   while (queue_.try_pop(req)) {
     // Expired/cancelled requests resolve with their specific verdict in
@@ -705,9 +760,7 @@ void Scheduler::shutdown(Drain mode) {
                    "serve: scheduler shut down before the request was "
                    "dispatched");
     } else {
-      std::vector<Request> one;
-      one.push_back(std::move(req));
-      execute_batch(std::move(one));
+      execute_batch(std::span<Request>(&req, 1));
     }
   }
 }

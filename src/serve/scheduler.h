@@ -13,9 +13,20 @@
 //     dispatcher through an eventcount (util/eventcount.h) only when it
 //     sleeps — the steady-state submit path takes no lock.
 //   * Same-entry requests coalesce into one plan.multiply_batch call.
-//     The dispatcher runs one batch at a time, so two requests can race
-//     over shared memory only inside one batch, and batch building splits
-//     those apart (see conflicts_with).
+//     One batch executes at a time, so two requests can race over shared
+//     memory only inside one batch, and batch building splits those apart
+//     (see conflicts_with).
+//   * Run to completion: a request whose submitter allows it
+//     (SubmitOptions::allow_inline) executes on the submitting thread,
+//     skipping the ring and both thread hops, when nothing could have
+//     joined or delayed it anyway: the queue is empty, the dispatcher
+//     holds no request and no batch executes, the scheduler is neither
+//     paused nor stopping, its matrix has stopped lingering, and the
+//     matrix's mean dispatch time is under kInlineDispatchLimit.  One
+//     executor token keeps inline runs and the dispatcher apart: the
+//     dispatcher holds it from the moment it has work until it parks,
+//     and a submit only try-acquires it.  DataPlaneStats::inline_runs
+//     counts these runs.
 //   * Why this shape, measured with bench_serve on a 4-vCPU host: one
 //     dispatcher beat two and four in every mode; and with one consumer a
 //     mutex-guarded std::deque with two condition variables lost to this
@@ -164,13 +175,23 @@ struct SubmitOptions {
   /// The request's completion, for callers that cannot block (the network
   /// front-end's I/O threads).  Called exactly once, after the request is
   /// counted in stats(), with null on success or the ServeError it
-  /// finished with, on whichever thread finished it: the submitter for
-  /// door rejects, the dispatcher for executed/swept requests, the
-  /// shutdown thread for the final sweep.  It must be cheap and must not
-  /// block or call back into the scheduler.  When set, no future is made
+  /// finished with, on whichever thread finished it: the submitter, inside
+  /// submit(), for door rejects and inline runs (see allow_inline); the
+  /// dispatcher for queued executed/swept requests; the shutdown thread
+  /// for the final sweep.  It must be cheap and must not block or call
+  /// back into the scheduler.  When set, no future is made
   /// (SubmitHandle::future is not valid).  Submits that throw (pool-worker
   /// / self-dispatcher fail-fast) create no request and never call it.
   std::function<void(const ServeError* error)> on_complete;
+  /// Let the request run to completion on the submitting thread, inside
+  /// submit(), when the scheduler is idle and the matrix disarmed (see
+  /// the overview).  Off by default: a caller whose on_complete blocks,
+  /// or that holds the engine pool the plan multiplies on, must never
+  /// have the multiply run on its own thread.  An inline run is claimed,
+  /// executed and finished exactly as a dispatched 1-wide batch: an
+  /// expired request still never executes, and cancel() on its token
+  /// returns false once submit() returned.
+  bool allow_inline = false;
 };
 
 /// Handle to cancel one submitted request before it dispatches.  Cheap to
@@ -207,6 +228,13 @@ struct SubmitHandle {
 
 class Scheduler {
  public:
+  /// A matrix runs inline only while its mean dispatch time is under
+  /// this.  A constant, not an option: it bounds how long an inline run
+  /// can hold up the submitting thread's other work (a network I/O
+  /// thread's other connections), and sits well above the ~80 µs
+  /// rpc-solver dispatch on a 4-vCPU KVM Xeon.
+  static constexpr std::chrono::microseconds kInlineDispatchLimit{500};
+
   /// The registry must outlive the scheduler.
   explicit Scheduler(MatrixRegistry& registry, SchedulerConfig config = {});
 
@@ -314,7 +342,14 @@ class Scheduler {
   /// requests cancellable.
   bool resolve_if_dead(Request& req, std::chrono::steady_clock::time_point now,
                        bool claim_token);
-  void dispatcher_loop();
+  /// Run `req` to completion on this thread if the scheduler is idle and
+  /// its matrix disarmed and fast (see the overview); false, leaving
+  /// `req` untouched, when it must queue instead.  Called only inside a
+  /// submit's submits_in_flight_ announcement, after its stopping_ check.
+  /// noexcept: a completion that throws ends the process here as it does
+  /// on the dispatcher, rather than escaping with the token held.
+  bool try_run_inline(Request& req) noexcept SPMV_EXCLUDES(executor_);
+  void dispatcher_loop() SPMV_EXCLUDES(executor_);
   /// Pop from the queue into `pending` until the queue is dry or
   /// `pending` holds max_batch requests.
   void fill_pending(std::deque<Request>& pending);
@@ -331,7 +366,9 @@ class Scheduler {
   /// faster) and max_linger is nonzero.
   void linger_fill(const MatrixRegistry::Entry* key,
                    std::vector<Request>& batch, std::deque<Request>& pending);
-  void execute_batch(std::vector<Request> batch);
+  /// Execute `batch` (one entry, no operand conflicts, every member
+  /// claimed) as one multiply_batch and finish each member.
+  void execute_batch(std::span<Request> batch) SPMV_REQUIRES(executor_);
   static void fail_request(Request& req, ServeErrorCode code,
                            const char* what);
   /// Would `r` race `batch` inside one dispatch?  The engine's batch path
@@ -339,15 +376,16 @@ class Scheduler {
   /// a batch member's y must split into a later dispatch.
   ///
   /// This intra-batch check is the only operand-conflict check, and it
-  /// suffices because one batch executes at a time: only the dispatcher
-  /// thread calls execute_batch while it runs, each call returns only
-  /// after every member has finished, and shutdown()'s final sweep runs
-  /// after the join.  So a request whose y is in an executing batch
-  /// cannot start until that batch is done.  A path that executes
-  /// requests anywhere else (a second dispatcher, or running a request
-  /// inline on the submitting thread) must keep this true — e.g. by
-  /// refusing while any batch executes or is queued — or bring back
-  /// cross-batch operand tracking.
+  /// suffices because one batch executes at a time: execute_batch runs
+  /// only under the executor token (the dispatcher's batches, and inline
+  /// runs, which try-acquire it only while the queue is empty and the
+  /// dispatcher holds nothing), each call returns only after every member
+  /// has finished, and shutdown()'s final sweep runs after the join and
+  /// after every submit (and so every inline run) has returned.  So a
+  /// request whose y is in an executing batch cannot start until that
+  /// batch is done.  A path that executes requests anywhere else (a
+  /// second dispatcher) must keep this true — e.g. by taking the same
+  /// token — or bring back cross-batch operand tracking.
   static bool conflicts_with(const std::vector<Request>& batch,
                              const Request& r);
 
@@ -370,6 +408,10 @@ class Scheduler {
   /// checking stopping_, so shutdown() can wait out racing pushes and
   /// then sweep the ring exactly once (see submit/shutdown).
   std::atomic<unsigned> submits_in_flight_{0};
+  /// The executor token: held by the dispatcher from the moment it has
+  /// work until it parks, and by an inline run (try-acquired) for its one
+  /// execution.  Whoever holds it is the only thread in execute_batch.
+  Mutex executor_;
 
   Mutex join_mutex_;
   std::thread dispatcher_ SPMV_GUARDED_BY(join_mutex_);

@@ -84,6 +84,10 @@ struct DataPlaneStats {
   /// to their batch: the ratio is how often waiting for company paid.
   Counter lingers;
   Counter lingers_widened;
+  /// Requests executed on their submitting thread (SubmitOptions::
+  /// allow_inline) instead of by the dispatcher.  Each is also a 1-wide
+  /// batch in batch_width and its matrix's batch counters.
+  Counter inline_runs;
   CountHistogram batch_width;  ///< width of every dispatched batch
   CountHistogram queue_depth;  ///< total queued depth sampled at submit
 

@@ -120,6 +120,19 @@ const HostInfo& host_info() {
   return info;
 }
 
+std::vector<unsigned> allowed_cpus() {
+  std::vector<unsigned> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (unsigned cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+#endif
+  return cpus;
+}
+
 bool pin_current_thread(unsigned logical_cpu) {
 #if defined(__linux__)
   return pin_native(pthread_self(), logical_cpu);

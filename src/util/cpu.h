@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace spmv {
 
@@ -42,6 +43,11 @@ const HostInfo& host_info();
 [[nodiscard]] HostInfo decode_simd_features(std::uint32_t leaf1_ecx,
                                             std::uint32_t leaf7_ebx,
                                             std::uint64_t xcr0);
+
+/// The logical CPUs the calling thread may run on (its affinity mask, as
+/// `taskset` or a container's cpuset narrows it), ascending.  Empty where
+/// the platform cannot tell.
+std::vector<unsigned> allowed_cpus();
 
 /// Pin the calling thread to a single logical CPU.  Returns false if the
 /// platform refuses (non-fatal: the pool keeps running unpinned).

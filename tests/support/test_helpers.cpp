@@ -1,6 +1,8 @@
 #include "support/test_helpers.h"
 
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "util/prng.h"
 
@@ -29,6 +31,19 @@ std::vector<double> direct_result(const MatrixRegistry::Entry& entry,
   std::vector<double> y(entry.plan.rows(), fill);
   entry.plan.multiply(x, y);
   return y;
+}
+
+bool run_inline_once(Scheduler& sched, const MatrixRegistry::EntryPtr& entry,
+                     std::span<const double> x, std::span<double> scratch) {
+  const std::uint64_t before = sched.stats().data_plane.inline_runs;
+  SubmitOptions allowed;
+  allowed.allow_inline = true;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    sched.submit(entry, x, scratch, allowed).future.get();
+    if (sched.stats().data_plane.inline_runs != before) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
 }
 
 }  // namespace spmv::serve

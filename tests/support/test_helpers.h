@@ -9,6 +9,7 @@
 
 #include "core/options.h"
 #include "serve/registry.h"
+#include "serve/scheduler.h"
 
 namespace spmv {
 
@@ -26,6 +27,14 @@ TuningOptions serve_options(engine::ExecutionContext* ctx, unsigned threads);
 /// What a direct (unscheduled) multiply on `entry` produces from y0 = fill.
 std::vector<double> direct_result(const MatrixRegistry::Entry& entry,
                                   std::span<const double> x, double fill);
+
+/// Submit inline-allowed requests of `x` (accumulating into `scratch`)
+/// until one runs inline; false when none did in 200 tries.  Right after
+/// a dispatched request finishes, the dispatcher may hold the executor
+/// token a moment longer before it parks.  Once a run went inline the
+/// dispatcher has parked, and only a queued request wakes it again.
+bool run_inline_once(Scheduler& sched, const MatrixRegistry::EntryPtr& entry,
+                     std::span<const double> x, std::span<double> scratch);
 
 }  // namespace spmv::serve
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -365,6 +366,120 @@ TEST(FaultServe, FailedBatchResolvesEveryMemberAsInternal) {
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->requests_completed, 1u);
   EXPECT_EQ(cell->requests_failed, static_cast<std::uint64_t>(kRequests));
+}
+
+// ---------------------------------------------------------------------------
+// The inline path (SubmitOptions::allow_inline).
+// ---------------------------------------------------------------------------
+
+// A request that expires after the door checks but before the inline
+// claim finishes kDeadlineExceeded on the submitting thread and never
+// executes.  The queue_full point's injected delay sits in that window
+// (an inline run pushes nothing, so the simulated full ring itself does
+// not apply to it).
+TEST(FaultServe, InlineRequestExpiredBeforeItsClaimNeverExecutes) {
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(120, 3, 0.7, 97);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const MatrixRegistry::EntryPtr entry = reg.find("A");
+  const auto x = random_vector(120, 98);
+  constexpr double kFill = 0.25;
+
+  Scheduler sched(reg, {.max_linger = 0us});
+  std::vector<double> scratch(120, 0.0);
+  ASSERT_TRUE(run_inline_once(sched, entry, x, scratch));
+  const auto before = sched.stats();
+
+  FaultArm arm(43);
+  auto& fi = FaultInjector::instance();
+  fi.set_rate("scheduler.queue_full", 1.0);
+  fi.set_delay("scheduler.queue_full", 100ms);
+  std::vector<double> y(120, kFill);
+  int calls = 0;
+  ServeErrorCode code{};
+  SubmitOptions opt;
+  opt.allow_inline = true;
+  opt.deadline = std::chrono::steady_clock::now() + 20ms;
+  opt.on_complete = [&](const ServeError* error) {
+    ++calls;
+    if (error != nullptr) code = error->code();
+  };
+  SubmitHandle handle = sched.submit(entry, x, y, std::move(opt));
+  EXPECT_EQ(fi.fired("scheduler.queue_full"), 1u);
+  EXPECT_EQ(calls, 1);  // finished on this thread, inside submit()
+  EXPECT_EQ(code, ServeErrorCode::kDeadlineExceeded);
+  EXPECT_FALSE(handle.token.cancel());
+  EXPECT_TRUE(all_equal(y, kFill));
+  const auto after = sched.stats();
+  EXPECT_EQ(after.data_plane.inline_runs, before.data_plane.inline_runs);
+  EXPECT_EQ(after.data_plane.requests_expired,
+            before.data_plane.requests_expired + 1);
+  EXPECT_EQ(after.find("A")->requests_completed,
+            before.find("A")->requests_completed);
+}
+
+// An inline run whose multiply throws finishes kInternal exactly once,
+// on the submitting thread, and leaves y untouched.
+TEST(FaultServe, InlineDispatchFailureFinishesInternalOnce) {
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(120, 3, 0.7, 99);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const MatrixRegistry::EntryPtr entry = reg.find("A");
+  const auto x = random_vector(120, 100);
+  constexpr double kFill = 0.25;
+  const std::vector<double> expect = direct_result(*entry, x, kFill);
+
+  Scheduler sched(reg, {.max_linger = 0us});
+  std::vector<double> scratch(120, 0.0);
+  ASSERT_TRUE(run_inline_once(sched, entry, x, scratch));
+  const auto before = sched.stats();
+
+  FaultArm arm(47);
+  auto& fi = FaultInjector::instance();
+  fi.set_rate("scheduler.dispatch_fail", 1.0);
+  std::vector<double> y(120, kFill);
+  int calls = 0;
+  std::thread::id finished_on;
+  std::string message;
+  ServeErrorCode code{};
+  SubmitOptions opt;
+  opt.allow_inline = true;
+  opt.on_complete = [&](const ServeError* error) {
+    ++calls;
+    finished_on = std::this_thread::get_id();
+    if (error != nullptr) {
+      code = error->code();
+      message = error->what();
+    }
+  };
+  (void)sched.submit(entry, x, y, std::move(opt));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(finished_on, std::this_thread::get_id());
+  EXPECT_EQ(code, ServeErrorCode::kInternal);
+  EXPECT_EQ(message, "serve: injected dispatch failure");
+  EXPECT_TRUE(all_equal(y, kFill));
+  EXPECT_EQ(fi.fired("scheduler.dispatch_fail"), 1u);
+  {
+    const auto after = sched.stats();
+    EXPECT_EQ(after.data_plane.inline_runs,
+              before.data_plane.inline_runs + 1);
+    EXPECT_EQ(after.find("A")->requests_failed,
+              before.find("A")->requests_failed + 1);
+    EXPECT_EQ(after.find("A")->requests_completed,
+              before.find("A")->requests_completed);
+  }
+
+  // The token was released: with the point off, the next inline run
+  // executes bit-identically.
+  fi.set_rate("scheduler.dispatch_fail", 0.0);
+  SubmitOptions again;
+  again.allow_inline = true;
+  sched.submit(entry, x, y, again).future.get();
+  EXPECT_EQ(y, expect);
+  EXPECT_EQ(sched.stats().data_plane.inline_runs,
+            before.data_plane.inline_runs + 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "engine/execution_context.h"
+#include "gen/generators.h"
 #include "net/client.h"
 #include "support/chaos_proxy.h"
 #include "support/test_helpers.h"
@@ -616,6 +619,255 @@ TEST(NetLoopback, OversizedFrameRejectedBeforeBuffering) {
   StatusMsg msg;
   ASSERT_TRUE(decode_status(p, msg));
   EXPECT_EQ(msg.code, StatusCode::kProtocolError);
+}
+
+// --- run to completion on the I/O thread ------------------------------------
+
+serve::DataPlaneStats data_plane(SpmvServer& server) {
+  return server.scheduler().stats().data_plane;
+}
+
+struct RawFrame {
+  FrameHeader header;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Read from `fd` until `count` whole frames arrived (or the socket's
+/// receive timeout or EOF ends the wait).
+std::vector<RawFrame> read_frames(int fd, std::size_t count) {
+  std::vector<std::uint8_t> buf;
+  std::vector<RawFrame> out;
+  while (out.size() < count) {
+    FrameHeader h;
+    std::span<const std::uint8_t> p;
+    std::size_t consumed = 0;
+    if (parse_frame(buf, kMaxSanePayload, h, p, consumed) ==
+        ParseStatus::kFrame) {
+      out.push_back({h, {p.begin(), p.end()}});
+      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(consumed));
+      continue;
+    }
+    std::uint8_t chunk[65536];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;
+    buf.insert(buf.end(), chunk, chunk + n);
+  }
+  return out;
+}
+
+/// A raw connection past its HELLO, with a receive timeout so a missing
+/// reply fails the test instead of hanging it.
+int raw_session(std::uint16_t port) {
+  const int fd = raw_connect(port);
+  const timeval limit{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+  const auto hello = encode_frame(FrameType::kHello, 1, encode_hello({}));
+  EXPECT_EQ(::write(fd, hello.data(), hello.size()),
+            static_cast<ssize_t>(hello.size()));
+  const auto ok = read_frames(fd, 1);
+  EXPECT_EQ(ok.size(), 1u);
+  if (!ok.empty()) {
+    EXPECT_EQ(ok[0].header.type, FrameType::kHelloOk);
+  }
+  return fd;
+}
+
+std::vector<std::uint8_t> multiply_frame(std::uint64_t request_id,
+                                         const std::vector<double>& x,
+                                         const std::string& name = "A") {
+  MultiplyRequest req;
+  req.name = name;
+  req.operand.mode = OperandMode::kFull;
+  req.operand.n = static_cast<std::uint32_t>(x.size());
+  req.operand.full = x;
+  return encode_frame(FrameType::kMultiply, request_id, encode_multiply(req));
+}
+
+/// The y of a MULTIPLY_RESULT frame (empty for any other frame).
+std::vector<double> result_y(const RawFrame& f) {
+  MultiplyResult res;
+  if (f.header.type != FrameType::kMultiplyResult ||
+      !decode_multiply_result(f.payload, res)) {
+    return {};
+  }
+  return res.y;
+}
+
+/// Closed-loop calls of `name` on `client` until one runs inline (at
+/// most `limit`); how many it took.
+int calls_until_inline(SpmvServer& server, SpmvNetClient& client,
+                       const std::vector<double>& x,
+                       const std::string& name = "A", int limit = 20) {
+  const std::uint64_t before = data_plane(server).inline_runs;
+  int calls = 0;
+  while (data_plane(server).inline_runs == before && calls < limit) {
+    EXPECT_EQ(client.multiply(name, x).status, StatusCode::kOk);
+    ++calls;
+  }
+  return calls;
+}
+
+TEST(NetInline, LoneClosedLoopClientRunsInlineAfterTwoCalls) {
+  // The default config lingers up to 100 us.  A lone closed-loop client's
+  // first two calls each wait out a window; then its matrix is disarmed,
+  // and every call runs on the I/O thread that read it and is answered
+  // in place, without waking the dispatcher.
+  Loop loop;
+  auto x = random_x(loop.m.n, 16);
+  int step = 0;
+  const auto call = [&] {
+    x[static_cast<std::size_t>(step++)] += 1.0;
+    const auto r = loop.client->multiply("A", x);
+    ASSERT_EQ(r.status, StatusCode::kOk);
+    const auto want = reference(loop.m, x);
+    ASSERT_EQ(r.y.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(r.y[i], want[i], 1e-12);
+    }
+  };
+  for (int i = 0; i < 2; ++i) call();
+  EXPECT_EQ(data_plane(loop.server).inline_runs, 0u);
+  EXPECT_EQ(data_plane(loop.server).lingers, 2u);
+  // Right after a dispatched call the dispatcher may hold the executor
+  // token a moment longer before it parks, so allow the third call to
+  // miss it.
+  while (data_plane(loop.server).inline_runs == 0 && step < 5) call();
+  ASSERT_EQ(data_plane(loop.server).inline_runs, 1u);
+
+  const std::uint64_t sleeps = data_plane(loop.server).dispatcher_sleeps;
+  constexpr int kCalls = 40;
+  for (int i = 0; i < kCalls; ++i) call();
+  const serve::DataPlaneStats plane = data_plane(loop.server);
+  EXPECT_EQ(plane.inline_runs, 1u + kCalls);
+  // At most the park the dispatcher may record after the first run.
+  EXPECT_LE(plane.dispatcher_sleeps, sleeps + 1);
+  EXPECT_EQ(plane.lingers, 2u);
+}
+
+TEST(NetInline, MultiplyWithAFrameBufferedBehindItIsNeverInline) {
+  // A MULTIPLY followed by a complete frame in the same read is part of a
+  // pipelined burst: it queues for the dispatcher even on a disarmed,
+  // idle scheduler.
+  Loop loop;
+  const auto x = random_x(loop.m.n, 17);
+  EXPECT_LE(calls_until_inline(loop.server, *loop.client, x), 5);
+  ASSERT_EQ(data_plane(loop.server).inline_runs, 1u);
+
+  const int fd = raw_session(loop.server.port());
+  auto burst = multiply_frame(2, x);
+  const auto health = encode_frame(FrameType::kHealth, 3, {});
+  burst.insert(burst.end(), health.begin(), health.end());
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  const auto replies = read_frames(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(replies.size(), 2u);
+  bool got_result = false;
+  for (const RawFrame& f : replies) {
+    if (f.header.request_id != 2) continue;
+    const auto y = result_y(f);
+    const auto want = reference(loop.m, x);
+    ASSERT_EQ(y.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(y[i], want[i], 1e-12);
+    }
+    got_result = true;
+  }
+  EXPECT_TRUE(got_result);
+  EXPECT_EQ(data_plane(loop.server).inline_runs, 1u)
+      << "a MULTIPLY with a frame buffered behind it ran inline";
+}
+
+TEST(NetInline, SecondReadableConnectionKeepsRequestsQueued) {
+  // An inline run holds up its I/O thread, so a MULTIPLY runs inline only
+  // when no other connection of that thread was readable in the same
+  // poll round.  Block the one I/O thread inside an inline run of "A"
+  // (its plan multiplies on a pool the test holds), send a MULTIPLY of
+  // the fast serial "F" on each of two more connections meanwhile, then
+  // let go: the next round finds both readable, and neither runs inline.
+  // F keeps its own dispatch times, which the held run cannot inflate.
+  engine::ExecutionContext ctx({.pin_threads = false});
+  ServerConfig cfg;
+  cfg.io_threads = 1;
+  SpmvServer server(cfg);
+  server.start();
+  const CsrMatrix m = gen::banded(90, 3, 0.9, 18);
+  server.registry().put("A", m, serve::serve_options(&ctx, 2));
+  server.registry().put("F", m, serve::serve_options(&ctx, 1));
+  const auto x = random_x(m.cols(), 19);
+  const std::vector<double> expect_a =
+      serve::direct_result(*server.registry().find("A"), x, 0.0);
+  const std::vector<double> expect_f =
+      serve::direct_result(*server.registry().find("F"), x, 0.0);
+  ClientOptions copts;
+  copts.port = server.port();
+  SpmvNetClient client(copts);
+  client.connect();
+  // Disarm and measure both matrices; A last, so the dispatcher parks.
+  EXPECT_LT(calls_until_inline(server, client, x, "F"), 20);
+  const auto matrix_a = [&] {
+    const serve::ServeStatsSnapshot snap = server.scheduler().stats();
+    const serve::MatrixStatsSnapshot* a = snap.find("A");
+    return a == nullptr ? serve::MatrixStatsSnapshot{} : *a;
+  };
+  const std::uint64_t dispatches_before = ctx.dispatches();
+  if (calls_until_inline(server, client, x, "A", 200) == 200 &&
+      data_plane(server).inline_runs == 1) {
+    // Under heavy CPU contention A's pooled plan can keep its mean
+    // dispatch time over the inline limit; then nothing may run inline,
+    // and there is no inline run to hold.
+    ASSERT_GE(matrix_a().dispatch_latency.mean_us(),
+              static_cast<double>(serve::Scheduler::kInlineDispatchLimit.count()))
+        << "no call of A ran inline";
+    GTEST_SKIP() << "mean dispatch time over the inline limit on this host";
+  }
+  ASSERT_EQ(data_plane(server).inline_runs, 2u);
+  ASSERT_GT(ctx.dispatches(), dispatches_before)
+      << "A's plan must multiply through ctx's pool for the hold below";
+  const int fd_a = raw_session(server.port());
+  const int fd_b = raw_session(server.port());
+  const auto samples = [&] { return matrix_a().queue_latency.count; };
+  const std::uint64_t samples_before = samples();
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    ctx.parallel_for(2, [&](unsigned t) {
+      if (t == 0) entered.set_value();
+      released.wait();
+    });
+  });
+  entered.get_future().wait();
+  SpmvNetClient::Result held;
+  std::thread caller([&] { held = client.multiply("A", x); });
+  // The I/O thread is inside the held inline run once it started.
+  const bool started =
+      wait_until([&] { return samples() == samples_before + 1; });
+  if (started) {
+    for (const int fd : {fd_a, fd_b}) {
+      const auto frame = multiply_frame(2, x, "F");
+      EXPECT_EQ(::write(fd, frame.data(), frame.size()),
+                static_cast<ssize_t>(frame.size()));
+    }
+    // Let both frames land in the server's receive queues.
+    std::this_thread::sleep_for(5ms);
+  }
+  release.set_value();
+  holder.join();
+  caller.join();
+  ASSERT_TRUE(started) << "the held call never started";
+  EXPECT_EQ(held.status, StatusCode::kOk);
+  EXPECT_EQ(held.y, expect_a);
+  EXPECT_EQ(data_plane(server).inline_runs, 3u);
+  for (const int fd : {fd_a, fd_b}) {
+    const auto replies = read_frames(fd, 1);
+    ::close(fd);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(result_y(replies[0]), expect_f);
+  }
+  EXPECT_EQ(data_plane(server).inline_runs, 3u)
+      << "a MULTIPLY ran inline while another connection was readable";
 }
 
 // --- concurrency smoke ------------------------------------------------------

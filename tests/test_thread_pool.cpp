@@ -2,14 +2,20 @@
 // propagation, concurrency.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -168,6 +174,85 @@ TEST(ThreadPool, StartsOneThreadFewerThanItsWidth) {
   for (const std::string& id : *after) started += before->count(id) == 0;
   EXPECT_EQ(started, 3u);
   EXPECT_EQ(pool.size(), 4u);
+}
+
+/// The kernel id of the calling thread.
+long os_thread_id() { return static_cast<long>(::syscall(SYS_gettid)); }
+
+/// `voluntary_ctxt_switches` of thread `tid` of this process (each park
+/// and wake of a blocked thread is one), or nullopt where
+/// /proc/self/task/<tid>/status cannot be read.
+std::optional<long> voluntary_switches(long tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    constexpr std::string_view kKey = "voluntary_ctxt_switches:";
+    if (line.rfind(kKey, 0) == 0) return std::stol(line.substr(kKey.size()));
+  }
+  return std::nullopt;
+}
+
+TEST(ThreadPool, NarrowDispatchesLeaveBystandersAsleep) {
+  // A dispatch wakes only the workers it selects: on a pool of width 4,
+  // back-to-back run(2, ...) must leave tids 2 and 3 parked.  Every wake
+  // of a parked bystander would cost it a voluntary context switch.
+  ThreadPool pool(4);
+  std::vector<long> os_tid(4, 0);
+  pool.run(4, [&](unsigned tid) { os_tid[tid] = os_thread_id(); });
+  if (!voluntary_switches(os_tid[2]).has_value()) {
+    GTEST_SKIP() << "/proc/self/task/<tid>/status is not available";
+  }
+  // Past the spin budget, so the bystanders have parked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const long before2 = voluntary_switches(os_tid[2]).value_or(0);
+  const long before3 = voluntary_switches(os_tid[3]).value_or(0);
+  std::atomic<int> runs{0};
+  constexpr int kDispatches = 2000;
+  for (int i = 0; i < kDispatches; ++i) {
+    pool.run(2, [&](unsigned) { runs.fetch_add(1); });
+  }
+  EXPECT_EQ(runs.load(), 2 * kDispatches);
+  EXPECT_LE(voluntary_switches(os_tid[2]).value_or(0) - before2, 5);
+  EXPECT_LE(voluntary_switches(os_tid[3]).value_or(0) - before3, 5);
+}
+
+TEST(ThreadPool, PinsWorkersInsideTheCallersCpuMask) {
+  // Narrow this thread's own mask to two CPUs, as `taskset -c` would, and
+  // build a pinning pool of width 4: each worker must be pinned to one
+  // CPU of that pair.  The last two allowed CPUs are chosen, so pinning
+  // tid modulo the host CPU count would put tid 1 outside them.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  std::vector<int> allowed;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) allowed.push_back(cpu);
+  }
+  if (allowed.size() < 2) GTEST_SKIP() << "needs 2 allowed CPUs";
+  cpu_set_t pair;
+  CPU_ZERO(&pair);
+  CPU_SET(allowed[allowed.size() - 2], &pair);
+  CPU_SET(allowed[allowed.size() - 1], &pair);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(pair), &pair), 0);
+  struct Restore {
+    cpu_set_t mask;
+    ~Restore() { sched_setaffinity(0, sizeof(mask), &mask); }
+  } restore{original};
+
+  ThreadPool pool(4, /*pin=*/true);
+  std::vector<long> os_tid(4, 0);
+  pool.run(4, [&](unsigned tid) { os_tid[tid] = os_thread_id(); });
+  for (unsigned tid = 1; tid < 4; ++tid) {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(static_cast<pid_t>(os_tid[tid]), sizeof(mask),
+                                &mask),
+              0);
+    EXPECT_EQ(CPU_COUNT(&mask), 1) << "tid " << tid;
+    cpu_set_t inside;
+    CPU_AND(&inside, &mask, &pair);
+    EXPECT_EQ(CPU_COUNT(&inside), 1) << "tid " << tid << " left the mask";
+  }
 }
 
 // --- the barrier: warm handoffs, parking, partial width, exceptions ---

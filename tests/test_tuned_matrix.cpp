@@ -191,5 +191,16 @@ TEST(TunedMatrix, CompressionOnFemMatrix) {
   EXPECT_LT(tuned.report().compression_ratio(), 0.80);
 }
 
+TEST(TunedMatrix, UntunedPlanPrefetchesNothing) {
+  // With the prefetch search off, full() keeps software prefetch off: a
+  // fixed distance slowed cache-resident plans severalfold, and the
+  // search, where it runs, picks 0 for most matrices anyway.
+  TuningOptions opt = TuningOptions::full(2);
+  opt.tune_prefetch = false;
+  EXPECT_EQ(opt.prefetch_distance, 0u);
+  const TunedMatrix tuned = TunedMatrix::plan(matrix_by_name("fem"), opt);
+  EXPECT_EQ(tuned.report().prefetch_distance, 0u);
+}
+
 }  // namespace
 }  // namespace spmv
